@@ -68,7 +68,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -79,6 +78,7 @@ use crate::observer::{NullObserver, RunObserver};
 use crate::piece::PieceSet;
 use crate::session::{ArrivalProcess, SessionConfig};
 use crate::swarm::{peer_round_rng, PeerId, Swarm};
+use crate::tracker;
 
 /// Domain separator for per-event ChaCha streams ("eventseq"): churn,
 /// announce, and arrival draws are keyed `(seed ^ SEP, stream = seq)` so
@@ -1007,40 +1007,39 @@ impl EventEngine {
     }
 
     /// Arrival event: draw the newcomer's initial pieces from its
-    /// per-event stream, admit it into the arena, wire it to shuffled
-    /// tracker candidates, arm its churn timers, and align its first
-    /// rechoke to the tick grid. Poisson arrivals chain the next
-    /// inter-arrival gap from the same stream.
+    /// per-event stream, admit it into the arena, wire it through the
+    /// tracker, arm its churn timers, and align its first rechoke to the
+    /// tick grid. Poisson arrivals chain the next inter-arrival gap from
+    /// the same stream.
     fn fire_arrival<O: RunObserver>(&mut self, chain: bool, seq: u64, tau: f64, obs: &O) {
-        let (upload, completion, target, abort_p, linger_p, seed, rate, cap) = match &self.churn {
-            Some(ch) => (
-                ch.arrival_upload_kbps,
-                ch.arrival_completion,
-                ch.target_degree,
-                ch.departure.abort_prob,
-                ch.departure.seed_leave_prob,
-                ch.session_seed,
-                match ch.arrival {
-                    ArrivalProcess::Poisson { rate } => rate,
-                    _ => 0.0,
-                },
-                ch.peer_list_cap,
-            ),
-            None => return,
+        // The handler lends the config out so it can be borrowed across
+        // the `&mut self` calls below; nothing it calls reads `self.churn`.
+        let Some(ch) = self.churn.take() else {
+            return;
         };
+        self.admit_arrival(&ch, chain, seq, tau, obs);
+        self.churn = Some(ch);
+    }
+
+    fn admit_arrival<O: RunObserver>(
+        &mut self,
+        ch: &SessionConfig,
+        chain: bool,
+        seq: u64,
+        tau: f64,
+        obs: &O,
+    ) {
         self.stats.arrivals += 1;
-        let mut rng = event_seq_rng(seed, seq);
-        let piece_count = self.swarm.config().piece_count;
-        let mut pieces = PieceSet::new(piece_count);
-        if completion > 0.0 {
-            for piece in 0..piece_count {
-                if rng.gen_bool(completion) {
-                    pieces.insert(piece);
-                }
-            }
-        }
+        let mut rng = event_seq_rng(ch.session_seed, seq);
+        let pieces = tracker::draw_pieces(
+            self.swarm.config().piece_count,
+            ch.arrival_completion,
+            &mut rng,
+        );
         let complete = pieces.is_complete();
-        let slot = self.swarm.arrive(upload, PeerBehavior::Compliant, pieces);
+        let slot = self
+            .swarm
+            .arrive(ch.arrival_upload_kbps, PeerBehavior::Compliant, pieces);
         self.sync_capacity(tau);
         let classes = self.timing.speed_multipliers.len() as u64;
         self.class[slot] = (self.arrival_counter % classes) as u32;
@@ -1056,13 +1055,13 @@ impl EventEngine {
         if O::ENABLED {
             obs.arrival(tau, slot);
         }
-        self.wire_shuffled(slot, target, cap, &mut rng, tau);
-        if !complete && abort_p > 0.0 {
-            let gap = round_prob_gap(&mut rng, abort_p);
+        self.wire(slot, ch, &mut rng, tau);
+        if !complete && ch.departure.abort_prob > 0.0 {
+            let gap = round_prob_gap(&mut rng, ch.departure.abort_prob);
             self.push(tau + gap, K_DEPART, slot as u64, 1, gen);
         }
-        if complete && linger_p > 0.0 {
-            let gap = round_prob_gap(&mut rng, linger_p);
+        if complete && ch.departure.seed_leave_prob > 0.0 {
+            let gap = round_prob_gap(&mut rng, ch.departure.seed_leave_prob);
             self.push(tau + gap, K_DEPART, slot as u64, 0, gen);
         }
         // First rechoke on the tick grid: at `tau` itself when the
@@ -1077,6 +1076,10 @@ impl EventEngine {
         if let Some(ai) = self.announce_intervals {
             self.push(tau + ai, K_ANNOUNCE, slot as u64, 0, gen);
         }
+        let rate = match ch.arrival {
+            ArrivalProcess::Poisson { rate } => rate,
+            _ => 0.0,
+        };
         if chain && rate > 0.0 {
             let gap = exp_gap(&mut rng, 1.0 / rate);
             let idx = self.arrival_pushed();
@@ -1084,9 +1087,8 @@ impl EventEngine {
         }
     }
 
-    /// Tracker announce: if the peer sits below the churn target
-    /// degree, wire it to shuffled candidates; then queue the next
-    /// announce.
+    /// Tracker announce: one tracker request for the peer (a no-op at or
+    /// above the churn target degree); then queue the next announce.
     fn fire_announce<O: RunObserver>(&mut self, p: PeerId, gen: u64, seq: u64, tau: f64, obs: &O) {
         if self.generation[p] != gen || !self.swarm.is_present(p) {
             return;
@@ -1095,65 +1097,40 @@ impl EventEngine {
         if O::ENABLED {
             obs.announce(tau, p);
         }
-        let (target, seed, cap) = match &self.churn {
-            Some(ch) => (ch.target_degree, ch.session_seed, ch.peer_list_cap),
-            None => return,
+        let Some(ch) = self.churn.take() else {
+            return;
         };
-        if self.swarm.degree(p) < target {
-            let mut rng = event_seq_rng(seed, seq);
-            self.wire_shuffled(p, target, cap, &mut rng, tau);
-        }
+        let mut rng = event_seq_rng(ch.session_seed, seq);
+        self.wire(p, &ch, &mut rng, tau);
+        self.churn = Some(ch);
         if let Some(ai) = self.announce_intervals {
             self.push(tau + ai, K_ANNOUNCE, p as u64, 0, gen);
         }
     }
 
-    /// One shuffled candidate pass over the present peers: connects
-    /// `slot` to candidates in shuffled order until it reaches `target`
-    /// degree (capacity and duplicate edges are rejected by the arena).
-    /// A tracker peer-list cap limits the pass to the first `cap`
-    /// shuffled candidates — i.e. the uniform subset the tracker handed
-    /// out; `None` scans the whole list (legacy behaviour, draw-for-draw
-    /// identical since the full shuffle happens either way).
-    fn wire_shuffled(
-        &mut self,
-        slot: PeerId,
-        target: usize,
-        cap: Option<usize>,
-        rng: &mut ChaCha8Rng,
-        tau: f64,
-    ) {
-        let mut cands = std::mem::take(&mut self.wire_scratch);
-        cands.clear();
-        cands.extend_from_slice(&self.present_slots);
-        cands.shuffle(rng);
-        let handed = cap.map_or(cands.len(), |c| c.min(cands.len()));
-        for &c in &cands[..handed] {
-            if self.swarm.degree(slot) >= target {
-                break;
+    /// One tracker request for `slot` ([`tracker::wire`]) under the churn
+    /// config's target degree and peer-list cap, then fresh engine state
+    /// for the new edges: `connect_peers` appends each edge at the end of
+    /// both rows, so the new slots are `slot`'s row tail and their
+    /// reverses.
+    fn wire(&mut self, slot: PeerId, ch: &SessionConfig, rng: &mut ChaCha8Rng, tau: f64) {
+        let old_end = self.swarm.row_bounds(slot).1;
+        tracker::wire(
+            &mut self.swarm,
+            &self.present_slots,
+            slot,
+            ch.target_degree,
+            ch.peer_list_cap,
+            false,
+            rng,
+            &mut self.wire_scratch,
+        );
+        for e in old_end..self.swarm.row_bounds(slot).1 {
+            for s in [e, self.swarm.edge_rev(e)] {
+                self.clear_engine_slot(s);
+                self.last_settle[s] = tau;
             }
-            let q = c as usize;
-            if q == slot {
-                continue;
-            }
-            self.connect_mirrored(slot, q, tau);
         }
-        self.wire_scratch = cands;
-    }
-
-    /// Connects `p`–`q` in the arena and initialises the engine state of
-    /// the two new edge slots (which sit at the rows' previous ends).
-    fn connect_mirrored(&mut self, p: PeerId, q: PeerId, tau: f64) -> bool {
-        let ep = self.swarm.row_bounds(p).1;
-        let eq = self.swarm.row_bounds(q).1;
-        if !self.swarm.connect_peers(p, q) {
-            return false;
-        }
-        for e in [ep, eq] {
-            self.clear_engine_slot(e);
-            self.last_settle[e] = tau;
-        }
-        true
     }
 
     /// Grows the engine's per-peer / per-edge arrays to match the arena

@@ -57,6 +57,7 @@ mod piece;
 pub mod reference;
 pub mod session;
 mod swarm;
+mod tracker;
 pub mod universe;
 
 pub use behavior::PeerBehavior;

@@ -49,7 +49,6 @@ fn churny_config(session_seed: u64, compact_threshold: Option<f64>) -> SessionCo
         arrival_completion: 0.1,
         target_degree: 7,
         session_seed,
-        batched_wiring: false,
         peer_list_cap: None,
         compact_threshold,
     }
@@ -294,7 +293,6 @@ proptest! {
                     arrival_completion: 0.15,
                     target_degree: 7,
                     session_seed: seed ^ 0xd1ff,
-                    batched_wiring: false,
                     peer_list_cap: None,
                     compact_threshold: threshold,
                 },

@@ -59,6 +59,39 @@ fn engine_fingerprint(engine: &EventEngine) -> Vec<PeerBits> {
         .collect()
 }
 
+/// The event core under a tracker peer-list cap: churn plus periodic
+/// announces keep wiring through capped requests, and the arena stays
+/// consistent throughout.
+#[test]
+fn capped_tracker_engine_keeps_arena_invariants() {
+    let timing = EventTiming {
+        rechoke_interval: 10.0,
+        transfer_quantum: None,
+        announce_interval: Some(20.0),
+        speed_multipliers: vec![1.0, 2.0],
+    };
+    let churn = SessionConfig {
+        arrival: ArrivalProcess::Poisson { rate: 1.5 },
+        departure: DepartureRules {
+            leave_on_completion: 0.6,
+            seed_leave_prob: 0.2,
+            seed_exodus_round: None,
+            abort_prob: 0.02,
+        },
+        target_degree: 8,
+        peer_list_cap: Some(3),
+        ..SessionConfig::default()
+    };
+    let mut engine = EventEngine::new(build(30, 2, 48, 0.35, 17), timing, Some(churn));
+    for _ in 0..8 {
+        engine.run_for(50.0);
+        engine.swarm().check_invariants();
+    }
+    let stats = engine.stats();
+    assert!(stats.arrivals > 0 && stats.departures > 0 && stats.announces > 0);
+    assert!(stats.transfers > 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -155,7 +188,6 @@ proptest! {
         announce_mult in 1u32..4,
         mult_idx in 0usize..4,
         rate in 0.3f64..1.5,
-        batched in any::<bool>(),
     ) {
         // Divisors of the rechoke interval whose quotients are exact in
         // binary, so quantum multiples land exactly on rechoke ticks.
@@ -184,7 +216,6 @@ proptest! {
             arrival_completion: 0.25,
             target_degree: 7,
             session_seed: seed ^ 0xaa,
-            batched_wiring: batched,
             peer_list_cap: None,
             compact_threshold: None,
         };

@@ -326,6 +326,68 @@ fn partition_cuts_the_overlay_and_heals_to_full_connectivity() {
     session.swarm().check_invariants();
 }
 
+/// Runs six crash + repair rounds of a capped session with no arrivals
+/// or departures, and returns the most edges any one peer's own repair
+/// request added. A new edge between `p` and a peer still at target
+/// degree after the crash pass can only come from `p`'s request: that
+/// peer makes none, since repair only ever raises degrees.
+fn widest_repair_request(cap: Option<usize>) -> usize {
+    let target = 8;
+    let plan = FaultPlan {
+        crash_prob: 0.3,
+        fault_seed: 5,
+        ..FaultPlan::none()
+    };
+    let config = SessionConfig {
+        target_degree: target,
+        peer_list_cap: cap,
+        ..SessionConfig::default()
+    };
+    let mut session = Session::with_faults(build_swarm(80, 4, 21), config, plan);
+    let n = session.swarm().peer_count();
+    let mut widest = 0;
+    for _ in 0..6 {
+        let before: Vec<Vec<usize>> = (0..n)
+            .map(|p| session.swarm().neighbors(p).collect())
+            .collect();
+        session.run_rounds(1);
+        let swarm = session.swarm();
+        // Crashes are the only departures, so a neighbour still present
+        // survived the crash pass.
+        let settled: Vec<bool> = (0..n)
+            .map(|q| {
+                swarm.is_present(q)
+                    && before[q].iter().filter(|&&v| swarm.is_present(v)).count() >= target
+            })
+            .collect();
+        for p in (0..n).filter(|&p| swarm.is_present(p)) {
+            let own = swarm
+                .neighbors(p)
+                .filter(|&q| settled[q] && !before[p].contains(&q))
+                .count();
+            widest = widest.max(own);
+        }
+        swarm.check_invariants();
+    }
+    assert!(session.stats().crashes > 0 && session.stats().repaired_edges > 0);
+    widest
+}
+
+/// A repair is a tracker request, so the peer-list cap bounds it: no
+/// peer's repair request adds more than `min(cap, target)` edges.
+#[test]
+fn repair_requests_honour_the_peer_list_cap() {
+    let cap = 2;
+    let widest = widest_repair_request(Some(cap));
+    assert!(
+        widest <= cap,
+        "a capped repair request added {widest} edges"
+    );
+    // The uncapped twin refills some peer by more than the cap, so the
+    // bound above is the cap's doing.
+    assert!(widest_repair_request(None) > cap);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -117,172 +117,6 @@ fn zero_churn_parallel_session_matches_serial_indexed_oracle() {
     }
 }
 
-/// Builds a swarm whose pieces can never convert inside the test horizon
-/// (absurd piece size): transfer credit accrues but piece sets stay
-/// frozen at their admission draws, isolating the membership layer's
-/// randomness from the transfer dynamics.
-fn build_frozen_swarm(leechers: usize, seeds: usize, seed: u64) -> Swarm {
-    let n = leechers + seeds;
-    let config = SwarmConfig::builder()
-        .leechers(leechers)
-        .seeds(seeds)
-        .piece_count(48)
-        .piece_size_kbit(1.0e9)
-        .initial_completion(0.35)
-        .mean_neighbors(9.0)
-        .seed(seed)
-        .build();
-    let uploads: Vec<f64> = (0..n).map(|i| 120.0 + 31.0 * i as f64).collect();
-    Swarm::new(config, &uploads)
-}
-
-/// Batched wiring only re-routes the tracker's edge draws (through the
-/// dedicated `wire_rng` domain separator): with piece conversion frozen,
-/// a batched session and the reference session admit bit-identical
-/// cohorts — same slots, same piece draws, same availability, same
-/// arrival/departure history — for any interleaving of churn.
-#[test]
-fn batched_wiring_admits_bit_identical_cohorts() {
-    for seed in [3u64, 58, 1044] {
-        let config = SessionConfig {
-            arrival: ArrivalProcess::Poisson { rate: 2.5 },
-            departure: DepartureRules {
-                leave_on_completion: 0.0,
-                seed_leave_prob: 0.12,
-                seed_exodus_round: None,
-                abort_prob: 0.04,
-            },
-            arrival_upload_kbps: 300.0,
-            arrival_completion: 0.3,
-            target_degree: 7,
-            session_seed: seed ^ 0xbeef,
-            batched_wiring: false,
-            peer_list_cap: None,
-            compact_threshold: None,
-        };
-        let mut reference = Session::new(build_frozen_swarm(18, 2, seed), config.clone());
-        let mut batched = Session::new(
-            build_frozen_swarm(18, 2, seed),
-            SessionConfig {
-                batched_wiring: true,
-                ..config
-            },
-        );
-        for round in 0..14u64 {
-            reference.run_rounds(1);
-            batched.run_rounds(1);
-            let (a, b) = (reference.swarm(), batched.swarm());
-            assert_eq!(a.peer_count(), b.peer_count(), "seed {seed} round {round}");
-            for p in 0..a.peer_count() {
-                assert_eq!(
-                    a.is_present(p),
-                    b.is_present(p),
-                    "seed {seed} round {round} slot {p}"
-                );
-                if a.is_present(p) {
-                    assert_eq!(
-                        a.peer(p).pieces(),
-                        b.peer(p).pieces(),
-                        "seed {seed} round {round} slot {p}"
-                    );
-                }
-            }
-            assert_eq!(
-                a.availability(),
-                b.availability(),
-                "seed {seed} round {round}"
-            );
-            assert_eq!(a.population(), b.population(), "seed {seed} round {round}");
-            assert_eq!(
-                reference.stats().arrivals,
-                batched.stats().arrivals,
-                "seed {seed} round {round}"
-            );
-            assert_eq!(
-                reference.stats().departures,
-                batched.stats().departures,
-                "seed {seed} round {round}"
-            );
-        }
-        assert!(reference.stats().arrivals > 0, "seed {seed}: inert run");
-        assert!(reference.stats().departures > 0, "seed {seed}: inert run");
-    }
-}
-
-/// The batched pass is deterministic and thread-count independent: the
-/// per-round `wire_rng(seed, round, 0)` stream depends on nothing the
-/// worker layout can reorder.
-#[test]
-fn batched_wiring_is_deterministic_across_thread_counts() {
-    let config = SessionConfig {
-        arrival: ArrivalProcess::Poisson { rate: 3.0 },
-        departure: DepartureRules {
-            leave_on_completion: 0.4,
-            seed_leave_prob: 0.2,
-            seed_exodus_round: None,
-            abort_prob: 0.02,
-        },
-        arrival_upload_kbps: 300.0,
-        arrival_completion: 0.1,
-        target_degree: 8,
-        session_seed: 0x5eed,
-        batched_wiring: true,
-        peer_list_cap: None,
-        compact_threshold: None,
-    };
-    // Baseline is the indexed-stream (parallel) semantics at one worker;
-    // the legacy sequential `run_rounds` draws a different (also valid)
-    // trajectory and is covered by the cohort test above.
-    let baseline = {
-        let mut session = Session::new(build_swarm(20, 2, 9), config.clone());
-        session.run_rounds_parallel(12, 1);
-        full_state(session.swarm())
-    };
-    for threads in [2usize, 3, 8] {
-        let mut session = Session::new(build_swarm(20, 2, 9), config.clone());
-        session.run_rounds_parallel(12, threads);
-        assert_eq!(full_state(session.swarm()), baseline, "threads {threads}");
-        session.swarm().validate_consistency();
-    }
-}
-
-/// One shuffled lap over the candidate list must fill every burst
-/// arrival to the full target degree (the reference path only guarantees
-/// this in expectation, through its attempt budget).
-#[test]
-fn batched_wiring_reaches_target_degree() {
-    let initial = 32usize;
-    let burst = 8u32;
-    let target = 6usize;
-    let mut session = Session::new(
-        build_swarm(initial - 2, 2, 77),
-        SessionConfig {
-            arrival: ArrivalProcess::Burst {
-                round: 0,
-                count: burst,
-            },
-            departure: DepartureRules::none(),
-            arrival_upload_kbps: 300.0,
-            arrival_completion: 0.0,
-            target_degree: target,
-            session_seed: 1,
-            batched_wiring: true,
-            peer_list_cap: None,
-            compact_threshold: None,
-        },
-    );
-    session.run_rounds(1);
-    assert_eq!(session.stats().arrivals, u64::from(burst));
-    for slot in initial..initial + burst as usize {
-        assert!(
-            session.swarm().degree(slot) >= target,
-            "arrival {slot} wired to {} < {target} neighbors",
-            session.swarm().degree(slot)
-        );
-    }
-    session.swarm().validate_consistency();
-}
-
 /// Canonical edge-set view of the overlay: sorted `(min, max)` pairs.
 fn edge_set(swarm: &Swarm) -> Vec<(usize, usize)> {
     let mut edges = Vec::new();
@@ -362,7 +196,6 @@ proptest! {
         abort in 0.0f64..0.1,
         rounds in 3u64..14,
         parallel in any::<bool>(),
-        batched in any::<bool>(),
     ) {
         let swarm = build_swarm(leechers, 2, seed);
         let mut session = Session::new(
@@ -378,7 +211,6 @@ proptest! {
                 arrival_upload_kbps: 320.0,
                 target_degree: 7,
                 session_seed: seed ^ 0xc0de,
-                batched_wiring: batched,
                 ..SessionConfig::default()
             },
         );

@@ -307,6 +307,22 @@ fn fault_windows_field(value: &Value, field: &str) -> Result<Vec<FaultWindow>, S
 }
 
 fn session_config_from_value(value: &Value) -> Result<SessionConfig, ScenarioError> {
+    // `batched_wiring` is a removed key. Older preset files carry it as
+    // `false` or null, which is how every session wires, so they load; a
+    // file asking for `true` asks for wiring that no longer exists, so it
+    // is refused rather than silently ignored.
+    match value.get("batched_wiring") {
+        None | Some(Value::Null | Value::Bool(false)) => {}
+        Some(Value::Bool(true)) => {
+            return Err(ScenarioError::InvalidParameter {
+                what: "batched_wiring",
+                reason: "batched tracker wiring was removed; every request uses the one \
+                         tracker path (drop the key or set it to false)"
+                    .to_string(),
+            })
+        }
+        Some(_) => return Err(type_error("batched_wiring", "bool")),
+    }
     let departure = require(value, "departure")?;
     Ok(SessionConfig {
         arrival: arrival_from_value(require(value, "arrival")?)?,
@@ -327,14 +343,6 @@ fn session_config_from_value(value: &Value) -> Result<SessionConfig, ScenarioErr
         arrival_completion: f64_field(value, "arrival_completion")?,
         target_degree: usize_field(value, "target_degree")?,
         session_seed: u64_field(value, "session_seed")?,
-        // Legacy tolerance: pre-batching preset files carry no
-        // `batched_wiring` key; absence means the per-arrival path.
-        batched_wiring: match value.get("batched_wiring") {
-            None | Some(Value::Null) => false,
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| type_error("batched_wiring", "bool"))?,
-        },
         // Legacy tolerance again: pre-tracker-cap preset files carry no
         // `peer_list_cap` key; absence (like null) means uncapped.
         peer_list_cap: match value.get("peer_list_cap") {
@@ -586,7 +594,6 @@ mod tests {
                     arrival_completion: 0.05,
                     target_degree: 12,
                     session_seed: 99,
-                    batched_wiring: false,
                     peer_list_cap: Some(16),
                     compact_threshold: Some(0.5),
                 }),
@@ -677,26 +684,37 @@ mod tests {
     }
 
     #[test]
-    fn legacy_churn_sections_without_batched_wiring_parse_to_false() {
-        // Pre-batching preset files carry no `batched_wiring` key.
+    fn removed_batched_wiring_key_is_rejected_only_when_true() {
         let scenario = Scenario::new("legacy", 8).with_swarm(SwarmParams {
             churn: Some(SessionConfig::default()),
             ..SwarmParams::default()
         });
-        let json = scenario.to_json().replace(",\"batched_wiring\":false", "");
-        assert!(!json.contains("batched_wiring"), "not stripped: {json}");
-        let parsed = Scenario::from_json(&json).expect("legacy JSON parses");
-        assert!(!parsed.swarm.unwrap().churn.unwrap().batched_wiring);
-        // And the explicit true form round-trips.
-        let scenario = Scenario::new("batched", 8).with_swarm(SwarmParams {
-            churn: Some(SessionConfig {
-                batched_wiring: true,
-                ..SessionConfig::default()
-            }),
-            ..SwarmParams::default()
-        });
-        let parsed = Scenario::from_json(&scenario.to_json()).expect("round trip parses");
-        assert!(parsed.swarm.unwrap().churn.unwrap().batched_wiring);
+        let json = scenario.to_json();
+        assert!(!json.contains("batched_wiring"), "still emitted: {json}");
+        // Older preset files carry the key after `session_seed`.
+        let with_key = |value: &str| {
+            let patched = json.replacen(
+                "\"session_seed\":24149,",
+                &format!("\"session_seed\":24149,\"batched_wiring\":{value},"),
+                1,
+            );
+            assert_ne!(patched, json, "key not spliced in");
+            Scenario::from_json(&patched)
+        };
+        for legacy in ["false", "null"] {
+            assert_eq!(with_key(legacy).expect("legacy JSON parses"), scenario);
+        }
+        assert_eq!(
+            Scenario::from_json(&json).expect("absent key parses"),
+            scenario
+        );
+        match with_key("true") {
+            Err(ScenarioError::InvalidParameter { what, reason }) => {
+                assert_eq!(what, "batched_wiring");
+                assert!(reason.contains("removed"), "{reason}");
+            }
+            other => panic!("batched_wiring: true must be rejected, got {other:?}"),
+        }
     }
 
     #[test]

@@ -209,7 +209,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
                 arrival_completion: 0.0,
                 target_degree: 20,
                 session_seed: ctx.seed ^ 0x3b17,
-                batched_wiring: false,
                 peer_list_cap: None,
                 compact_threshold: None,
             }),

@@ -55,8 +55,9 @@ const GOLDEN: &[(&str, u64)] = &[
     // birth.
     ("btfault", 0x4cca2b7cae661056),
     // PR 7 addition (event-engine heterogeneity sweep vs the multi-class
-    // fluid model), recorded at birth.
-    ("btevent", 0x2d66d4c083c1c0d3),
+    // fluid model), recorded at birth; re-pinned once when the event
+    // core's wiring moved onto the shared tracker module.
+    ("btevent", 0x119117c0e94d526c),
     // PR 8 additions (observer-layer clustering + live-overlay sweeps),
     // recorded at birth.
     ("btcluster", 0x8e7790d9562b9e73),

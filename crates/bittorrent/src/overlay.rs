@@ -41,11 +41,31 @@ pub struct OverlaySnapshot {
 
 /// Whether every present peer sits in one connected component — the
 /// recovery predicate after a partition heals (vacuously true on empty
-/// swarms).
+/// swarms). One BFS from the first present peer, so it is cheap enough to
+/// poll every round; it agrees with
+/// `snapshot(swarm).largest_component == snapshot(swarm).present`.
 #[must_use]
 pub fn fully_connected(swarm: &Swarm) -> bool {
-    let snap = snapshot(swarm);
-    snap.largest_component == snap.present
+    let n = swarm.peer_count();
+    let present = (0..n).filter(|&p| swarm.is_present(p)).count();
+    let Some(start) = (0..n).find(|&p| swarm.is_present(p)) else {
+        return true;
+    };
+    let mut seen = vec![false; n];
+    seen[start] = true;
+    let mut queue = vec![start];
+    let mut head = 0;
+    while head < queue.len() {
+        let p = queue[head];
+        head += 1;
+        for q in swarm.neighbors(p) {
+            if !seen[q] {
+                seen[q] = true;
+                queue.push(q);
+            }
+        }
+    }
+    queue.len() == present
 }
 
 /// Measures the overlay: one BFS sweep for components, one BFS per peer

@@ -326,6 +326,42 @@ fn partition_cuts_the_overlay_and_heals_to_full_connectivity() {
     session.swarm().check_invariants();
 }
 
+#[test]
+fn fully_connected_agrees_with_snapshot_under_crashes_and_partitions() {
+    let plan = FaultPlan {
+        crash_prob: 0.05,
+        partitions: vec![FaultWindow {
+            start: 4,
+            rounds: 5,
+        }],
+        fault_seed: 23,
+        ..FaultPlan::none()
+    };
+    let mut session = Session::with_faults(build_swarm(30, 2, 29), churn_config(29), plan);
+    let (mut split, mut whole) = (0, 0);
+    for _ in 0..24 {
+        session.run_rounds(1);
+        let snap = overlay::snapshot(session.swarm());
+        let expected = snap.largest_component == snap.present;
+        assert_eq!(
+            overlay::fully_connected(session.swarm()),
+            expected,
+            "round {}",
+            session.round_count()
+        );
+        if expected {
+            whole += 1;
+        } else {
+            split += 1;
+        }
+    }
+    assert!(session.stats().crashes > 0, "crash pass fired");
+    assert!(
+        split > 0 && whole > 0,
+        "both outcomes exercised ({split} split, {whole} whole)"
+    );
+}
+
 /// Runs six crash + repair rounds of a capped session with no arrivals
 /// or departures, and returns the most edges any one peer's own repair
 /// request added. A new edge between `p` and a peer still at target

@@ -20,6 +20,7 @@
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default worker count: `STRAT_THREADS` if set, else the machine's
 /// available parallelism, else 1.
@@ -35,13 +36,15 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Maps `f` over `items` on up to `threads` scoped threads, preserving
-/// input order in the output.
+/// Maps `f` over `items` on up to `threads` threads (the caller plus
+/// scoped workers), preserving input order in the output.
 ///
 /// `f(i, &items[i])` receives the item **index**, so callers can derive
 /// per-item deterministic state (RNG streams, output slots) independent of
-/// the scheduling. With `threads <= 1` the loop runs inline, producing the
-/// identical result.
+/// the scheduling. Workers pull the next unclaimed index from a shared
+/// counter, so a few expensive items do not leave the other workers idle
+/// behind a contiguous chunk; each result lands in its item's slot. With
+/// `threads <= 1` the loop runs inline, producing the identical result.
 ///
 /// # Panics
 ///
@@ -60,32 +63,36 @@ where
             .map(|(i, item)| f(i, item))
             .collect();
     }
-    let chunk_len = items.len().div_ceil(threads);
-    let parts: Vec<Vec<U>> = std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(c, slice)| {
-                scope.spawn(move || {
-                    slice
-                        .iter()
-                        .enumerate()
-                        .map(|(k, item)| f(c * chunk_len + k, item))
-                        .collect::<Vec<U>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("par_map worker panicked"))
-            .collect()
+    // `Relaxed` suffices: the counter only hands out indices, and results
+    // reach the caller through the scope's joins.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            done.push((i, f(i, item)));
+        }
+        done
+    };
+    let parts: Vec<Vec<(usize, U)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut parts = vec![work()];
+        parts.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("par_map worker panicked")),
+        );
+        parts
     });
-    let mut out = Vec::with_capacity(items.len());
-    for part in parts {
-        out.extend(part);
+    let mut slots: Vec<Option<U>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    for (i, value) in parts.into_iter().flatten() {
+        slots[i] = Some(value);
     }
-    out
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("par_map: every index is claimed once"))
+        .collect()
 }
 
 /// Splits `0..total` into at most `parts` contiguous, non-empty ranges
@@ -158,6 +165,25 @@ mod tests {
         for threads in [1, 2, 3, 7, 16, 200] {
             let got = par_map(&items, threads, |i, x| x * 3 + i as u64);
             assert_eq!(got, expected, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn par_map_with_skewed_item_costs_matches_sequential() {
+        // A few items cost orders of magnitude more than the rest, so
+        // workers finish out of index order; the output must not notice.
+        let items: Vec<u64> = (0..40).collect();
+        let cost = |x: u64| if x.is_multiple_of(13) { 200_000 } else { 10 };
+        let f = |i: usize, x: &u64| {
+            let mut acc = *x ^ i as u64;
+            for k in 0..cost(*x) {
+                acc = acc.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(k);
+            }
+            acc
+        };
+        let expected: Vec<u64> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(par_map(&items, threads, f), expected, "threads = {threads}");
         }
     }
 

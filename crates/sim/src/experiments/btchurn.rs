@@ -145,6 +145,120 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
     run_scenario(ctx, &preset(ctx))
 }
 
+/// What one `(λ, γ)` cell measured.
+struct CellRun {
+    /// Sampled trajectory rows, then the steady-state summary row.
+    rows: Vec<Vec<f64>>,
+    /// Relative error of the tail-mean leecher pool against the fluid `x̄`.
+    rel_err: f64,
+    /// Relative error of the promoted-seed pool against Little's law.
+    seed_err: f64,
+    /// Relative error of mean download time against `x̄_sim / λ`, if any
+    /// steady-state arrival completed.
+    little_err: Option<f64>,
+    /// Whether arrivals, departures and completions all happened.
+    turnover: bool,
+    /// Rendered per-cohort completion times.
+    cohort_note: String,
+}
+
+/// Builds and runs one sweep cell from the base scenario.
+fn run_cell(scenario: &Scenario, lambda: f64, gamma: f64, warmup: u64, measure: u64) -> CellRun {
+    let sample_every = 10u64;
+    let cell = cell_scenario(scenario, lambda, gamma);
+    let params = fluid_params(&cell, lambda, gamma);
+    let steady = params.steady_state();
+    let mut session = cell
+        .build_session(&mut common::rng(cell.seed, 0xc4))
+        .unwrap_or_else(|e| panic!("btchurn scenario: {e}"));
+
+    // The fluid trajectory from the same initial condition (x0 at the
+    // predicted steady state, no promoted seeds yet).
+    let x0 = cell.peers as f64;
+    let trajectory = params.trajectory(x0, 0.0, (warmup + measure) as f64, 1.0);
+
+    let mut rows = Vec::new();
+    let mut tail_leechers = 0.0f64;
+    let mut tail_seeds = 0.0f64;
+    for round in 0..warmup + measure {
+        session.run_rounds(1);
+        let pop = session.population();
+        // Promoted seeds = seeding peers minus the permanent squad.
+        let promoted = pop.seeding.saturating_sub(SEEDS) as f64;
+        if round >= warmup {
+            tail_leechers += pop.downloading as f64;
+            tail_seeds += promoted;
+        }
+        if (round + 1).is_multiple_of(sample_every) {
+            let (_, fx, fy) = trajectory[(round + 1) as usize];
+            rows.push(vec![
+                lambda,
+                gamma,
+                (round + 1) as f64,
+                pop.downloading as f64,
+                promoted,
+                fx,
+                fy,
+            ]);
+        }
+    }
+    let sim_x = tail_leechers / measure as f64;
+    let sim_y = tail_seeds / measure as f64;
+    rows.push(vec![
+        lambda,
+        gamma,
+        -1.0,
+        sim_x,
+        sim_y,
+        steady.leechers,
+        steady.seeds,
+    ]);
+
+    // The discrete session observes a lingering seed for 1 + 1/gamma
+    // sampled rounds exactly (the completion-observation pass plus the
+    // geometric seed-leave draws), so Little's law for the promoted
+    // pool reads lambda * (1 + 1/gamma) in round-sampled units.
+    let seed_pred = lambda * (1.0 + 1.0 / gamma);
+
+    // Little's law self-consistency: mean download time of steady-state
+    // arrivals vs x̄_sim / λ.
+    let records: Vec<f64> = session
+        .stats()
+        .completion_records
+        .iter()
+        .filter(|&&(arrived, _)| arrived >= warmup / 2)
+        .map(|&(arrived, completed)| (completed - arrived) as f64)
+        .collect();
+    let little_err = (!records.is_empty()).then(|| {
+        let mean_dl = records.iter().sum::<f64>() / records.len() as f64;
+        (mean_dl - sim_x / lambda).abs() / (sim_x / lambda)
+    });
+
+    let stats = session.stats();
+    let cohorts = session.cohort_completions(40);
+    let rendered: Vec<String> = cohorts
+        .iter()
+        .take(4)
+        .map(|c| {
+            format!(
+                "[{}..): {} done, {:.1} rounds",
+                c.window_start, c.completed, c.mean_download_rounds
+            )
+        })
+        .collect();
+    CellRun {
+        rows,
+        rel_err: (sim_x - steady.leechers).abs() / steady.leechers,
+        seed_err: (sim_y - seed_pred).abs() / seed_pred,
+        little_err,
+        turnover: stats.arrivals > 0 && stats.departures > 0 && stats.completions > 0,
+        cohort_note: format!(
+            "Per-cohort completion times (lambda = {lambda}, gamma = {gamma}, 40-round waves): {}",
+            rendered.join("; ")
+        ),
+    }
+}
+
 /// Runs the arrival-rate × seed-leave sweep derived from an arbitrary
 /// base scenario (which must carry `swarm.churn`).
 ///
@@ -155,7 +269,6 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
 pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
     let cells = sweep(ctx.quick);
     let (warmup, measure) = horizon(ctx.quick);
-    let sample_every = 10u64;
 
     let mut result = ExperimentResult::new(
         "btchurn",
@@ -175,102 +288,25 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
         ],
     );
 
+    let runs = common::par_cells(&cells, |&(lambda, gamma)| {
+        run_cell(scenario, lambda, gamma, warmup, measure)
+    });
+
     let mut max_rel_err = 0.0f64;
     let mut seed_errs: Vec<f64> = Vec::new();
     let mut little_errs: Vec<f64> = Vec::new();
     let mut turnover_ok = true;
     let mut cohort_note = String::new();
-
-    for &(lambda, gamma) in &cells {
-        let cell = cell_scenario(scenario, lambda, gamma);
-        let params = fluid_params(&cell, lambda, gamma);
-        let steady = params.steady_state();
-        let mut session = cell
-            .build_session(&mut common::rng(cell.seed, 0xc4))
-            .unwrap_or_else(|e| panic!("btchurn scenario: {e}"));
-
-        // The fluid trajectory from the same initial condition (x0 at the
-        // predicted steady state, no promoted seeds yet).
-        let x0 = cell.peers as f64;
-        let trajectory = params.trajectory(x0, 0.0, (warmup + measure) as f64, 1.0);
-
-        let mut tail_leechers = 0.0f64;
-        let mut tail_seeds = 0.0f64;
-        for round in 0..warmup + measure {
-            session.run_rounds(1);
-            let pop = session.population();
-            // Promoted seeds = seeding peers minus the permanent squad.
-            let promoted = pop.seeding.saturating_sub(SEEDS) as f64;
-            if round >= warmup {
-                tail_leechers += pop.downloading as f64;
-                tail_seeds += promoted;
-            }
-            if (round + 1).is_multiple_of(sample_every) {
-                let (_, fx, fy) = trajectory[(round + 1) as usize];
-                result.push_row(vec![
-                    lambda,
-                    gamma,
-                    (round + 1) as f64,
-                    pop.downloading as f64,
-                    promoted,
-                    fx,
-                    fy,
-                ]);
-            }
+    for run in runs {
+        for row in run.rows {
+            result.push_row(row);
         }
-        let sim_x = tail_leechers / measure as f64;
-        let sim_y = tail_seeds / measure as f64;
-        result.push_row(vec![
-            lambda,
-            gamma,
-            -1.0,
-            sim_x,
-            sim_y,
-            steady.leechers,
-            steady.seeds,
-        ]);
-
-        let rel_err = (sim_x - steady.leechers).abs() / steady.leechers;
-        max_rel_err = max_rel_err.max(rel_err);
-        // The discrete session observes a lingering seed for 1 + 1/gamma
-        // sampled rounds exactly (the completion-observation pass plus the
-        // geometric seed-leave draws), so Little's law for the promoted
-        // pool reads lambda * (1 + 1/gamma) in round-sampled units.
-        let seed_pred = lambda * (1.0 + 1.0 / gamma);
-        seed_errs.push((sim_y - seed_pred).abs() / seed_pred);
-
-        // Little's law self-consistency: mean download time of steady-state
-        // arrivals vs x̄_sim / λ.
-        let records: Vec<f64> = session
-            .stats()
-            .completion_records
-            .iter()
-            .filter(|&&(arrived, _)| arrived >= warmup / 2)
-            .map(|&(arrived, completed)| (completed - arrived) as f64)
-            .collect();
-        if !records.is_empty() {
-            let mean_dl = records.iter().sum::<f64>() / records.len() as f64;
-            little_errs.push((mean_dl - sim_x / lambda).abs() / (sim_x / lambda));
-        }
-
-        let stats = session.stats();
-        turnover_ok &= stats.arrivals > 0 && stats.departures > 0 && stats.completions > 0;
+        max_rel_err = max_rel_err.max(run.rel_err);
+        seed_errs.push(run.seed_err);
+        little_errs.extend(run.little_err);
+        turnover_ok &= run.turnover;
         if cohort_note.is_empty() {
-            let cohorts = session.cohort_completions(40);
-            let rendered: Vec<String> = cohorts
-                .iter()
-                .take(4)
-                .map(|c| {
-                    format!(
-                        "[{}..): {} done, {:.1} rounds",
-                        c.window_start, c.completed, c.mean_download_rounds
-                    )
-                })
-                .collect();
-            cohort_note = format!(
-                "Per-cohort completion times (lambda = {lambda}, gamma = {gamma}, 40-round waves): {}",
-                rendered.join("; ")
-            );
+            cohort_note = run.cohort_note;
         }
     }
 

@@ -179,6 +179,99 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
     run_scenario(ctx, &preset(ctx))
 }
 
+/// What one speed-spread cell measured.
+struct CellRun {
+    /// One row per class.
+    rows: Vec<Vec<f64>>,
+    /// Per-class mean download rounds (NaN for a class with no sample).
+    measured: [f64; CLASSES],
+    /// Per-class fluid-model download rounds.
+    fluid_rounds: Vec<f64>,
+    /// Whether arrivals and departures happened and every class
+    /// completed a download.
+    turnover: bool,
+    /// Whether the event counters account for every dispatched event.
+    accounting: bool,
+    /// Rendered event accounting.
+    note: String,
+}
+
+/// Builds and runs the event engine for one speed spread.
+fn run_cell(scenario: &Scenario, spread: f64, warmup: u64, measure: u64) -> CellRun {
+    let cell = cell_scenario(scenario, spread);
+    let params = fluid_params(&cell, spread);
+    let fluid_rounds = params.mean_download_rounds();
+    let round_seconds = cell
+        .swarm
+        .as_ref()
+        .expect("btevent has a swarm section")
+        .round_seconds;
+    let mut engine = cell
+        .build_event_engine(&mut common::rng(cell.seed, 0xe7))
+        .unwrap_or_else(|e| panic!("btevent scenario: {e}"));
+    engine.run_for((warmup + measure) as f64 * round_seconds);
+
+    // Per-class mean download time of peers that arrived after the
+    // warmup horizon (initial peers and early arrivals see the
+    // transient, not the steady state).
+    let warmup_seconds = warmup as f64 * round_seconds;
+    let mut sums = [0.0f64; CLASSES];
+    let mut counts = [0u64; CLASSES];
+    for rec in engine.completions() {
+        if rec.arrival_time >= warmup_seconds / 2.0 && rec.arrival_time > 0.0 {
+            sums[rec.class as usize] += rec.completion_time - rec.arrival_time;
+            counts[rec.class as usize] += 1;
+        }
+    }
+    let mults = multipliers(spread);
+    let mut measured = [f64::NAN; CLASSES];
+    let mut rows = Vec::with_capacity(CLASSES);
+    for class in 0..CLASSES {
+        if counts[class] > 0 {
+            measured[class] = sums[class] / counts[class] as f64 / round_seconds;
+        }
+        rows.push(vec![
+            spread,
+            class as f64,
+            mults[class],
+            measured[class],
+            fluid_rounds[class],
+            counts[class] as f64,
+        ]);
+    }
+
+    let stats = engine.stats();
+    CellRun {
+        rows,
+        measured,
+        fluid_rounds,
+        turnover: counts.iter().all(|&n| n > 0) && stats.arrivals > 0 && stats.departures > 0,
+        // Stale-plan transfers and stale-generation timers dispatch
+        // without firing their per-kind counter, so the total dominates
+        // the sum; every kind must actually occur.
+        accounting: stats.events
+            >= stats.arrivals
+                + stats.departures
+                + stats.transfers
+                + stats.rechokes
+                + stats.announces
+            && stats.transfers > 0
+            && stats.rechokes > 0
+            && stats.announces > 0,
+        note: format!(
+            "Event accounting (spread = {spread}): {} events = {} transfers + {} rechokes \
+             + {} announces + {} arrivals + {} departures; {} present at the horizon",
+            stats.events,
+            stats.transfers,
+            stats.rechokes,
+            stats.announces,
+            stats.arrivals,
+            stats.departures,
+            engine.present_count(),
+        ),
+    }
+}
+
 /// Runs the speed-spread sweep derived from an arbitrary base scenario
 /// (which must carry `swarm.churn` and `swarm.timing`).
 ///
@@ -219,49 +312,15 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
     let mut accounting_ok = true;
     let mut counter_note = String::new();
 
-    for &spread in &cells {
-        let cell = cell_scenario(scenario, spread);
-        let params = fluid_params(&cell, spread);
-        let fluid_rounds = params.mean_download_rounds();
-        let round_seconds = cell
-            .swarm
-            .as_ref()
-            .expect("btevent has a swarm section")
-            .round_seconds;
-        let mut engine = cell
-            .build_event_engine(&mut common::rng(cell.seed, 0xe7))
-            .unwrap_or_else(|e| panic!("btevent scenario: {e}"));
-        engine.run_for((warmup + measure) as f64 * round_seconds);
-
-        // Per-class mean download time of peers that arrived after the
-        // warmup horizon (initial peers and early arrivals see the
-        // transient, not the steady state).
-        let warmup_seconds = warmup as f64 * round_seconds;
-        let mut sums = [0.0f64; CLASSES];
-        let mut counts = [0u64; CLASSES];
-        for rec in engine.completions() {
-            if rec.arrival_time >= warmup_seconds / 2.0 && rec.arrival_time > 0.0 {
-                sums[rec.class as usize] += rec.completion_time - rec.arrival_time;
-                counts[rec.class as usize] += 1;
-            }
+    let runs = common::par_cells(&cells, |&spread| {
+        run_cell(scenario, spread, warmup, measure)
+    });
+    for (&spread, run) in cells.iter().zip(runs) {
+        for row in run.rows {
+            result.push_row(row);
         }
-        let mults = multipliers(spread);
-        let mut measured = [f64::NAN; CLASSES];
-        for class in 0..CLASSES {
-            if counts[class] > 0 {
-                measured[class] = sums[class] / counts[class] as f64 / round_seconds;
-            } else {
-                turnover_ok = false;
-            }
-            result.push_row(vec![
-                spread,
-                class as f64,
-                mults[class],
-                measured[class],
-                fluid_rounds[class],
-                counts[class] as f64,
-            ]);
-        }
+        let (measured, fluid_rounds) = (run.measured, run.fluid_rounds);
+        turnover_ok &= run.turnover;
         if spread <= 1.5 {
             for class in 0..CLASSES {
                 let rel = (measured[class] - fluid_rounds[class]).abs() / fluid_rounds[class];
@@ -281,33 +340,9 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
         if spread > 1.0 {
             ordered &= measured[0] > measured[1] && measured[1] > measured[2];
         }
-
-        let stats = engine.stats();
-        turnover_ok &= stats.arrivals > 0 && stats.departures > 0;
-        // Stale-plan transfers and stale-generation timers dispatch
-        // without firing their per-kind counter, so the total dominates
-        // the sum; every kind must actually occur.
-        accounting_ok &= stats.events
-            >= stats.arrivals
-                + stats.departures
-                + stats.transfers
-                + stats.rechokes
-                + stats.announces
-            && stats.transfers > 0
-            && stats.rechokes > 0
-            && stats.announces > 0;
+        accounting_ok &= run.accounting;
         if counter_note.is_empty() {
-            counter_note = format!(
-                "Event accounting (spread = {spread}): {} events = {} transfers + {} rechokes \
-                 + {} announces + {} arrivals + {} departures; {} present at the horizon",
-                stats.events,
-                stats.transfers,
-                stats.rechokes,
-                stats.announces,
-                stats.arrivals,
-                stats.departures,
-                engine.present_count(),
-            );
+            counter_note = run.note;
         }
     }
 

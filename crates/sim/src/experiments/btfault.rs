@@ -26,8 +26,8 @@
 use strat_analytic::fluid::BtFluidParams;
 use strat_bittorrent::overlay;
 use strat_scenario::{
-    ArrivalProcess, CapacityModel, DepartureRules, FaultPlan, FaultWindow, Scenario, Session,
-    SessionConfig, SwarmParams, TopologyModel,
+    ArrivalProcess, CapacityModel, DepartureRules, FaultPlan, FaultWindow, Scenario, SessionConfig,
+    SwarmParams, TopologyModel,
 };
 
 use crate::experiments::common;
@@ -172,12 +172,15 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
     run_scenario(ctx, &preset(ctx))
 }
 
-/// What one cell's simulation measured.
+/// What one cell's simulation measured: its rows and the handful of
+/// scalars the sweep's checks read (never the finished session, so cells
+/// that finish together do not keep whole swarms alive).
 struct CellOutcome {
-    /// Tail-mean leecher population.
-    leechers: f64,
-    /// Tail-mean promoted-seed population.
-    seeds: f64,
+    /// Sampled trajectory rows, then the steady-state summary row.
+    rows: Vec<Vec<f64>>,
+    /// Relative error of the tail-mean leecher population against the
+    /// abort-augmented fluid prediction.
+    rel_err: f64,
     /// Rounds from partition heal to full connectivity; `None` without a
     /// partition (or if connectivity never returned).
     recovery: Option<u64>,
@@ -185,28 +188,31 @@ struct CellOutcome {
     split_components: usize,
     /// Mean download rounds of steady-state completions.
     mean_download: f64,
-    /// The finished session (statistics and final swarm state).
-    session: Session,
+    /// Peers crashed by the fault plane.
+    crashes: u64,
+    /// Deliveries dropped by transfer loss.
+    lost_deliveries: u64,
+    /// Announces deferred by a tracker outage, and their retry attempts.
+    announces: (u64, u64),
+    /// Announces still queued at the horizon.
+    pending_announces: usize,
 }
 
-/// Simulates one cell, pushing sampled rows, and returns its outcomes.
+/// Builds and simulates one cell of the sweep derived from `base`.
 #[allow(clippy::too_many_lines)]
-fn simulate_cell(
-    result: &mut ExperimentResult,
-    scenario: &Scenario,
-    cell: Cell,
-    quick: bool,
-    fluid_leechers: f64,
-) -> CellOutcome {
+fn simulate_cell(base: &Scenario, cell: Cell, quick: bool) -> CellOutcome {
     let (crash, loss, outage, partition) = cell;
     let (warmup, measure) = horizon(quick);
     let sample_every = 10u64;
     let heal_end = warmup + WINDOW_OFFSET + partition;
 
+    let scenario = cell_scenario(base, cell, quick);
+    let fluid_leechers = fluid_params(&scenario, cell).steady_state().leechers;
     let mut session = scenario
         .build_session(&mut common::rng(scenario.seed, 0xfa))
         .unwrap_or_else(|e| panic!("btfault scenario: {e}"));
 
+    let mut rows = Vec::new();
     let mut tail_leechers = 0.0f64;
     let mut tail_seeds = 0.0f64;
     let mut recovery = None;
@@ -231,7 +237,7 @@ fn simulate_cell(
         }
         if (round + 1).is_multiple_of(sample_every) {
             let snap = overlay::snapshot(session.swarm());
-            result.push_row(vec![
+            rows.push(vec![
                 crash,
                 loss,
                 outage as f64,
@@ -248,9 +254,25 @@ fn simulate_cell(
             ]);
         }
     }
+    let leechers = tail_leechers / measure as f64;
+    rows.push(vec![
+        crash,
+        loss,
+        outage as f64,
+        partition as f64,
+        -1.0,
+        leechers,
+        tail_seeds / measure as f64,
+        0.0,
+        0.0,
+        0.0,
+        0.0,
+        fluid_leechers,
+        recovery.map_or(-1.0, |r| r as f64),
+    ]);
 
-    let records: Vec<f64> = session
-        .stats()
+    let stats = session.stats();
+    let records: Vec<f64> = stats
         .completion_records
         .iter()
         .filter(|&&(arrived, _)| arrived >= warmup / 2)
@@ -263,12 +285,15 @@ fn simulate_cell(
     };
 
     CellOutcome {
-        leechers: tail_leechers / measure as f64,
-        seeds: tail_seeds / measure as f64,
+        rows,
+        rel_err: (leechers - fluid_leechers).abs() / fluid_leechers,
         recovery,
         split_components,
         mean_download,
-        session,
+        crashes: stats.crashes,
+        lost_deliveries: session.swarm().lost_deliveries(),
+        announces: (stats.deferred_announces, stats.announce_retries),
+        pending_announces: session.pending_announces(),
     }
 }
 
@@ -310,6 +335,16 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
         ],
     );
 
+    // The partition cell runs twice, as independent rebuilds: the rerun
+    // backs the "recovery is deterministic" check below.
+    let partition_cell = *cells
+        .iter()
+        .find(|&&(_, _, _, partition)| partition > 0)
+        .expect("sweep has a partition cell");
+    let items: Vec<Cell> = cells.iter().copied().chain([partition_cell]).collect();
+    let mut outcomes = common::par_cells(&items, |&cell| simulate_cell(scenario, cell, ctx.quick));
+    let rerun = outcomes.pop().expect("the rerun item");
+
     let mut max_rel_err = 0.0f64;
     let mut baseline_download = 0.0f64;
     let mut lossy_download = 0.0f64;
@@ -317,38 +352,20 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
     let mut loss_seen = false;
     let mut outage_ok = true;
     let mut outage_present = false;
-    let mut partition_outcome: Option<(Cell, CellOutcome)> = None;
+    let mut partition_run: Option<CellOutcome> = None;
 
-    for &cell in &cells {
+    for (&cell, mut outcome) in cells.iter().zip(outcomes) {
         let (crash, loss, outage, partition) = cell;
-        let cell_scn = cell_scenario(scenario, cell, ctx.quick);
-        let params = fluid_params(&cell_scn, cell);
-        let steady = params.steady_state();
-        let outcome = simulate_cell(&mut result, &cell_scn, cell, ctx.quick, steady.leechers);
+        for row in std::mem::take(&mut outcome.rows) {
+            result.push_row(row);
+        }
 
-        result.push_row(vec![
-            crash,
-            loss,
-            outage as f64,
-            partition as f64,
-            -1.0,
-            outcome.leechers,
-            outcome.seeds,
-            0.0,
-            0.0,
-            0.0,
-            0.0,
-            steady.leechers,
-            outcome.recovery.map_or(-1.0, |r| r as f64),
-        ]);
-
-        max_rel_err = max_rel_err.max((outcome.leechers - steady.leechers).abs() / steady.leechers);
-        let stats = outcome.session.stats();
+        max_rel_err = max_rel_err.max(outcome.rel_err);
         if crash > 0.0 {
-            crash_seen |= stats.crashes > 0;
+            crash_seen |= outcome.crashes > 0;
         }
         if loss > 0.0 {
-            loss_seen |= outcome.session.swarm().lost_deliveries() > 0;
+            loss_seen |= outcome.lost_deliveries > 0;
             if lossy_download == 0.0 {
                 lossy_download = outcome.mean_download;
             }
@@ -356,21 +373,16 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
         if cell == (0.0, 0.0, 0, 0) {
             baseline_download = outcome.mean_download;
             // The baseline cell must be genuinely fault-free.
-            assert_eq!(stats.crashes, 0, "baseline crashed");
-            assert_eq!(
-                outcome.session.swarm().lost_deliveries(),
-                0,
-                "baseline lost"
-            );
+            assert_eq!(outcome.crashes, 0, "baseline crashed");
+            assert_eq!(outcome.lost_deliveries, 0, "baseline lost");
         }
         if outage > 0 {
+            let (deferred, retries) = outcome.announces;
             outage_present = true;
-            outage_ok &= stats.deferred_announces > 0
-                && stats.announce_retries >= stats.deferred_announces
-                && outcome.session.pending_announces() == 0;
+            outage_ok &= deferred > 0 && retries >= deferred && outcome.pending_announces == 0;
         }
         if partition > 0 {
-            partition_outcome = Some((cell, outcome));
+            partition_run = Some(outcome);
         }
     }
 
@@ -400,7 +412,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
         format!("baseline {baseline_download:.1} rounds, lossy {lossy_download:.1} rounds"),
     );
 
-    let (partition_cell, partition_run) = partition_outcome.expect("sweep has a partition cell");
+    let partition_run = partition_run.expect("sweep has a partition cell");
     let recovery = partition_run.recovery;
     result.check(
         "partition splits the overlay and the heal restores full connectivity",
@@ -418,13 +430,6 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
     );
     // Recovery is a *deterministic* number: an independent rebuild of the
     // same cell must measure it exactly.
-    let rerun = simulate_cell(
-        &mut ExperimentResult::new("btfault-rerun", "", "", result.columns.clone()),
-        &cell_scenario(scenario, partition_cell, ctx.quick),
-        partition_cell,
-        ctx.quick,
-        0.0,
-    );
     result.check(
         "partition recovery time is deterministic across independent runs",
         rerun.recovery == recovery,

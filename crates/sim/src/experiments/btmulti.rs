@@ -225,6 +225,154 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
     cell_scenario(&base, torrents, skew)
 }
 
+/// What one `(torrents, skew)` cell measured.
+struct CellRun {
+    /// One row per `(torrent, class)`.
+    rows: Vec<Vec<f64>>,
+    /// Per-class relative errors of the pooled download time against the
+    /// arrival-weighted oracle mixture, in class order.
+    rel_errs: Vec<f64>,
+    /// Whether the pooled download times are ordered slow > mid > fast.
+    ordered: bool,
+    /// Adequately sampled torrents reproducing the class ordering.
+    stable_torrents: u64,
+    /// Torrents with at least `MIN_SAMPLES` completions per class.
+    sampled_torrents: u64,
+    /// Same-class TFT affinity excess of every torrent that has one.
+    excesses: Vec<f64>,
+    /// Whether cross-joins, departures and completions happened and every
+    /// class completed a download.
+    turnover: bool,
+    /// Rendered membership accounting.
+    note: String,
+}
+
+/// Builds and runs the universe for one sweep cell.
+fn run_cell(scenario: &Scenario, torrents: usize, skew: f64, warmup: u64, measure: u64) -> CellRun {
+    let cell = cell_scenario(scenario, torrents, skew);
+    let mut universe = cell
+        .build_universe(&mut common::rng(cell.seed, 0xb71))
+        .unwrap_or_else(|e| panic!("btmulti scenario: {e}"));
+
+    universe.run_rounds(warmup, None);
+    // Measurement window: per-torrent cluster observers whose
+    // slot→class maps are re-synced from the member registry before
+    // every round (arrivals land in recycled arena slots over time).
+    let mut observers: Vec<ClusterObserver> = (0..torrents)
+        .map(|_| ClusterObserver::with_class_count(CLASSES))
+        .collect();
+    for _ in 0..measure {
+        for (t, obs) in observers.iter_mut().enumerate() {
+            for slot in 0..universe.session(t).swarm().peer_count() {
+                let class = universe
+                    .member_of_slot(t, slot)
+                    .map_or(UNTRACKED_CLASS, |m| universe.member_class(m));
+                obs.assign_class(slot, class);
+            }
+        }
+        universe.step(None, &observers);
+    }
+
+    // Per-(torrent, class) mean download rounds of members that
+    // arrived after the transient.
+    let lambda_eff = effective_lambdas(torrents, skew);
+    let mut sums = vec![[0.0f64; CLASSES]; torrents];
+    let mut counts = vec![[0u64; CLASSES]; torrents];
+    for rec in &universe.stats().completion_records {
+        if rec.arrival_round > 0 && rec.arrival_round >= warmup / 2 {
+            sums[rec.torrent as usize][rec.class as usize] +=
+                (rec.completed_round - rec.arrival_round) as f64;
+            counts[rec.torrent as usize][rec.class as usize] += 1;
+        }
+    }
+
+    // Pooled per-class comparison: completion-weighted measured mean
+    // vs the arrival-weighted mixture of per-torrent oracles.
+    let fluid: Vec<Vec<f64>> = lambda_eff
+        .iter()
+        .map(|&l| fluid_for(&cell, l).mean_download_rounds())
+        .collect();
+    let lambda_total: f64 = lambda_eff.iter().sum();
+    let mut rel_errs = Vec::with_capacity(CLASSES);
+    let mut every_class_completes = true;
+    for class in 0..CLASSES {
+        let total_count: u64 = (0..torrents).map(|t| counts[t][class]).sum();
+        let total_sum: f64 = (0..torrents).map(|t| sums[t][class]).sum();
+        if total_count == 0 {
+            every_class_completes = false;
+            continue;
+        }
+        let measured = total_sum / total_count as f64;
+        let predicted: f64 = (0..torrents)
+            .map(|t| lambda_eff[t] * fluid[t][class])
+            .sum::<f64>()
+            / lambda_total;
+        rel_errs.push((measured - predicted).abs() / predicted);
+    }
+
+    // Rows, per-torrent position stability, and TFT affinity.
+    let mut pooled = [f64::NAN; CLASSES];
+    for class in 0..CLASSES {
+        let n: u64 = (0..torrents).map(|t| counts[t][class]).sum();
+        if n > 0 {
+            pooled[class] = (0..torrents).map(|t| sums[t][class]).sum::<f64>() / n as f64;
+        }
+    }
+    let mut rows = Vec::with_capacity(torrents * CLASSES);
+    let mut excesses = Vec::with_capacity(torrents);
+    let mut stable_torrents = 0u64;
+    let mut sampled_torrents = 0u64;
+    for t in 0..torrents {
+        let affinity = observers[t].tft_affinity();
+        let excess = affinity.map_or(f64::NAN, |a| a.excess());
+        excesses.extend(affinity.map(|a| a.excess()));
+        let mut per_torrent = [f64::NAN; CLASSES];
+        for class in 0..CLASSES {
+            if counts[t][class] > 0 {
+                per_torrent[class] = sums[t][class] / counts[t][class] as f64;
+            }
+            rows.push(vec![
+                torrents as f64,
+                skew,
+                t as f64,
+                class as f64,
+                per_torrent[class],
+                fluid[t][class],
+                counts[t][class] as f64,
+                excess,
+            ]);
+        }
+        if counts[t].iter().all(|&n| n >= MIN_SAMPLES) {
+            sampled_torrents += 1;
+            stable_torrents +=
+                u64::from(per_torrent[0] > per_torrent[1] && per_torrent[1] > per_torrent[2]);
+        }
+    }
+
+    let stats = universe.stats();
+    CellRun {
+        rows,
+        rel_errs,
+        ordered: pooled[0] > pooled[1] && pooled[1] > pooled[2],
+        stable_torrents,
+        sampled_torrents,
+        excesses,
+        turnover: every_class_completes
+            && stats.cross_joins > 0
+            && stats.member_departures > 0
+            && stats.completions > 0,
+        note: format!(
+            "Membership accounting (T = {torrents}, skew = {skew}): {} members claimed, \
+             {} cross-joins, {} member departures, {} replica departures, {} completions",
+            stats.members,
+            stats.cross_joins,
+            stats.member_departures,
+            stats.replica_departures,
+            stats.completions,
+        ),
+    }
+}
+
 /// Runs the multi-swarm sweep on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
@@ -263,6 +411,10 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
         ],
     );
 
+    let runs = common::par_cells(&cells, |&(torrents, skew)| {
+        run_cell(scenario, torrents, skew, warmup, measure)
+    });
+
     let mut max_rel_err = 0.0f64;
     let mut ordered = true;
     let mut stable_torrents = 0u64;
@@ -272,120 +424,24 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
     let mut min_excess = f64::INFINITY;
     let mut turnover_ok = true;
     let mut membership_note = String::new();
-
-    for &(torrents, skew) in &cells {
-        let cell = cell_scenario(scenario, torrents, skew);
-        let mut universe = cell
-            .build_universe(&mut common::rng(cell.seed, 0xb71))
-            .unwrap_or_else(|e| panic!("btmulti scenario: {e}"));
-
-        universe.run_rounds(warmup, None);
-        // Measurement window: per-torrent cluster observers whose
-        // slot→class maps are re-synced from the member registry before
-        // every round (arrivals land in recycled arena slots over time).
-        let mut observers: Vec<ClusterObserver> = (0..torrents)
-            .map(|_| ClusterObserver::with_class_count(CLASSES))
-            .collect();
-        for _ in 0..measure {
-            for (t, obs) in observers.iter_mut().enumerate() {
-                for slot in 0..universe.session(t).swarm().peer_count() {
-                    let class = universe
-                        .member_of_slot(t, slot)
-                        .map_or(UNTRACKED_CLASS, |m| universe.member_class(m));
-                    obs.assign_class(slot, class);
-                }
-            }
-            universe.step(None, &observers);
+    for run in runs {
+        for row in run.rows {
+            result.push_row(row);
         }
-
-        // Per-(torrent, class) mean download rounds of members that
-        // arrived after the transient.
-        let lambda_eff = effective_lambdas(torrents, skew);
-        let mut sums = vec![[0.0f64; CLASSES]; torrents];
-        let mut counts = vec![[0u64; CLASSES]; torrents];
-        for rec in &universe.stats().completion_records {
-            if rec.arrival_round > 0 && rec.arrival_round >= warmup / 2 {
-                sums[rec.torrent as usize][rec.class as usize] +=
-                    (rec.completed_round - rec.arrival_round) as f64;
-                counts[rec.torrent as usize][rec.class as usize] += 1;
-            }
+        for rel_err in run.rel_errs {
+            max_rel_err = max_rel_err.max(rel_err);
         }
-
-        // Pooled per-class comparison: completion-weighted measured mean
-        // vs the arrival-weighted mixture of per-torrent oracles.
-        let fluid: Vec<Vec<f64>> = lambda_eff
-            .iter()
-            .map(|&l| fluid_for(&cell, l).mean_download_rounds())
-            .collect();
-        let lambda_total: f64 = lambda_eff.iter().sum();
-        for class in 0..CLASSES {
-            let total_count: u64 = (0..torrents).map(|t| counts[t][class]).sum();
-            let total_sum: f64 = (0..torrents).map(|t| sums[t][class]).sum();
-            if total_count == 0 {
-                turnover_ok = false;
-                continue;
-            }
-            let measured = total_sum / total_count as f64;
-            let predicted: f64 = (0..torrents)
-                .map(|t| lambda_eff[t] * fluid[t][class])
-                .sum::<f64>()
-                / lambda_total;
-            max_rel_err = max_rel_err.max((measured - predicted).abs() / predicted);
+        ordered &= run.ordered;
+        stable_torrents += run.stable_torrents;
+        sampled_torrents += run.sampled_torrents;
+        for excess in run.excesses {
+            affinity_total += 1;
+            affinity_positive += u64::from(excess > 0.0);
+            min_excess = min_excess.min(excess);
         }
-
-        // Rows, per-torrent position stability, and TFT affinity.
-        let mut pooled = [f64::NAN; CLASSES];
-        for class in 0..CLASSES {
-            let n: u64 = (0..torrents).map(|t| counts[t][class]).sum();
-            if n > 0 {
-                pooled[class] = (0..torrents).map(|t| sums[t][class]).sum::<f64>() / n as f64;
-            }
-        }
-        ordered &= pooled[0] > pooled[1] && pooled[1] > pooled[2];
-        for t in 0..torrents {
-            let affinity = observers[t].tft_affinity();
-            let excess = affinity.map_or(f64::NAN, |a| a.excess());
-            if let Some(a) = affinity {
-                affinity_total += 1;
-                affinity_positive += u64::from(a.excess() > 0.0);
-                min_excess = min_excess.min(a.excess());
-            }
-            let mut per_torrent = [f64::NAN; CLASSES];
-            for class in 0..CLASSES {
-                if counts[t][class] > 0 {
-                    per_torrent[class] = sums[t][class] / counts[t][class] as f64;
-                }
-                result.push_row(vec![
-                    torrents as f64,
-                    skew,
-                    t as f64,
-                    class as f64,
-                    per_torrent[class],
-                    fluid[t][class],
-                    counts[t][class] as f64,
-                    excess,
-                ]);
-            }
-            if counts[t].iter().all(|&n| n >= MIN_SAMPLES) {
-                sampled_torrents += 1;
-                stable_torrents +=
-                    u64::from(per_torrent[0] > per_torrent[1] && per_torrent[1] > per_torrent[2]);
-            }
-        }
-
-        let stats = universe.stats();
-        turnover_ok &=
-            stats.cross_joins > 0 && stats.member_departures > 0 && stats.completions > 0;
+        turnover_ok &= run.turnover;
         if membership_note.is_empty() {
-            membership_note = format!(
-                "Membership accounting (T = {torrents}, skew = {skew}): {} members claimed, \
-                 {} cross-joins, {} member departures, {} replica departures, {} completions",
-                stats.members,
-                stats.cross_joins,
-                stats.member_departures,
-                stats.replica_departures,
-                stats.completions,
-            );
+            membership_note = run.note;
         }
     }
 

@@ -13,16 +13,19 @@
 //! open-membership swarm (Poisson arrivals, completion-linger-depart
 //! churn) and measures the resulting overlay with
 //! [`strat_bittorrent::overlay::snapshot`]: degree, components, BFS
-//! diameter, seed reachability and stalled peers. A [`TraceObserver`]
-//! rides along and its arrival/departure event streams must replay the
-//! session's own counters exactly — the live-overlay metrics come off the
-//! unmodified engine.
+//! diameter, seed reachability and stalled peers. A counting
+//! [`RunObserver`] rides along and its arrival/departure/crash hooks must
+//! replay the session's own counters exactly — the live-overlay metrics
+//! come off the unmodified engine.
 //!
 //! Rows: sampled overlay trajectories per cap (`round > 0`) plus one
 //! final-state summary row per cap (`round = −1`); `cap = 0` encodes the
 //! uncapped (full peer list) control.
 
-use strat_bittorrent::{overlay, TraceObserver};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use strat_bittorrent::overlay::{self, OverlaySnapshot};
+use strat_bittorrent::RunObserver;
 use strat_scenario::{
     ArrivalProcess, CapacityModel, DepartureRules, Scenario, SessionConfig, SwarmParams,
     TopologyModel,
@@ -115,6 +118,82 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
     run_scenario(ctx, &preset(ctx))
 }
 
+/// Counts the membership hooks a session fires: all the replay check
+/// reads, without buffering the run's unchoke and transfer events.
+#[derive(Default)]
+struct MembershipCounts {
+    arrivals: AtomicU64,
+    /// Departures and crashes (the session counts both as departures).
+    departures: AtomicU64,
+}
+
+impl RunObserver for MembershipCounts {
+    fn arrival(&self, _time: f64, _peer: usize) {
+        self.arrivals.fetch_add(1, Ordering::Relaxed);
+    }
+    fn departure(&self, _time: f64, _peer: usize) {
+        self.departures.fetch_add(1, Ordering::Relaxed);
+    }
+    fn crash(&self, _time: f64, _peer: usize) {
+        self.departures.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// What one cap's run measured.
+struct CapRun {
+    /// Sampled overlay rows, then the final-state summary row.
+    rows: Vec<Vec<f64>>,
+    /// The overlay at the horizon.
+    last: OverlaySnapshot,
+    /// Whether the observer's membership hooks replay the session
+    /// counters.
+    replay_ok: bool,
+}
+
+/// Builds and runs the session for one peer-list cap.
+fn run_cap(scenario: &Scenario, cap: Option<usize>, rounds: u64) -> CapRun {
+    let sample_every = 20u64;
+    let cell = cell_scenario(scenario, cap);
+    let cap_col = cap.map_or(0.0, |c| c as f64);
+    let row = |round: f64, snap: &OverlaySnapshot| {
+        vec![
+            cap_col,
+            round,
+            snap.present as f64,
+            snap.mean_degree,
+            snap.components as f64,
+            snap.largest_component as f64,
+            snap.diameter as f64,
+            snap.seed_reachable as f64,
+            snap.stalled as f64,
+        ]
+    };
+    let mut session = cell
+        .build_session(&mut common::rng(cell.seed, 0xee))
+        .unwrap_or_else(|e| panic!("btoverlay scenario: {e}"));
+    let obs = MembershipCounts::default();
+
+    let mut rows = Vec::new();
+    for round in 0..rounds {
+        session.run_rounds_with(1, &obs);
+        if (round + 1).is_multiple_of(sample_every) {
+            rows.push(row((round + 1) as f64, &overlay::snapshot(session.swarm())));
+        }
+    }
+    let last = overlay::snapshot(session.swarm());
+    rows.push(row(-1.0, &last));
+
+    // The observer's membership hooks must replay the session's own
+    // bookkeeping: the overlay metrics come off an unmodified engine.
+    let stats = session.stats();
+    CapRun {
+        rows,
+        last,
+        replay_ok: obs.arrivals.into_inner() == stats.arrivals
+            && obs.departures.into_inner() == stats.departures,
+    }
+}
+
 /// Runs the cap sweep derived from an arbitrary base scenario (which
 /// must carry `swarm.churn`).
 ///
@@ -125,7 +204,6 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
 pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
     let sweep = caps(ctx.quick);
     let rounds = horizon(ctx.quick);
-    let sample_every = 20u64;
 
     let mut result = ExperimentResult::new(
         "btoverlay",
@@ -147,60 +225,21 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
         ],
     );
 
+    let runs = common::par_cells(&sweep, |&cap| run_cap(scenario, cap, rounds));
+
     let mut degrees: Vec<f64> = Vec::new();
     let mut diameters: Vec<f64> = Vec::new();
     let mut connectivity_ok = true;
-    let mut trace_ok = true;
-
-    for &cap in &sweep {
-        let cell = cell_scenario(scenario, cap);
-        let cap_col = cap.map_or(0.0, |c| c as f64);
-        let mut session = cell
-            .build_session(&mut common::rng(cell.seed, 0xee))
-            .unwrap_or_else(|e| panic!("btoverlay scenario: {e}"));
-        let obs = TraceObserver::new();
-
-        for round in 0..rounds {
-            session.run_rounds_with(1, &obs);
-            if (round + 1).is_multiple_of(sample_every) {
-                let snap = overlay::snapshot(session.swarm());
-                result.push_row(vec![
-                    cap_col,
-                    (round + 1) as f64,
-                    snap.present as f64,
-                    snap.mean_degree,
-                    snap.components as f64,
-                    snap.largest_component as f64,
-                    snap.diameter as f64,
-                    snap.seed_reachable as f64,
-                    snap.stalled as f64,
-                ]);
-            }
+    let mut replay_ok = true;
+    for run in runs {
+        for row in run.rows {
+            result.push_row(row);
         }
-
-        let snap = overlay::snapshot(session.swarm());
-        result.push_row(vec![
-            cap_col,
-            -1.0,
-            snap.present as f64,
-            snap.mean_degree,
-            snap.components as f64,
-            snap.largest_component as f64,
-            snap.diameter as f64,
-            snap.seed_reachable as f64,
-            snap.stalled as f64,
-        ]);
-
+        let snap = run.last;
         degrees.push(snap.mean_degree);
         diameters.push(snap.diameter as f64);
         connectivity_ok &= snap.largest_component as f64 >= 0.9 * snap.present as f64;
-
-        // The trace layer's event streams must replay the session's own
-        // bookkeeping: the overlay metrics come off an unmodified engine.
-        let log = obs.into_log();
-        let stats = session.stats();
-        trace_ok &= log.arrivals.len() as u64 == stats.arrivals;
-        trace_ok &= (log.departures.len() + log.crashes.len()) as u64 == stats.departures;
+        replay_ok &= run.replay_ok;
     }
 
     // The sweep lists caps in increasing tightness order ending with the
@@ -231,7 +270,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
     );
     result.check(
         "observer arrival/departure streams replay the session counters exactly",
-        trace_ok,
+        replay_ok,
         "checked at every cap".to_string(),
     );
 

@@ -44,6 +44,16 @@ pub(crate) mod common {
 
     pub use strat_scenario::stream_rng as rng;
 
+    /// Runs `run` over independent sweep cells on
+    /// `strat_par::default_threads()` workers and returns the results in
+    /// cell order. A cell must draw randomness only from its own scenario
+    /// seed and own its observers, so the results (and the fold the
+    /// caller runs over them in cell order) are the same at any thread
+    /// count.
+    pub fn par_cells<C: Sync, R: Send>(cells: &[C], run: impl Fn(&C) -> R + Sync) -> Vec<R> {
+        strat_par::par_map(cells, strat_par::default_threads(), |_, cell| run(cell))
+    }
+
     /// The paper's standard declarative setup: `G(n, d)` acceptance graph,
     /// identity ranking, constant 1-matching, best-mate initiatives.
     /// Experiments attach their own name/seed/churn on top.

@@ -16,10 +16,14 @@
 //! the named presets (canonical copies in `results/scenarios/`).
 //!
 //! Independent experiments fan out across worker threads
-//! ([`runner::run_parallel`], CLI flag `--jobs`). Every experiment derives
-//! its RNG streams from the scenario seed alone, so results are identical
-//! for any job count — the workspace-wide `strat_par` determinism
-//! contract.
+//! ([`runner::run_parallel`], CLI flag `--jobs`, default `STRAT_THREADS`
+//! or all cores), and so do the independent sweep cells inside the
+//! session-based experiments (`btchurn`, `btfault`, `btoverlay`,
+//! `btevent`, `btmulti`, at `STRAT_THREADS` or all cores). Every
+//! experiment and every cell derives its RNG streams from its scenario
+//! seed alone, and cell results are folded in cell order, so results are
+//! identical for any job or thread count — the workspace-wide `strat_par`
+//! determinism contract.
 //!
 //! | id | artifact |
 //! |----|----------|

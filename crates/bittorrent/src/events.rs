@@ -535,7 +535,7 @@ impl EventEngine {
     /// Panics if [`EventEngine::run_for`] was already used on this
     /// engine.
     pub fn run_sync_rounds(&mut self, rounds: u64) {
-        self.run_sync_rounds_observed(rounds, &NullObserver);
+        self.run_sync_rounds_with(rounds, &NullObserver);
     }
 
     /// [`run_sync_rounds`](Self::run_sync_rounds) with a [`RunObserver`]
@@ -544,21 +544,12 @@ impl EventEngine {
     /// rechoke-interval units; the `transfer` hook fires per credit
     /// *settlement* with the settled kilobits (the event engine's
     /// continuous analogue of the round engine's per-round deliveries).
-    /// A disabled observer dispatches to the crate's own non-generic
-    /// path, so out-of-crate callers pay no re-instantiation penalty.
     ///
     /// # Panics
     ///
     /// Panics if [`EventEngine::run_for`] was already used on this
     /// engine.
     pub fn run_sync_rounds_with<O: RunObserver>(&mut self, rounds: u64, obs: &O) {
-        if !O::ENABLED {
-            return self.run_sync_rounds(rounds);
-        }
-        self.run_sync_rounds_observed(rounds, obs);
-    }
-
-    fn run_sync_rounds_observed<O: RunObserver>(&mut self, rounds: u64, obs: &O) {
         assert!(
             !self.continuous,
             "cannot mix run_sync_rounds with run_for on one engine"
@@ -579,26 +570,18 @@ impl EventEngine {
     /// Panics if [`EventEngine::run_sync_rounds`] was already used on
     /// this engine.
     pub fn run_for(&mut self, seconds: f64) {
-        self.run_for_observed(seconds, &NullObserver);
+        self.run_for_with(seconds, &NullObserver);
     }
 
     /// [`run_for`](Self::run_for) with a [`RunObserver`] tap (see
     /// [`run_sync_rounds_with`](Self::run_sync_rounds_with) for the hook
-    /// semantics). A disabled observer dispatches to the crate's own
-    /// non-generic path.
+    /// semantics).
     ///
     /// # Panics
     ///
     /// Panics if [`EventEngine::run_sync_rounds`] was already used on
     /// this engine.
     pub fn run_for_with<O: RunObserver>(&mut self, seconds: f64, obs: &O) {
-        if !O::ENABLED {
-            return self.run_for(seconds);
-        }
-        self.run_for_observed(seconds, obs);
-    }
-
-    fn run_for_observed<O: RunObserver>(&mut self, seconds: f64, obs: &O) {
         assert!(
             self.rounds_run == 0,
             "cannot mix run_for with run_sync_rounds on one engine"
@@ -732,8 +715,15 @@ impl EventEngine {
         let rotate = tick.is_multiple_of(u64::from(config.optimistic_period));
         let mut rng = peer_round_rng(cfg_seed, tick, self.swarm.stream_of(p));
         let mut targets = std::mem::take(&mut self.targets);
-        self.swarm
-            .event_rechoke(p, &mut rng, rotate, &self.window, &mut targets);
+        targets.clear();
+        targets.extend_from_slice(self.swarm.rechoke_peer(
+            p,
+            &mut rng,
+            rotate,
+            &self.window,
+            tau,
+            obs,
+        ));
         // Reset this sender's previous plan: settle each outgoing edge
         // before overwriting its rate (settle-before-replan keeps
         // same-timestamp rechoke order immaterial), then invalidate any
@@ -763,9 +753,6 @@ impl EventEngine {
                 self.next_plan_id += 1;
                 self.plan_id[er] = self.next_plan_id;
                 self.schedule_crossing(q, er, tau);
-                if O::ENABLED {
-                    obs.unchoke(tau, p, q, !is_tft);
-                }
             }
         }
         self.targets = targets;
@@ -795,34 +782,20 @@ impl EventEngine {
         } else {
             piece_size * (1.0 - 1e-9)
         };
-        if self.credit[e] >= threshold {
-            let sender = self.swarm.edge_target(e);
-            let want = (self.credit[e] / piece_size) as usize + 2;
-            let mut picks = std::mem::take(&mut self.picks);
-            self.swarm.event_batch_picks(
-                &self.snapshot,
-                q,
-                &self.plan_pieces[sender],
-                want,
-                &mut picks,
-            );
-            let stamp = round_equiv(tau);
-            let mut used = 0;
-            while self.credit[e] >= threshold {
-                let Some(&packed) = picks.get(used) else {
-                    break;
-                };
-                used += 1;
-                let piece = (packed & u64::from(u32::MAX)) as usize;
-                self.credit[e] -= piece_size;
-                if O::ENABLED {
-                    obs.piece_converted(tau, q, piece);
-                }
-                if self.swarm.event_convert_piece(q, piece, stamp) {
-                    self.on_completion(q, tau, stamp, obs);
-                }
-            }
-            self.picks = picks;
+        let sender = self.swarm.edge_target(e);
+        let stamp = round_equiv(tau);
+        if self.swarm.land_event_pieces(
+            q,
+            &mut self.credit[e],
+            threshold,
+            &self.snapshot,
+            &self.plan_pieces[sender],
+            stamp,
+            &mut self.picks,
+            obs,
+            tau,
+        ) {
+            self.on_completion(q, tau, stamp, obs);
         }
         if self.flow[e] > 0.0 && self.credit[e] < threshold {
             self.schedule_crossing(q, e, tau);

@@ -13,8 +13,10 @@
 //! every call site is guarded by that associated constant, and
 //! monomorphization deletes the whole tap — the unobserved methods
 //! (`round`, `run_rounds`, …) are thin wrappers over their `_with`
-//! variants and compile to the same code as before (`bench_observer`
-//! asserts the overhead stays under 1 %).
+//! variants (`bench_observer` asserts the overhead stays under 1 %).
+//! `run_rounds_parallel_with` is the exception: it sends a disabled
+//! observer to `run_rounds_parallel`, so out-of-crate callers run the
+//! crate's own instantiation of the parallel round.
 //!
 //! # Determinism contract
 //!

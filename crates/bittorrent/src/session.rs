@@ -707,21 +707,14 @@ impl Session {
     /// ([`Swarm::round`]), with the session's membership events before
     /// each round.
     pub fn run_rounds(&mut self, rounds: u64) {
-        for _ in 0..rounds {
-            self.step_round(None, &NullObserver);
-        }
+        self.run_rounds_with(rounds, &NullObserver);
     }
 
     /// [`run_rounds`](Self::run_rounds) with a [`RunObserver`] tap on
     /// membership events (arrivals, departures, crashes) and the swarm
     /// round. Observers are pure taps: attaching one changes no session
-    /// state and consumes no randomness. A disabled observer dispatches
-    /// to the crate's own non-generic path, so out-of-crate callers pay
-    /// no re-instantiation penalty.
+    /// state and consumes no randomness.
     pub fn run_rounds_with<O: RunObserver>(&mut self, rounds: u64, obs: &O) {
-        if !O::ENABLED {
-            return self.run_rounds(rounds);
-        }
         for _ in 0..rounds {
             self.step_round(None, obs);
         }
@@ -731,23 +724,17 @@ impl Session {
     /// ([`Swarm::run_rounds_parallel`]) across up to `threads` workers.
     /// Bit-identical for any thread count.
     pub fn run_rounds_parallel(&mut self, rounds: u64, threads: usize) {
-        for _ in 0..rounds {
-            self.step_round(Some(threads), &NullObserver);
-        }
+        self.run_rounds_parallel_with(rounds, threads, &NullObserver);
     }
 
     /// [`run_rounds_parallel`](Self::run_rounds_parallel) with a
-    /// [`RunObserver`] tap. A disabled observer dispatches to the
-    /// crate's own non-generic path.
+    /// [`RunObserver`] tap.
     pub fn run_rounds_parallel_with<O: RunObserver>(
         &mut self,
         rounds: u64,
         threads: usize,
         obs: &O,
     ) {
-        if !O::ENABLED {
-            return self.run_rounds_parallel(rounds, threads);
-        }
         for _ in 0..rounds {
             self.step_round(Some(threads), obs);
         }

@@ -57,6 +57,14 @@
 //!   (rechoke + sender flows, then recipient-major delivery against the
 //!   start-of-round snapshot), bit-reproducible for **any** thread count
 //!   under the workspace determinism contract (`strat-par`).
+//!
+//! Both round semantics and the event core ([`crate::events`]) share one
+//! per-peer **rechoke step** (`RechokeView::rechoke`: run `choke_policy`,
+//! commit the unchoke row, build the transfer targets) and one per-edge
+//! **piece-landing step** (`land_pieces`: spend whole pieces of credit on
+//! rarest-first picks, insert them, record availability, stamp
+//! completion). The engines differ only in the RNG, rate row,
+//! availability, sender piece state and crossing threshold they pass in.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -205,13 +213,13 @@ impl<'a> Peer<'a> {
 /// the optimistic pool and the transfer target list. Persisted across
 /// rounds so the steady-state serial round never allocates.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Scratch {
+struct Scratch {
     cand: Vec<u32>,
     ranked: Vec<u32>,
     pool: Vec<u32>,
     targets: Vec<(u32, bool)>,
     /// Prefetched rarest-first picks, packed `(availability << 32) | piece`.
-    pub(crate) picks: Vec<u64>,
+    picks: Vec<u64>,
 }
 
 /// Working state of the parallel round driver — the scatter-write flow
@@ -328,13 +336,11 @@ pub struct Swarm {
     tft_down: Vec<f64>,
     // Per-edge state, row-aligned.
     received_prev: Vec<f64>,
+    /// Receipts of the running round. Both round engines leave last
+    /// round's `received_prev` here at the swap: the parallel pass 2
+    /// *stores* into every live slot, and the serial round zeroes the
+    /// array when it starts, since it accumulates with `+=`.
     received_curr: Vec<f64>,
-    /// Set by the parallel engine, which skips the end-of-round zeroing
-    /// sweep of `received_curr` (its pass 2 *stores* into every live slot,
-    /// so the stale values from two rounds back are never read). The
-    /// serial round accumulates with `+=` and so clears the array lazily
-    /// when it finds this flag raised.
-    received_curr_stale: bool,
     credit: Vec<f64>,
     /// Unchoke arena: row `p` occupies
     /// `tft_store[p * tft_slots..][..tft_len[p]]` (local neighbour
@@ -351,10 +357,6 @@ pub struct Swarm {
     downloading_now: usize,
     seeding_now: usize,
     completed_total: usize,
-    /// Per-round cached completion/behaviour flags (recomputed once per
-    /// round instead of per rechoke query).
-    uploads_now: Vec<bool>,
-    acts_seed_now: Vec<bool>,
     /// Transfer-loss fault injection: per-delivery loss probability and
     /// the fault-stream seed (see [`crate::faults`]). `loss_prob == 0`
     /// disables the hook entirely (no draws, no overhead).
@@ -506,7 +508,6 @@ impl Swarm {
             tft_down: vec![0.0; n],
             received_prev: vec![0.0; edges],
             received_curr: vec![0.0; edges],
-            received_curr_stale: false,
             credit: vec![0.0; edges],
             tft_store: vec![0; n * stride],
             tft_len: vec![0; n],
@@ -516,8 +517,6 @@ impl Swarm {
             downloading_now,
             seeding_now,
             completed_total,
-            uploads_now: vec![false; n],
-            acts_seed_now: vec![false; n],
             loss_prob: 0.0,
             loss_seed: 0,
             lost_deliveries: 0,
@@ -677,32 +676,15 @@ impl Swarm {
     /// semantics — bit-identical to
     /// [`reference::RefSwarm::round`](crate::reference::RefSwarm::round).
     pub fn round(&mut self) {
-        self.round_observed(&NullObserver);
+        self.round_with(&NullObserver);
     }
 
     /// [`round`](Self::round) with a [`RunObserver`] tap. The observer is
     /// a pure `&self` tap — attaching one changes no swarm state and
-    /// consumes no randomness. A disabled observer (`O::ENABLED = false`,
-    /// e.g. [`NullObserver`]) dispatches to the crate's own non-generic
-    /// round, so out-of-crate callers pay no re-instantiation penalty —
-    /// the unobserved path is exactly [`round`](Self::round)'s code
-    /// wherever it is called from.
+    /// consumes no randomness; a disabled observer (`O::ENABLED = false`,
+    /// e.g. [`NullObserver`]) compiles every hook away.
     pub fn round_with<O: RunObserver>(&mut self, obs: &O) {
-        if !O::ENABLED {
-            return self.round();
-        }
-        self.round_observed(obs);
-    }
-
-    /// The round body shared by [`round`](Self::round) (which pins the
-    /// in-crate `NullObserver` instantiation) and the enabled arm of
-    /// [`round_with`](Self::round_with).
-    fn round_observed<O: RunObserver>(&mut self, obs: &O) {
-        if self.received_curr_stale {
-            self.received_curr.fill(0.0);
-            self.received_curr_stale = false;
-        }
-        self.refresh_round_flags();
+        self.received_curr.fill(0.0);
         self.rechoke(obs);
         self.transfer(obs);
         if O::ENABLED {
@@ -710,7 +692,6 @@ impl Swarm {
         }
         self.round += 1;
         std::mem::swap(&mut self.received_prev, &mut self.received_curr);
-        self.received_curr.fill(0.0);
     }
 
     /// Runs `rounds` serial rounds.
@@ -734,19 +715,13 @@ impl Swarm {
     /// assert!(swarm.peer(0).total_downloaded() > 0.0);
     /// ```
     pub fn run_rounds(&mut self, rounds: u64) {
-        for _ in 0..rounds {
-            self.round();
-        }
+        self.run_rounds_with(rounds, &NullObserver);
     }
 
-    /// [`run_rounds`](Self::run_rounds) with a [`RunObserver`] tap. A
-    /// disabled observer dispatches to [`run_rounds`](Self::run_rounds).
+    /// [`run_rounds`](Self::run_rounds) with a [`RunObserver`] tap.
     pub fn run_rounds_with<O: RunObserver>(&mut self, rounds: u64, obs: &O) {
-        if !O::ENABLED {
-            return self.run_rounds(rounds);
-        }
         for _ in 0..rounds {
-            self.round_observed(obs);
+            self.round_with(obs);
         }
     }
 
@@ -777,7 +752,8 @@ impl Swarm {
     /// thread-invariant (see [`crate::observer`] for the ordering
     /// contract); the swarm state itself stays bit-identical for any
     /// thread count and any observer. A disabled observer dispatches to
-    /// the crate's own non-generic path.
+    /// the crate's own instantiation: compiled inside an out-of-crate
+    /// caller instead, the flash-crowd round spends about 10% more CPU.
     pub fn run_rounds_parallel_with<O: RunObserver>(
         &mut self,
         rounds: u64,
@@ -790,9 +766,7 @@ impl Swarm {
         self.run_rounds_parallel_observed(rounds, threads, obs);
     }
 
-    /// The parallel-round body shared by the non-generic entry point and
-    /// the enabled arm of
-    /// [`run_rounds_parallel_with`](Self::run_rounds_parallel_with).
+    /// The parallel-round body behind both entry points.
     fn run_rounds_parallel_observed<O: RunObserver>(
         &mut self,
         rounds: u64,
@@ -822,9 +796,7 @@ impl Swarm {
         // the between-rounds invariant.
         let mut par = std::mem::take(&mut self.par);
         if par.flow.len() != self.nbr.len() {
-            par.flow = std::iter::repeat_with(|| AtomicU64::new(0))
-                .take(self.nbr.len())
-                .collect();
+            par.flow = zeroed_mailbox(self.nbr.len());
         }
         par.shards.resize_with(workers, AvailShard::default);
         par.completions.resize(workers, 0);
@@ -870,10 +842,7 @@ impl Swarm {
                     self.avail.merge_shard(shard);
                 }
                 for c in &mut par.completions {
-                    self.completed_total += *c;
-                    self.downloading_now -= *c;
-                    self.seeding_now += *c;
-                    *c = 0;
+                    self.count_completions(std::mem::take(c));
                 }
             }
             if O::ENABLED {
@@ -884,71 +853,10 @@ impl Swarm {
             // both arrays (membership ops maintain that), and the next
             // round's pass 2 *stores* into every live slot of present
             // rows, so the stale receipts left in the new current array
-            // are never read. `received_curr_stale` makes the serial
-            // round (which accumulates with `+=`) clear lazily instead.
+            // are never read.
             std::mem::swap(&mut self.received_prev, &mut self.received_curr);
-            self.received_curr_stale = true;
         }
         self.par = par;
-    }
-
-    /// Whether `q` is interested in `p`'s content.
-    ///
-    /// Fluid mode: non-seed peers are always interested (content never
-    /// bottlenecks, §6); seeds are interested in nobody.
-    ///
-    /// The completion fast paths are exact: a complete `q` lacks nothing
-    /// (never interested), and a complete `p` holds every piece an
-    /// incomplete `q` lacks (always interesting) — both `O(1)` instead of
-    /// a bitset scan.
-    #[inline]
-    fn interested(&self, q: PeerId, p: PeerId) -> bool {
-        interested_at(
-            self.config.fluid_content,
-            &self.original_seed,
-            &self.pieces,
-            q,
-            p,
-        )
-    }
-
-    /// Whether `p` rechokes like a seed (no reciprocation signal).
-    #[inline]
-    fn acts_as_seed(&self, p: PeerId) -> bool {
-        acts_seed_at(
-            &self.config,
-            &self.behavior,
-            &self.pieces,
-            &self.original_seed,
-            p,
-        )
-    }
-
-    /// Whether `p` currently uploads at all (absent slots never do).
-    #[inline]
-    fn uploads(&self, p: PeerId) -> bool {
-        uploads_at(
-            &self.config,
-            &self.present,
-            &self.behavior,
-            &self.pieces,
-            &self.original_seed,
-            p,
-        )
-    }
-
-    /// Caches the completion-dependent flags once per round (the serial
-    /// round's per-round completion cache; the parallel pass evaluates
-    /// the same predicates worker-locally instead). Nothing the rechoke
-    /// phase does can change them, so the per-peer recomputation the
-    /// reference engine performs inside its rechoke loop is redundant.
-    /// Only the live prefix needs refreshing: every consumer iterates
-    /// below `live_bound`.
-    fn refresh_round_flags(&mut self) {
-        for p in 0..self.live_bound {
-            self.uploads_now[p] = self.uploads(p);
-            self.acts_seed_now[p] = self.acts_as_seed(p);
-        }
     }
 
     /// Tight exclusive upper bound on the present arena slots (see the
@@ -970,91 +878,110 @@ impl Swarm {
         self.stream_id[p] as usize
     }
 
+    /// The serial rechoke phase: [`Swarm::rechoke_peer`] for every live
+    /// slot in slot order, drawing from the shared stream and ranking by
+    /// last round's receipts.
     fn rechoke<O: RunObserver>(&mut self, obs: &O) {
-        let mut scratch = std::mem::take(&mut self.scratch);
+        // `rechoke_peer` borrows the whole swarm, so the stream and the
+        // rate row leave it for the phase.
+        let mut rng = self.rng.clone();
+        let received_prev = std::mem::take(&mut self.received_prev);
+        let rotate_optimistic = self
+            .round
+            .is_multiple_of(u64::from(self.config.optimistic_period));
+        let t = self.round as f64;
+        for p in 0..self.live_bound {
+            self.rechoke_peer(p, &mut rng, rotate_optimistic, &received_prev, t, obs);
+        }
+        self.received_prev = received_prev;
+        self.rng = rng;
+    }
+
+    /// Rechokes peer `p` on the whole arena — the serial round's and the
+    /// event core's call of [`RechokeView::rechoke`], with the caller's
+    /// stream and rate signal (`rate` is indexed by global edge slot).
+    /// Returns `p`'s transfer targets.
+    pub(crate) fn rechoke_peer<O: RunObserver>(
+        &mut self,
+        p: PeerId,
+        rng: &mut ChaCha8Rng,
+        rotate_optimistic: bool,
+        rate: &[f64],
+        t: f64,
+        obs: &O,
+    ) -> &[(u32, bool)] {
         let Swarm {
             ref config,
             ref row_off,
             ref deg,
             ref nbr,
+            ref present,
+            ref behavior,
             ref pieces,
             ref original_seed,
-            ref received_prev,
-            ref uploads_now,
-            ref acts_seed_now,
-            ref mut rng,
             ref mut tft_store,
             ref mut tft_len,
             ref mut optimistic,
-            round,
-            live_bound,
+            ref mut scratch,
             ..
         } = *self;
+        let view = RechokeView {
+            config,
+            row_off,
+            deg,
+            nbr,
+            present,
+            behavior,
+            pieces,
+            original_seed,
+        };
         let stride = config.tft_slots;
-        let fluid = config.fluid_content;
-        let rotate_optimistic = round.is_multiple_of(u64::from(config.optimistic_period));
-        for p in 0..live_bound {
-            if !uploads_now[p] {
-                tft_len[p] = 0;
-                optimistic[p] = NO_OPT;
-                continue;
-            }
-            let base = row_off[p];
-            let opt = choke_policy(
-                &mut scratch,
-                rng,
-                deg[p] as usize,
-                |k| interested_at(fluid, original_seed, pieces, nbr[base + k] as usize, p),
-                |k| received_prev[base + k],
-                acts_seed_now[p],
-                stride,
-                config.optimistic_slots,
-                rotate_optimistic,
-                optimistic[p],
-            );
-            tft_len[p] = scratch.ranked.len() as u32;
-            tft_store[p * stride..p * stride + scratch.ranked.len()]
-                .copy_from_slice(&scratch.ranked);
-            optimistic[p] = opt;
-            if O::ENABLED {
-                let t = round as f64;
-                for &k in &scratch.ranked {
-                    obs.unchoke(t, p, nbr[base + k as usize] as usize, false);
-                }
-                if opt != NO_OPT {
-                    obs.unchoke(t, p, nbr[base + opt as usize] as usize, true);
-                }
-            }
-        }
-        self.scratch = scratch;
+        view.rechoke(
+            p,
+            rng,
+            rotate_optimistic,
+            rate,
+            scratch,
+            &mut tft_store[p * stride..(p + 1) * stride],
+            &mut tft_len[p],
+            &mut optimistic[p],
+            obs,
+            t,
+        );
+        &scratch.targets
     }
 
     fn transfer<O: RunObserver>(&mut self, obs: &O) {
         let mut scratch = std::mem::take(&mut self.scratch);
         let stride = self.config.tft_slots;
+        let fluid = self.config.fluid_content;
         let round_seconds = self.config.round_seconds;
         for p in 0..self.live_bound {
-            // Live check (not the round cache): a peer that completed
-            // earlier in this transfer phase may stop uploading mid-round
-            // when `seed_after_completion` is off, exactly like the
-            // reference engine.
-            if !self.uploads(p) {
+            // Live checks, unlike the rechoke phase: pieces land during
+            // this phase, so a peer that completed earlier in it may stop
+            // uploading (when `seed_after_completion` is off) and a target
+            // may lose interest, exactly like the reference engine.
+            let (pieces, original_seed) = (&self.pieces, &self.original_seed);
+            if !uploads_at(
+                &self.config,
+                &self.present,
+                &self.behavior,
+                pieces,
+                original_seed,
+                p,
+            ) {
                 continue;
             }
-            // Active flows: unchoked positions whose peer is (still)
-            // interested in p.
-            scratch.targets.clear();
-            for s in 0..self.tft_len[p] as usize {
-                scratch.targets.push((self.tft_store[p * stride + s], true));
-            }
-            let opt = self.optimistic[p];
-            if opt != NO_OPT && !scratch.targets.iter().any(|&(k, _)| k == opt) {
-                scratch.targets.push((opt, false));
-            }
             let base = self.row_off[p];
-            scratch
-                .targets
-                .retain(|&(k, _)| self.interested(self.nbr[base + k as usize] as usize, p));
+            unchoke_targets(
+                &self.tft_store[p * stride..][..self.tft_len[p] as usize],
+                self.optimistic[p],
+                &mut scratch.targets,
+            );
+            let nbr = &self.nbr[base..];
+            scratch.targets.retain(|&(k, _)| {
+                interested_at(fluid, original_seed, pieces, nbr[k as usize] as usize, p)
+            });
             if scratch.targets.is_empty() {
                 continue;
             }
@@ -1066,8 +993,8 @@ impl Swarm {
         self.scratch = scratch;
     }
 
-    /// Delivers `kbit` from `p` along its edge slot `e`, converting credit
-    /// into rarest-first pieces (prefetched into `picks`).
+    /// Delivers `kbit` from `p` along its edge slot `e`, landing whole
+    /// pieces of credit against the live availability.
     fn deliver<O: RunObserver>(
         &mut self,
         p: PeerId,
@@ -1110,51 +1037,55 @@ impl Swarm {
             return; // rates only; no piece bookkeeping in fluid mode
         }
         self.credit[er] += kbit;
-        let piece_size = self.config.piece_size_kbit;
-        if self.credit[er] < piece_size {
-            return;
-        }
-        // Prefetch the whole pick sequence in one ordered scan (see
-        // [`AvailIndex::batch_picks`]); the bound covers every iteration
-        // the credit loop can possibly run.
-        let want = (self.credit[er] / piece_size) as usize + 2;
-        self.avail
-            .batch_picks(&self.pieces[q], &self.pieces[p], want, picks);
-        let mut used = 0;
-        while self.credit[er] >= piece_size {
-            let Some(&packed) = picks.get(used) else {
-                // Nothing useful left from p this round; credit waits in
-                // case p acquires new pieces.
-                break;
-            };
-            used += 1;
-            let piece = (packed & u64::from(u32::MAX)) as usize;
-            self.credit[er] -= piece_size;
-            self.pieces[q].insert(piece);
-            self.avail.increment(piece);
+        let Swarm {
+            ref config,
+            ref mut pieces,
+            ref mut completed_round,
+            ref mut avail,
+            ref mut credit,
+            round,
+            ..
+        } = *self;
+        let [recipient, sender] = pieces
+            .get_disjoint_mut([q, p])
+            .expect("an edge joins two distinct peers");
+        let piece_size = config.piece_size_kbit;
+        if land_pieces(
+            &mut credit[er],
+            piece_size,
+            piece_size,
+            avail,
+            recipient,
+            sender,
+            &mut completed_round[q],
+            round + 1,
+            picks,
+            obs,
+            t,
+            q,
+        ) {
+            self.count_completions(1);
             if O::ENABLED {
-                obs.piece_converted(t, q, piece);
-            }
-            if self.pieces[q].is_complete() && self.completed_round[q].is_none() {
-                self.completed_round[q] = Some(self.round + 1);
-                self.completed_total += 1;
-                self.downloading_now -= 1;
-                self.seeding_now += 1;
-                if O::ENABLED {
-                    obs.completed((self.round + 1) as f64, q);
-                }
+                obs.completed((round + 1) as f64, q);
             }
         }
+    }
+
+    /// Moves `c` completed downloads into the seeding split and the
+    /// cumulative completion count.
+    fn count_completions(&mut self, c: usize) {
+        self.completed_total += c;
+        self.downloading_now -= c;
+        self.seeding_now += c;
     }
 
     /// Parallel pass 1: rechoke decisions plus outgoing flow computation.
     /// Every write lands in sender-owned rows (unchoke arena, upload
     /// totals, the sender's own `pieces_prev` snapshot chunk) or in the
     /// sender's uniquely-owned reverse-edge flow slots, so peers
-    /// partition freely across workers. Folds the per-round flag refresh
-    /// and piece-snapshot copy into the workers (pieces are frozen for
-    /// the whole pass, so chunk-local evaluation sees exactly the
-    /// start-of-round state).
+    /// partition freely across workers. Folds the piece-snapshot copy
+    /// into the workers (pieces are frozen for the whole pass, so
+    /// chunk-local evaluation sees exactly the start-of-round state).
     fn par_rechoke_and_flows<O: RunObserver>(
         &mut self,
         ranges: &[Range<usize>],
@@ -1184,8 +1115,17 @@ impl Swarm {
             round,
             ..
         } = *self;
+        let view = RechokeView {
+            config,
+            row_off,
+            deg,
+            nbr,
+            present,
+            behavior,
+            pieces,
+            original_seed,
+        };
         let stride = config.tft_slots;
-        let fluid = config.fluid_content;
         let rotate_optimistic = round.is_multiple_of(u64::from(config.optimistic_period));
 
         let peer_sizes: Vec<usize> = ranges.iter().map(ExactSizeIterator::len).collect();
@@ -1228,59 +1168,23 @@ impl Swarm {
                         if snap {
                             pp_c[li].copy_bits_from(&pieces[p]);
                         }
-                        let eb = row_off[p];
-                        let ee = eb + deg[p] as usize;
-                        if !uploads_at(config, present, behavior, pieces, original_seed, p) {
-                            tft_len_c[li] = 0;
-                            opt_c[li] = NO_OPT;
-                            continue;
-                        }
                         let mut rng = peer_round_rng(config.seed, round, stream_id[p] as usize);
-                        let opt = choke_policy(
-                            scratch,
+                        view.rechoke(
+                            p,
                             &mut rng,
-                            ee - eb,
-                            |k| {
-                                interested_at(fluid, original_seed, pieces, nbr[eb + k] as usize, p)
-                            },
-                            |k| received_prev[eb + k],
-                            acts_seed_at(config, behavior, pieces, original_seed, p),
-                            stride,
-                            config.optimistic_slots,
                             rotate_optimistic,
-                            opt_c[li],
+                            received_prev,
+                            scratch,
+                            &mut tft_store_c[li * stride..(li + 1) * stride],
+                            &mut tft_len_c[li],
+                            &mut opt_c[li],
+                            obs,
+                            round as f64,
                         );
-                        tft_len_c[li] = scratch.ranked.len() as u32;
-                        tft_store_c[li * stride..li * stride + scratch.ranked.len()]
-                            .copy_from_slice(&scratch.ranked);
-                        opt_c[li] = opt;
-                        if O::ENABLED {
-                            let t = round as f64;
-                            for &k in &scratch.ranked {
-                                obs.unchoke(t, p, nbr[eb + k as usize] as usize, false);
-                            }
-                            if opt != NO_OPT {
-                                obs.unchoke(t, p, nbr[eb + opt as usize] as usize, true);
-                            }
-                        }
-
-                        // Outgoing flows from start-of-round interest. The
-                        // choke policy's candidate filter already applied
-                        // exactly this interest predicate over the frozen
-                        // piece state, so the ranked set and the optimistic
-                        // pick need no re-filtering here (the serial
-                        // transfer phase re-checks because its pieces
-                        // mutate mid-round; this pass's cannot).
-                        scratch.targets.clear();
-                        for &k in &scratch.ranked {
-                            scratch.targets.push((k, true));
-                        }
-                        if opt != NO_OPT && !scratch.targets.iter().any(|&(k, _)| k == opt) {
-                            scratch.targets.push((opt, false));
-                        }
                         if scratch.targets.is_empty() {
                             continue;
                         }
+                        let eb = row_off[p];
                         let share =
                             upload_kbps[p] * config.round_seconds / scratch.targets.len() as f64;
                         for &(k, is_tft) in &scratch.targets {
@@ -1432,36 +1336,23 @@ impl Swarm {
                             }
                             let cr = &mut credit_c[e - edge_base];
                             *cr += f;
-                            if *cr < piece_size {
-                                continue;
-                            }
-                            let p = nbr[e] as usize;
-                            let want = (*cr / piece_size) as usize + 2;
-                            avail_prev.batch_picks(
-                                &pieces_c[li],
-                                &pieces_prev[p],
-                                want,
+                            if land_pieces(
+                                cr,
+                                piece_size,
+                                piece_size,
+                                &mut (avail_prev, &mut *shard),
+                                &mut pieces_c[li],
+                                &pieces_prev[nbr[e] as usize],
+                                &mut completed_c[li],
+                                round + 1,
                                 &mut scratch.picks,
-                            );
-                            let mut used = 0;
-                            while *cr >= piece_size {
-                                let Some(&packed) = scratch.picks.get(used) else {
-                                    break;
-                                };
-                                used += 1;
-                                let piece = (packed & u64::from(u32::MAX)) as usize;
-                                *cr -= piece_size;
-                                pieces_c[li].insert(piece);
-                                shard.add(piece);
+                                obs,
+                                round as f64,
+                                q,
+                            ) {
+                                *comp += 1;
                                 if O::ENABLED {
-                                    obs.piece_converted(round as f64, q, piece);
-                                }
-                                if pieces_c[li].is_complete() && completed_c[li].is_none() {
-                                    completed_c[li] = Some(round + 1);
-                                    *comp += 1;
-                                    if O::ENABLED {
-                                        obs.completed((round + 1) as f64, q);
-                                    }
+                                    obs.completed((round + 1) as f64, q);
                                 }
                             }
                         }
@@ -1633,8 +1524,6 @@ impl Swarm {
         self.tft_store.resize((p + 1) * self.config.tft_slots, 0);
         self.tft_len.push(0);
         self.optimistic.push(NO_OPT);
-        self.uploads_now.push(false);
-        self.acts_seed_now.push(false);
         self.stream_id.push(stream);
         p
     }
@@ -1860,8 +1749,6 @@ impl Swarm {
         retain_present(&present, &mut self.lost_kbit_by_peer);
         retain_present(&present, &mut self.tft_len);
         retain_present(&present, &mut self.optimistic);
-        retain_present(&present, &mut self.uploads_now);
-        retain_present(&present, &mut self.acts_seed_now);
         retain_present(&present, &mut self.stream_id);
         self.present = vec![true; live];
         self.free.clear();
@@ -2138,76 +2025,6 @@ impl Swarm {
         &self.pieces[p]
     }
 
-    /// One peer's rechoke under the event clock: runs the shared
-    /// [`choke_policy`] with `window[e]` (global-slot-indexed receipts
-    /// over the closing interval) as the rate signal, commits the unchoke
-    /// arena, and fills `targets` with the interest-filtered transfer
-    /// targets `(local slot, is_tft)` — exactly the flow-planning step of
-    /// [`Swarm::par_rechoke_and_flows`], with the caller's RNG.
-    pub(crate) fn event_rechoke(
-        &mut self,
-        p: PeerId,
-        rng: &mut ChaCha8Rng,
-        rotate_optimistic: bool,
-        window: &[f64],
-        targets: &mut Vec<(u32, bool)>,
-    ) {
-        targets.clear();
-        if !self.uploads(p) {
-            self.tft_len[p] = 0;
-            self.optimistic[p] = NO_OPT;
-            return;
-        }
-        let acts_seed = self.acts_as_seed(p);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let Swarm {
-            ref config,
-            ref row_off,
-            ref deg,
-            ref nbr,
-            ref pieces,
-            ref original_seed,
-            ref mut tft_store,
-            ref mut tft_len,
-            ref mut optimistic,
-            ..
-        } = *self;
-        let stride = config.tft_slots;
-        let fluid = config.fluid_content;
-        let base = row_off[p];
-        let opt = choke_policy(
-            &mut scratch,
-            rng,
-            deg[p] as usize,
-            |k| interested_at(fluid, original_seed, pieces, nbr[base + k] as usize, p),
-            |k| window[base + k],
-            acts_seed,
-            stride,
-            config.optimistic_slots,
-            rotate_optimistic,
-            optimistic[p],
-        );
-        tft_len[p] = scratch.ranked.len() as u32;
-        tft_store[p * stride..p * stride + scratch.ranked.len()].copy_from_slice(&scratch.ranked);
-        optimistic[p] = opt;
-        for &k in &scratch.ranked {
-            targets.push((k, true));
-        }
-        if opt != NO_OPT && !targets.iter().any(|&(k, _)| k == opt) {
-            targets.push((opt, false));
-        }
-        targets.retain(|&(k, _)| {
-            interested_at(
-                fluid,
-                original_seed,
-                pieces,
-                nbr[base + k as usize] as usize,
-                p,
-            )
-        });
-        self.scratch = scratch;
-    }
-
     /// Deposits settled upload credit on the sender side (the event-clock
     /// analogue of the pass-1 `up_c[li] += share` accounting).
     pub(crate) fn event_deposit_up(&mut self, p: PeerId, kbit: f64, is_tft: bool) {
@@ -2228,47 +2045,68 @@ impl Swarm {
         }
     }
 
-    /// Rarest-first pick prefetch against the event engine's availability
-    /// snapshot: fills `picks` with up to `want` pieces `sender_snapshot`
-    /// holds and recipient `q` (live) lacks.
-    pub(crate) fn event_batch_picks(
-        &self,
-        snapshot: &AvailIndex,
-        q: PeerId,
-        sender_snapshot: &PieceSet,
-        want: usize,
-        picks: &mut Vec<u64>,
-    ) {
-        snapshot.batch_picks(&self.pieces[q], sender_snapshot, want, picks);
-    }
-
-    /// Lands one converted piece on `q` at event time: inserts it, bumps
-    /// live availability, and on completion stamps `completion_round`
-    /// (the event time in rechoke-interval units) into the completion
-    /// bookkeeping. Returns whether this landing completed the download.
-    pub(crate) fn event_convert_piece(
+    /// The event core's piece landing on edge credit `credit` into `q`:
+    /// [`land_pieces`] ranked by the availability `snapshot`, picking from
+    /// the sender's rechoke-time piece snapshot `sender`, recording into
+    /// the live availability and counting a completion stamped `stamp`.
+    /// Returns whether `q` completed.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn land_event_pieces<O: RunObserver>(
         &mut self,
         q: PeerId,
-        piece: usize,
-        completion_round: u64,
+        credit: &mut f64,
+        threshold: f64,
+        snapshot: &AvailIndex,
+        sender: &PieceSet,
+        stamp: u64,
+        picks: &mut Vec<u64>,
+        obs: &O,
+        tau: f64,
     ) -> bool {
-        self.pieces[q].insert(piece);
-        self.avail.increment(piece);
-        if self.pieces[q].is_complete() && self.completed_round[q].is_none() {
-            self.completed_round[q] = Some(completion_round);
-            self.completed_total += 1;
-            self.downloading_now -= 1;
-            self.seeding_now += 1;
-            true
-        } else {
-            false
+        let Swarm {
+            ref config,
+            ref mut pieces,
+            ref mut completed_round,
+            ref mut avail,
+            ..
+        } = *self;
+        let completed = land_pieces(
+            credit,
+            config.piece_size_kbit,
+            threshold,
+            &mut (snapshot, avail),
+            &mut pieces[q],
+            sender,
+            &mut completed_round[q],
+            stamp,
+            picks,
+            obs,
+            tau,
+            q,
+        );
+        if completed {
+            self.count_completions(1);
         }
+        completed
     }
 }
 
-/// Piece-mode interest with `O(1)` completion fast paths (see
-/// [`Swarm::interested`]); semantics identical to
-/// `q.is_interested_in(p)`.
+/// A flow mailbox of `len` zero slots, allocated zeroed rather than
+/// filled: the pages of slots no round ever writes (row slack) stay
+/// untouched and cost no resident memory. A fill loop touches them
+/// unless the compiler happens to turn it into a zeroed allocation,
+/// which depends on where the round is instantiated; on an open swarm's
+/// arena that is about 11 MiB of peak RSS.
+fn zeroed_mailbox(len: usize) -> Vec<AtomicU64> {
+    let mailbox = Box::<[AtomicU64]>::new_zeroed_slice(len);
+    // SAFETY: `AtomicU64` has the same size and bit validity as `u64`, so
+    // all-zero bytes are an initialized `AtomicU64::new(0)`.
+    unsafe { mailbox.assume_init() }.into_vec()
+}
+
+/// Piece-mode interest with `O(1)` completion fast paths: a complete `q`
+/// lacks nothing, and a complete `p` holds every piece an incomplete `q`
+/// lacks. Semantics identical to `q.is_interested_in(p)`.
 #[inline]
 fn interested_pieces(q: &PieceSet, p: &PieceSet) -> bool {
     if q.is_complete() {
@@ -2280,12 +2118,12 @@ fn interested_pieces(q: &PieceSet, p: &PieceSet) -> bool {
     q.is_interested_in(p)
 }
 
-/// The engine's interest predicate over raw state (fluid shortcut or
-/// piece-mode fast paths) — the single definition every rechoke/flow
-/// closure and [`Swarm::interested`] share, so the predicate cannot drift
-/// between the serial and parallel semantics.
+/// Whether `q` is interested in `p`'s content — the single interest
+/// predicate of every engine. Fluid mode: non-seed peers are always
+/// interested (content never bottlenecks, §6); seeds are interested in
+/// nobody. Piece mode: [`interested_pieces`].
 #[inline]
-pub(crate) fn interested_at(
+fn interested_at(
     fluid: bool,
     original_seed: &[bool],
     pieces: &[PieceSet],
@@ -2299,9 +2137,7 @@ pub(crate) fn interested_at(
     }
 }
 
-/// [`Swarm::uploads`] over raw state — shared with the parallel rechoke
-/// workers, which evaluate it chunk-locally instead of reading a
-/// serially-precomputed flag array.
+/// Whether `p` currently uploads at all (absent slots never do).
 #[inline]
 fn uploads_at(
     config: &SwarmConfig,
@@ -2321,7 +2157,7 @@ fn uploads_at(
     }
 }
 
-/// [`Swarm::acts_as_seed`] over raw state (see [`uploads_at`]).
+/// Whether `p` rechokes like a seed (no reciprocation signal).
 #[inline]
 fn acts_seed_at(
     config: &SwarmConfig,
@@ -2340,17 +2176,205 @@ fn acts_seed_at(
     }
 }
 
+/// The state a rechoke step reads: the overlay rows and the inputs of
+/// [`uploads_at`], [`acts_seed_at`] and [`interested_at`]. No engine
+/// changes any of it while a rechoke runs.
+#[derive(Clone, Copy)]
+struct RechokeView<'a> {
+    config: &'a SwarmConfig,
+    row_off: &'a [usize],
+    deg: &'a [u32],
+    nbr: &'a [u32],
+    present: &'a [bool],
+    behavior: &'a [PeerBehavior],
+    pieces: &'a [PieceSet],
+    original_seed: &'a [bool],
+}
+
+impl RechokeView<'_> {
+    /// One peer's rechoke — the step the serial round, the indexed round
+    /// and the event core share; they differ only in the stream `rng`,
+    /// the rate row `rate` (indexed by global edge slot) and the hook
+    /// time `t` they pass. A non-uploading `p` clears its unchoke row;
+    /// otherwise [`choke_policy`] runs, its result is committed to `p`'s
+    /// row (`tft_row` with `tft_len`, and `optimistic`), and
+    /// `scratch.targets` receives the row's [`unchoke_targets`].
+    ///
+    /// The targets need no interest filter: the policy draws both the TFT
+    /// set and the optimistic pick from interested neighbours, and
+    /// nothing changes interest before the targets are used — except in
+    /// the serial transfer phase, which re-checks live interest because
+    /// pieces land during it.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn rechoke<O: RunObserver>(
+        &self,
+        p: PeerId,
+        rng: &mut ChaCha8Rng,
+        rotate_optimistic: bool,
+        rate: &[f64],
+        scratch: &mut Scratch,
+        tft_row: &mut [u32],
+        tft_len: &mut u32,
+        optimistic: &mut u32,
+        obs: &O,
+        t: f64,
+    ) {
+        let RechokeView {
+            config,
+            row_off,
+            deg,
+            nbr,
+            present,
+            behavior,
+            pieces,
+            original_seed,
+        } = *self;
+        scratch.targets.clear();
+        if !uploads_at(config, present, behavior, pieces, original_seed, p) {
+            *tft_len = 0;
+            *optimistic = NO_OPT;
+            return;
+        }
+        let base = row_off[p];
+        let fluid = config.fluid_content;
+        let opt = choke_policy(
+            scratch,
+            rng,
+            deg[p] as usize,
+            |k| interested_at(fluid, original_seed, pieces, nbr[base + k] as usize, p),
+            |k| rate[base + k],
+            acts_seed_at(config, behavior, pieces, original_seed, p),
+            config.tft_slots,
+            config.optimistic_slots,
+            rotate_optimistic,
+            *optimistic,
+        );
+        tft_row[..scratch.ranked.len()].copy_from_slice(&scratch.ranked);
+        *tft_len = scratch.ranked.len() as u32;
+        *optimistic = opt;
+        unchoke_targets(&scratch.ranked, opt, &mut scratch.targets);
+        if O::ENABLED {
+            for &(k, is_tft) in &scratch.targets {
+                obs.unchoke(t, p, nbr[base + k as usize] as usize, !is_tft);
+            }
+        }
+    }
+}
+
+/// The transfer targets of a committed unchoke row, as
+/// `(local slot, is_tft)`: the TFT set in rank order, then the optimistic
+/// pick. [`choke_policy`] keeps the optimistic pick outside the TFT set,
+/// so no target repeats.
+fn unchoke_targets(tft: &[u32], optimistic: u32, targets: &mut Vec<(u32, bool)>) {
+    targets.clear();
+    targets.extend(tft.iter().map(|&k| (k, true)));
+    if optimistic != NO_OPT {
+        targets.push((optimistic, false));
+    }
+}
+
+/// Where a piece landing reads its rarest-first order and records each
+/// landed piece: the live index (the serial round), or a frozen snapshot
+/// with the worker's shard (the indexed round) or with the live index
+/// (the event core).
+trait Availability {
+    fn order(&self) -> &AvailIndex;
+    fn record(&mut self, piece: usize);
+}
+
+impl Availability for AvailIndex {
+    fn order(&self) -> &AvailIndex {
+        self
+    }
+    fn record(&mut self, piece: usize) {
+        self.increment(piece);
+    }
+}
+
+impl Availability for (&AvailIndex, &mut AvailShard) {
+    fn order(&self) -> &AvailIndex {
+        self.0
+    }
+    fn record(&mut self, piece: usize) {
+        self.1.add(piece);
+    }
+}
+
+impl Availability for (&AvailIndex, &mut AvailIndex) {
+    fn order(&self) -> &AvailIndex {
+        self.0
+    }
+    fn record(&mut self, piece: usize) {
+        self.1.increment(piece);
+    }
+}
+
+/// One edge's piece landing — the step the serial round, the indexed
+/// round and the event core share. Spends whole `piece_size` pieces of
+/// `credit` while it stays at or above `threshold`, on rarest-first
+/// picks of pieces `sender` holds and `recipient` lacks, prefetched from
+/// `avail`'s order in one scan (see [`AvailIndex::batch_picks`]); each
+/// landed piece is inserted, recorded in `avail` and reported to `obs`
+/// at time `t`. Credit left without a useful pick waits for the sender to
+/// acquire more. Stamps `completed_round` with `stamp` and returns `true`
+/// when this landing completed the recipient `q` (always on its last
+/// piece: every pick is a distinct piece the recipient lacked).
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn land_pieces<O: RunObserver>(
+    credit: &mut f64,
+    piece_size: f64,
+    threshold: f64,
+    avail: &mut impl Availability,
+    recipient: &mut PieceSet,
+    sender: &PieceSet,
+    completed_round: &mut Option<u64>,
+    stamp: u64,
+    picks: &mut Vec<u64>,
+    obs: &O,
+    t: f64,
+    q: PeerId,
+) -> bool {
+    if *credit < threshold {
+        return false;
+    }
+    // The bound covers every iteration the credit loop can run.
+    let want = (*credit / piece_size) as usize + 2;
+    avail.order().batch_picks(recipient, sender, want, picks);
+    let mut completed = false;
+    for &packed in picks.iter() {
+        if *credit < threshold {
+            break;
+        }
+        let piece = (packed & u64::from(u32::MAX)) as usize;
+        *credit -= piece_size;
+        recipient.insert(piece);
+        avail.record(piece);
+        if O::ENABLED {
+            obs.piece_converted(t, q, piece);
+        }
+        if recipient.is_complete() && completed_round.is_none() {
+            *completed_round = Some(stamp);
+            completed = true;
+        }
+    }
+    completed
+}
+
 /// One peer's complete choking decision — candidate filter, seed shuffle
 /// or TFT top-k, optimistic validity check and rotation. Fills
 /// `scratch.cand` (interested neighbour positions) and `scratch.ranked`
 /// (the TFT unchoke set, ranked) and returns the optimistic position (or
 /// [`NO_OPT`]). `interested` and `rate` take local neighbour positions.
+/// Both the TFT set and the optimistic pick are interested neighbours,
+/// and the optimistic pick is never in the TFT set.
 ///
-/// Shared verbatim by the serial round and the parallel rechoke pass (the
-/// only difference between the two is which RNG arrives here), so the
-/// policy cannot drift between the two semantics.
+/// Called only from [`RechokeView::rechoke`], the rechoke step the serial
+/// round, the indexed round and the event core share (their piece-landing
+/// step is [`land_pieces`]), so the policy cannot drift between them.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn choke_policy(
+fn choke_policy(
     scratch: &mut Scratch,
     rng: &mut ChaCha8Rng,
     deg: usize,

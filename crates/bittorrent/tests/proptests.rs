@@ -4,7 +4,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use proptest::prelude::*;
-use strat_bittorrent::{metrics, Swarm, SwarmConfig};
+use strat_bittorrent::{metrics, EventEngine, EventTiming, Swarm, SwarmConfig};
 
 fn swarm_params() -> impl Strategy<Value = (usize, usize, usize, f64, bool, u64)> {
     (
@@ -39,6 +39,40 @@ fn build(
         .map(|i| 50.0 + 37.0 * (i as f64 + 1.0))
         .collect();
     Swarm::new(config, &uploads)
+}
+
+/// The unchoke structure of `swarm` after a round that rechoked against
+/// `before`'s state (see `unchoke_structure`).
+fn check_unchokes(swarm: &Swarm, before: &Swarm, fluid: bool) {
+    let interested = |q: usize, p: usize| {
+        if fluid {
+            q != p && !before.peer(q).is_original_seed()
+        } else {
+            before
+                .peer(q)
+                .pieces()
+                .is_interested_in(before.peer(p).pieces())
+        }
+    };
+    for p in 0..swarm.peer_count() {
+        let tft = swarm.tft_unchoked(p);
+        prop_assert!(tft.len() <= swarm.config().tft_slots);
+        if let Some(o) = swarm.optimistic_unchoked(p) {
+            prop_assert!(!tft.contains(&o));
+            prop_assert!(o != p);
+            prop_assert!(swarm.neighbors(p).any(|v| v == o));
+            prop_assert!(interested(o, p), "optimistic {} not interested in {}", o, p);
+        }
+        for &q in &tft {
+            prop_assert!(q != p);
+            prop_assert!(swarm.neighbors(p).any(|v| v == q));
+        }
+    }
+    for (a, b) in metrics::reciprocal_tft_pairs(swarm) {
+        prop_assert!(a < b);
+        prop_assert!(swarm.tft_unchoked(a).contains(&b));
+        prop_assert!(swarm.tft_unchoked(b).contains(&a));
+    }
 }
 
 proptest! {
@@ -97,32 +131,36 @@ proptest! {
         }
     }
 
-    /// Unchoke structure: slot bounds hold and reciprocal pairs are
-    /// mutual, every round, in both content modes.
+    /// Unchoke structure: slot bounds hold, the optimistic pick is a
+    /// neighbour outside the TFT set that was interested in its sender
+    /// when the rechoke ran, and reciprocal pairs are mutual — every
+    /// round, in both content modes, on the serial round, the indexed
+    /// round and the event core (piece mode only).
     #[test]
     fn unchoke_structure(
         (leechers, seeds, pieces, completion, fluid, seed) in swarm_params(),
     ) {
-        let mut swarm = build(leechers, seeds, pieces, completion, fluid, seed);
-        let n = swarm.peer_count();
-        for _ in 0..8 {
-            swarm.round();
-            for p in 0..n {
-                let tft = swarm.tft_unchoked(p);
-                prop_assert!(tft.len() <= swarm.config().tft_slots);
-                if let Some(o) = swarm.optimistic_unchoked(p) {
-                    prop_assert!(!tft.contains(&o));
-                    prop_assert!(o != p);
-                }
-                for &q in &tft {
-                    prop_assert!(q != p);
-                    prop_assert!(swarm.neighbors(p).any(|v| v == q));
-                }
+        for engine in ["serial", "indexed", "event"] {
+            if engine == "event" && fluid {
+                continue;
             }
-            for (a, b) in metrics::reciprocal_tft_pairs(&swarm) {
-                prop_assert!(a < b);
-                prop_assert!(swarm.tft_unchoked(a).contains(&b));
-                prop_assert!(swarm.tft_unchoked(b).contains(&a));
+            let mut swarm = build(leechers, seeds, pieces, completion, fluid, seed);
+            let timing = EventTiming::synchronous_limit(swarm.config().round_seconds);
+            let mut event =
+                (engine == "event").then(|| EventEngine::new(swarm.clone(), timing, None));
+            for _ in 0..8 {
+                // Every engine rechokes against the state the round starts
+                // from (the event core's ticks fire after the previous
+                // interval's transfers have landed).
+                let before = event.as_ref().map_or(&swarm, EventEngine::swarm).clone();
+                match (engine, event.as_mut()) {
+                    ("serial", _) => swarm.round(),
+                    ("indexed", _) => swarm.run_rounds_parallel(1, 2),
+                    (_, Some(ev)) => ev.run_sync_rounds(1),
+                    (_, None) => unreachable!("the event engine is built for \"event\""),
+                }
+                let swarm = event.as_ref().map_or(&swarm, EventEngine::swarm);
+                check_unchokes(swarm, &before, fluid);
             }
         }
     }

@@ -713,20 +713,52 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::MissingSwarm`] without a swarm section;
+    /// Returns [`ScenarioError::MissingSwarm`] without a swarm section,
+    /// [`ScenarioError::InvalidParameter`] for a degenerate section (fewer
+    /// than two peers, no pieces, a non-positive piece size or seed
+    /// upload, no unchoke slot, an initial completion outside `[0, 1]`);
     /// otherwise propagates component failures.
     pub fn build_swarm<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Swarm, ScenarioError> {
         let params = self.swarm.as_ref().ok_or(ScenarioError::MissingSwarm)?;
-        if !(params.seed_upload_kbps.is_finite() && params.seed_upload_kbps > 0.0) {
-            return Err(ScenarioError::InvalidParameter {
-                what: "seed upload",
-                reason: format!("must be positive kbps, got {}", params.seed_upload_kbps),
-            });
+        let total = self.peers + params.seeds;
+        // The swarm engine asserts these; malformed JSON must fail cleanly.
+        let degenerate = if !(params.seed_upload_kbps.is_finite() && params.seed_upload_kbps > 0.0)
+        {
+            Some((
+                "seed upload",
+                format!("must be positive kbps, got {}", params.seed_upload_kbps),
+            ))
+        } else if total < 2 {
+            Some((
+                "swarm peers",
+                format!("need at least two peers (leechers + seeds), got {total}"),
+            ))
+        } else if params.piece_count == 0 {
+            Some(("piece count", "need at least one piece".to_string()))
+        } else if !(params.piece_size_kbit.is_finite() && params.piece_size_kbit > 0.0) {
+            Some((
+                "piece size",
+                format!("must be positive kbit, got {}", params.piece_size_kbit),
+            ))
+        } else if params.tft_slots + params.optimistic_slots == 0 {
+            Some((
+                "unchoke slots",
+                "need at least one TFT or optimistic slot".to_string(),
+            ))
+        } else if !(0.0..=1.0).contains(&params.initial_completion) {
+            Some((
+                "initial completion",
+                format!("must be in [0, 1], got {}", params.initial_completion),
+            ))
+        } else {
+            None
+        };
+        if let Some((what, reason)) = degenerate {
+            return Err(ScenarioError::InvalidParameter { what, reason });
         }
         let mut uploads = self.capacity.upload_bandwidths(self.peers, rng)?;
         uploads.extend(std::iter::repeat_n(params.seed_upload_kbps, params.seeds));
         let behaviors = params.behavior.assign(self.peers, params.seeds)?;
-        let total = self.peers + params.seeds;
         let config: SwarmConfig = SwarmConfig::builder()
             .leechers(self.peers)
             .seeds(params.seeds)
@@ -1412,6 +1444,100 @@ mod tests {
             scenario.build_swarm(&mut rng(1)),
             Err(ScenarioError::MissingSwarm)
         ));
+        // Degenerate sections are typed errors too, not engine panics, on
+        // every builder that goes through `build_swarm`.
+        let degenerate = [
+            (
+                1,
+                "swarm peers",
+                SwarmParams {
+                    seeds: 0,
+                    ..SwarmParams::default()
+                },
+            ),
+            (
+                0,
+                "swarm peers",
+                SwarmParams {
+                    seeds: 1,
+                    ..SwarmParams::default()
+                },
+            ),
+            (
+                10,
+                "piece count",
+                SwarmParams {
+                    piece_count: 0,
+                    ..SwarmParams::default()
+                },
+            ),
+            (
+                10,
+                "piece size",
+                SwarmParams {
+                    piece_size_kbit: 0.0,
+                    ..SwarmParams::default()
+                },
+            ),
+            (
+                10,
+                "piece size",
+                SwarmParams {
+                    piece_size_kbit: -5.0,
+                    ..SwarmParams::default()
+                },
+            ),
+            (
+                10,
+                "unchoke slots",
+                SwarmParams {
+                    tft_slots: 0,
+                    optimistic_slots: 0,
+                    ..SwarmParams::default()
+                },
+            ),
+            (
+                10,
+                "initial completion",
+                SwarmParams {
+                    initial_completion: 1.5,
+                    ..SwarmParams::default()
+                },
+            ),
+            (
+                10,
+                "seed upload",
+                SwarmParams {
+                    seed_upload_kbps: 0.0,
+                    ..SwarmParams::default()
+                },
+            ),
+        ];
+        for (peers, what, params) in degenerate {
+            let with = |params: SwarmParams| {
+                Scenario::new("t", peers)
+                    .with_capacity(CapacityModel::Constant { value: 300.0 })
+                    .with_swarm(params)
+            };
+            let session = SwarmParams {
+                churn: Some(SessionConfig::default()),
+                ..params.clone()
+            };
+            let event = SwarmParams {
+                timing: Some(EventTiming::default()),
+                ..params.clone()
+            };
+            for built in [
+                with(params).build_swarm(&mut rng(1)).err(),
+                with(session).build_session(&mut rng(1)).err(),
+                with(event).build_event_engine(&mut rng(1)).err(),
+            ] {
+                assert!(
+                    matches!(built, Some(ScenarioError::InvalidParameter { what: w, .. }) if w == what),
+                    "{what}: {built:?}"
+                );
+            }
+        }
     }
 
     #[test]

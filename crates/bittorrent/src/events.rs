@@ -30,6 +30,9 @@
 //! The kind order at an equal timestamp mirrors one session round: the
 //! closing interval's transfers land first, then departures and arrivals
 //! edit the membership, then the new interval's rechokes re-plan flows.
+//! A peer's `tag` is its generation tag in the swarm arena, which every
+//! arrival into the slot bumps, so events queued for a departed occupant
+//! die at fire time. Tags are equality guards only: never order, never keys.
 //!
 //! # Flows, credit, and re-planning
 //!
@@ -115,9 +118,9 @@ struct Ev {
     kind: u8,
     a: u64,
     b: u64,
-    /// Guard token: plan id for transfers, peer generation for
-    /// departure / rechoke / announce events. Stale events (token
-    /// mismatch at fire time) are dropped.
+    /// Guard token: plan id for transfers, the peer's arena generation
+    /// tag for departure / rechoke / announce events. Stale events
+    /// (token mismatch at fire time) are dropped.
     tag: u64,
     /// Global sequence number, assigned at scheduling time; final
     /// tie-breaker and the per-event RNG stream key.
@@ -338,19 +341,11 @@ pub struct EventEngine {
     // Per-peer state, indexed by arena slot.
     /// Speed class (round-robin over `timing.speed_multipliers`).
     class: Vec<u32>,
-    /// Membership generation; bumped on departure so queued events
-    /// addressed to a previous occupant of the slot are dropped.
-    generation: Vec<u64>,
     /// Sender piece snapshot taken at the peer's last rechoke — the
     /// event-clock `pieces_prev` that piece picks draw from.
     plan_pieces: Vec<PieceSet>,
     /// Arrival time in interval units (0 for initial peers).
     arrival_time: Vec<f64>,
-    /// Position in `present_slots` (`u32::MAX` when absent).
-    slot_pos: Vec<u32>,
-    /// Present arena slots, swap-removed on departure (tracker
-    /// candidate list).
-    present_slots: Vec<u32>,
 
     /// Availability snapshot refreshed on timestamp advance after any
     /// rechoke — the event-clock `avail_prev` that piece picks draw
@@ -402,6 +397,7 @@ impl EventEngine {
         let quantum_intervals = timing.transfer_quantum.map(|q| q / interval);
         let announce_intervals = timing.announce_interval.map(|a| a / interval);
         let snapshot = swarm.avail_index().clone();
+        let plan_pieces = (0..n).map(|p| swarm.pieces_at(p).clone()).collect();
         let mut engine = EventEngine {
             swarm,
             timing,
@@ -423,11 +419,8 @@ impl EventEngine {
             last_settle: vec![0.0; m],
             plan_id: vec![0; m],
             class: vec![0; n],
-            generation: vec![0; n],
-            plan_pieces: Vec::with_capacity(n),
+            plan_pieces,
             arrival_time: vec![0.0; n],
-            slot_pos: vec![u32::MAX; n],
-            present_slots: Vec::with_capacity(n),
             snapshot,
             snapshot_dirty: false,
             targets: Vec::new(),
@@ -442,13 +435,6 @@ impl EventEngine {
         for (p, c) in engine.class.iter_mut().enumerate() {
             *c = p as u32 % classes;
         }
-        for p in 0..n {
-            engine.plan_pieces.push(engine.swarm.pieces_at(p).clone());
-            if engine.swarm.is_present(p) {
-                engine.slot_pos[p] = engine.present_slots.len() as u32;
-                engine.present_slots.push(p as u32);
-            }
-        }
         engine.schedule_genesis();
         engine
     }
@@ -460,7 +446,7 @@ impl EventEngine {
         let n = self.swarm.peer_count();
         for p in 0..n {
             if self.swarm.is_present(p) {
-                self.push(0.0, K_RECHOKE, p as u64, 0, self.generation[p]);
+                self.push(0.0, K_RECHOKE, p as u64, 0, self.tag_of(p));
             }
         }
         let Some(ch) = self.churn.clone() else {
@@ -496,7 +482,7 @@ impl EventEngine {
         if let Some(exodus) = ch.departure.seed_exodus_round {
             for p in 0..n {
                 if self.swarm.is_present(p) && self.swarm.peer(p).is_original_seed() {
-                    self.push(exodus as f64, K_DEPART, p as u64, 0, self.generation[p]);
+                    self.push(exodus as f64, K_DEPART, p as u64, 0, self.tag_of(p));
                 }
             }
         }
@@ -506,14 +492,14 @@ impl EventEngine {
                     let sq = self.alloc_seq();
                     let mut rng = event_seq_rng(seed, sq);
                     let gap = round_prob_gap(&mut rng, ch.departure.abort_prob);
-                    self.push(gap, K_DEPART, p as u64, 1, self.generation[p]);
+                    self.push(gap, K_DEPART, p as u64, 1, self.tag_of(p));
                 }
             }
         }
         if let Some(ai) = self.announce_intervals {
             for p in 0..n {
                 if self.swarm.is_present(p) {
-                    self.push(ai, K_ANNOUNCE, p as u64, 0, self.generation[p]);
+                    self.push(ai, K_ANNOUNCE, p as u64, 0, self.tag_of(p));
                 }
             }
         }
@@ -702,7 +688,7 @@ impl EventEngine {
     /// the receipt window, re-plan outgoing flows at the planned share,
     /// snapshot the peer's pieces, and queue the next tick.
     fn fire_rechoke<O: RunObserver>(&mut self, p: PeerId, tick: u64, gen: u64, tau: f64, obs: &O) {
-        if self.generation[p] != gen || !self.swarm.is_present(p) {
+        if self.tag_of(p) != gen || !self.swarm.is_present(p) {
             return;
         }
         self.stats.rechokes += 1;
@@ -858,7 +844,7 @@ impl EventEngine {
         if leave_p <= 0.0 && linger_p <= 0.0 {
             return;
         }
-        let gen = self.generation[q];
+        let gen = self.tag_of(q);
         let sq = self.alloc_seq();
         let mut rng = event_seq_rng(seed, sq);
         if leave_p > 0.0 && rng.gen_bool(leave_p) {
@@ -881,7 +867,7 @@ impl EventEngine {
         tau: f64,
         obs: &O,
     ) {
-        if self.generation[d] != gen || !self.swarm.is_present(d) {
+        if self.tag_of(d) != gen || !self.swarm.is_present(d) {
             return;
         }
         if only_if_incomplete && self.swarm.pieces_at(d).is_complete() {
@@ -897,14 +883,6 @@ impl EventEngine {
             self.detach_edge(d, k, tau, obs);
         }
         self.swarm.depart(d);
-        let pos = self.slot_pos[d] as usize;
-        self.present_slots.swap_remove(pos);
-        if pos < self.present_slots.len() {
-            let moved = self.present_slots[pos] as usize;
-            self.slot_pos[moved] = pos as u32;
-        }
-        self.slot_pos[d] = u32::MAX;
-        self.generation[d] = self.generation[d].wrapping_add(1);
     }
 
     /// Detaches the edge at local slot `k` of `p`'s row, mirroring
@@ -1019,12 +997,10 @@ impl EventEngine {
         self.arrival_counter += 1;
         self.arrival_time[slot] = tau;
         self.plan_pieces[slot].clone_from(self.swarm.pieces_at(slot));
-        self.slot_pos[slot] = self.present_slots.len() as u32;
-        self.present_slots.push(slot as u32);
         // The newcomer changes availability: piece picks after this
         // timestamp must see it.
         self.snapshot_dirty = true;
-        let gen = self.generation[slot];
+        let gen = self.tag_of(slot);
         if O::ENABLED {
             obs.arrival(tau, slot);
         }
@@ -1063,7 +1039,7 @@ impl EventEngine {
     /// Tracker announce: one tracker request for the peer (a no-op at or
     /// above the churn target degree); then queue the next announce.
     fn fire_announce<O: RunObserver>(&mut self, p: PeerId, gen: u64, seq: u64, tau: f64, obs: &O) {
-        if self.generation[p] != gen || !self.swarm.is_present(p) {
+        if self.tag_of(p) != gen || !self.swarm.is_present(p) {
             return;
         }
         self.stats.announces += 1;
@@ -1090,7 +1066,6 @@ impl EventEngine {
         let old_end = self.swarm.row_bounds(slot).1;
         tracker::wire(
             &mut self.swarm,
-            &self.present_slots,
             slot,
             ch.target_degree,
             ch.peer_list_cap,
@@ -1114,9 +1089,7 @@ impl EventEngine {
         if self.class.len() < n {
             let piece_count = self.swarm.config().piece_count;
             self.class.resize(n, 0);
-            self.generation.resize(n, 0);
             self.arrival_time.resize(n, 0.0);
-            self.slot_pos.resize(n, u32::MAX);
             self.plan_pieces
                 .resize_with(n, || PieceSet::new(piece_count));
         }
@@ -1135,6 +1108,12 @@ impl EventEngine {
     // ------------------------------------------------------------------
     // Plumbing.
     // ------------------------------------------------------------------
+
+    /// Guard tag of peer `p`'s queued events: the arena's generation tag,
+    /// which every arrival into the slot bumps.
+    fn tag_of(&self, p: PeerId) -> u64 {
+        u64::from(self.swarm.generation_of(p))
+    }
 
     /// Queues an event, assigning the next global sequence number.
     fn push(&mut self, time: f64, kind: u8, a: u64, b: u64, tag: u64) {
@@ -1202,7 +1181,7 @@ impl EventEngine {
     /// Number of present peers.
     #[must_use]
     pub fn present_count(&self) -> usize {
-        self.present_slots.len()
+        self.swarm.population().total()
     }
 
     /// Speed class of peer `p`.

@@ -20,8 +20,13 @@
 //!   mid-download aborts, and a *seed exodus* that withdraws the original
 //!   seeds at a fixed round;
 //! * arena slots are reused through the swarm's free list;
-//!   [`SessionPeerId`] tags each slot with a **generation** so stale
-//!   handles never alias a reincarnated slot.
+//!   [`SessionPeerId`] pairs a slot with the arena's **generation** tag
+//!   for it, so stale handles never alias a reincarnated slot.
+//!
+//! The swarm arena keeps the one membership ledger (the present list the
+//! tracker samples, generation tags, stream order), so a session holds
+//! only lifecycle state: arrival rounds, completion and leave decisions,
+//! and the publisher squad.
 //!
 //! # Determinism contract
 //!
@@ -423,8 +428,6 @@ pub struct CohortCompletion {
 pub struct Session {
     swarm: Swarm,
     config: SessionConfig,
-    /// Per-slot reincarnation counter (bumped by every slot reuse).
-    generation: Vec<u32>,
     /// Round at which the slot's current occupant arrived.
     arrival_round: Vec<u64>,
     /// Whether the occupant's completion has been recorded in the stats.
@@ -437,13 +440,6 @@ pub struct Session {
     /// publishers, even when they arrive holding the complete file (such
     /// peers behave like freshly promoted seeds and stay mortal).
     publisher: Vec<bool>,
-    /// Dense list of the present arena slots (swap-removed on departure),
-    /// so tracker wiring samples uniformly over **present** peers instead
-    /// of rejection-sampling an arena that may be mostly free-listed.
-    present_slots: Vec<u32>,
-    /// `slot_pos[slot]` locates the slot inside `present_slots`
-    /// ([`ABSENT`] when departed).
-    slot_pos: Vec<u32>,
     stats: SessionStats,
     /// True when both processes are inert — the zero-churn fast path that
     /// keeps the session bit-identical to the closed engine.
@@ -458,15 +454,6 @@ pub struct Session {
     pending: Vec<PendingAnnounce>,
     /// Reusable candidate buffer of capped tracker requests.
     wire_scratch: Vec<u32>,
-    /// Generation handed to slots the arena grows fresh. Bumped past
-    /// every generation ever issued when a compaction renames slots, so
-    /// no pre-compaction handle can alias a post-compaction occupant.
-    gen_floor: u32,
-    /// Whether any present peer's stream id differs from its slot. False
-    /// until a post-compaction arrival lands (survivors keep slot order
-    /// = stream order); while false the per-slot session passes iterate
-    /// slots ascending with zero overhead, exactly the legacy order.
-    stream_order_diverged: bool,
     /// Reusable buffer for the per-slot passes' iteration order.
     pass_buf: Vec<u32>,
     /// Arena compactions performed so far.
@@ -502,9 +489,6 @@ fn backoff_delay(attempt: u32, rng: &mut ChaCha8Rng) -> u64 {
     let base = 1u64 << attempt.min(6);
     base + rng.gen_range(0..base)
 }
-
-/// `slot_pos` sentinel for departed slots.
-const ABSENT: u32 = u32::MAX;
 
 impl Session {
     /// Wraps a (piece-mode) swarm in an open-membership session. Reserves
@@ -553,21 +537,16 @@ impl Session {
         Self {
             swarm,
             config,
-            generation: vec![0; n],
             arrival_round: vec![0; n],
             completion_recorded: vec![false; n],
             leave_decided: vec![false; n],
             publisher,
-            present_slots: (0..n as u32).collect(),
-            slot_pos: (0..n as u32).collect(),
             stats: SessionStats::default(),
             inert,
             faults,
             faults_active,
             pending: Vec::new(),
             wire_scratch: Vec::new(),
-            gen_floor: 0,
-            stream_order_diverged: false,
             pass_buf: Vec::new(),
             compactions: 0,
             track_arrivals: false,
@@ -644,7 +623,7 @@ impl Session {
     pub fn id_of(&self, slot: PeerId) -> SessionPeerId {
         SessionPeerId {
             slot: slot as u32,
-            generation: self.generation[slot],
+            generation: self.swarm.generation_of(slot),
         }
     }
 
@@ -654,7 +633,7 @@ impl Session {
     pub fn resolve(&self, id: SessionPeerId) -> Option<PeerId> {
         let slot = id.slot as usize;
         (slot < self.swarm.peer_count()
-            && self.generation[slot] == id.generation
+            && self.swarm.generation_of(slot) == id.generation
             && self.swarm.is_present(slot))
         .then_some(slot)
     }
@@ -840,19 +819,7 @@ impl Session {
             "join completion must be a probability in [0, 1], got {completion}"
         );
         let round = self.swarm.round_count();
-        let pieces = tracker::draw_pieces(self.swarm.config().piece_count, completion, rng);
-        let slot = self
-            .swarm
-            .arrive(upload_kbps, PeerBehavior::Compliant, pieces);
-        if self.swarm.stream_of(slot) != slot {
-            self.stream_order_diverged = true;
-        }
-        self.on_slot_filled(slot, round);
-        self.stats.arrivals += 1;
-        if O::ENABLED {
-            obs.arrival(round as f64, slot);
-        }
-        self.wire(slot, rng, round);
+        let slot = self.admit(upload_kbps, completion, rng, round, obs);
         self.id_of(slot)
     }
 
@@ -884,34 +851,21 @@ impl Session {
     }
 
     /// Present slots in **indexed-stream order** — the iteration order of
-    /// every per-slot session pass. Until a post-compaction arrival lands
-    /// slot order and stream order coincide (compaction preserves
-    /// survivors' relative order, and streams recycle in free-list
-    /// lockstep before that), so the common case collects the live
-    /// prefix with no sort. The caller returns the buffer through
-    /// `self.pass_buf` when done.
-    ///
-    /// Stream order is what keeps a compacting session's sequential
+    /// every per-slot session pass, so a compacting session's sequential
     /// event streams (departure/crash draws, completion-record order)
-    /// assigned to the same peers as its non-compacting twin's
-    /// slot-ascending passes.
+    /// reach the same peers as its non-compacting twin's. The caller
+    /// returns the buffer through `self.pass_buf` when done.
     fn take_pass_order(&mut self) -> Vec<u32> {
         let mut order = std::mem::take(&mut self.pass_buf);
-        order.clear();
-        let lb = self.swarm.live_slot_bound();
-        order.extend((0..lb as u32).filter(|&p| self.swarm.is_present(p as usize)));
-        if self.stream_order_diverged {
-            let swarm = &self.swarm;
-            order.sort_unstable_by_key(|&p| swarm.stream_of(p as usize));
-        }
+        self.swarm.present_in_stream_order(&mut order);
         order
     }
 
     /// End-of-round compaction check: once the dead-slot fraction
-    /// reaches `config.compact_threshold`, compact the swarm arena and
-    /// remap the session's slot-keyed state along the old→new slot map.
-    /// Outstanding [`SessionPeerId`]s are invalidated wholesale: every
-    /// surviving slot takes a generation above anything issued before.
+    /// reaches `config.compact_threshold`, compact the swarm arena (which
+    /// remaps its own ledger and lifts every generation tag, invalidating
+    /// outstanding [`SessionPeerId`]s) and remap the session's slot-keyed
+    /// lifecycle state along the old→new slot map.
     fn maybe_compact(&mut self) {
         let Some(threshold) = self.config.compact_threshold else {
             return;
@@ -922,14 +876,6 @@ impl Session {
             return;
         }
         let remap = self.swarm.compact();
-        let floor = self
-            .generation
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0)
-            .wrapping_add(1);
-        self.gen_floor = floor;
         fn retain_live<T>(remap: &[u32], v: &mut Vec<T>) {
             let mut i = 0;
             v.retain(|_| {
@@ -938,22 +884,10 @@ impl Session {
                 keep
             });
         }
-        retain_live(&remap, &mut self.generation);
         retain_live(&remap, &mut self.arrival_round);
         retain_live(&remap, &mut self.completion_recorded);
         retain_live(&remap, &mut self.leave_decided);
         retain_live(&remap, &mut self.publisher);
-        self.generation.fill(floor);
-        // The dense present list keeps its positional order (tracker
-        // wiring draws positions into it); only the slot values move.
-        for slot in &mut self.present_slots {
-            *slot = remap[*slot as usize];
-            debug_assert_ne!(*slot, u32::MAX);
-        }
-        self.slot_pos = vec![ABSENT; self.swarm.peer_count()];
-        for (pos, &slot) in self.present_slots.iter().enumerate() {
-            self.slot_pos[slot as usize] = pos as u32;
-        }
         self.compactions += 1;
     }
 
@@ -1110,35 +1044,50 @@ impl Session {
         }
     }
 
-    /// Admits one arrival, drawing its initial pieces and tracker wiring
-    /// from `rng` (the arrival's own event stream, whether fresh or
-    /// carried through an outage queue).
+    /// Admits one session arrival, drawing its initial pieces and
+    /// tracker wiring from `rng` (the arrival's own event stream, whether
+    /// fresh or carried through an outage queue).
     fn admit_arrival<O: RunObserver>(&mut self, mut rng: ChaCha8Rng, round: u64, obs: &O) {
-        let pieces = tracker::draw_pieces(
-            self.swarm.config().piece_count,
-            self.config.arrival_completion,
-            &mut rng,
-        );
-        let slot = self.swarm.arrive(
-            self.config.arrival_upload_kbps,
-            PeerBehavior::Compliant,
-            pieces,
-        );
-        if self.swarm.stream_of(slot) != slot {
-            // A post-compaction arrival: its stream identity (a recycled
-            // dead slot's) no longer matches its arena slot, so the
-            // per-slot passes must start sorting by stream.
-            self.stream_order_diverged = true;
-        }
-        self.on_slot_filled(slot, round);
-        self.stats.arrivals += 1;
+        let upload = self.config.arrival_upload_kbps;
+        let completion = self.config.arrival_completion;
+        let slot = self.admit(upload, completion, &mut rng, round, obs);
         if self.track_arrivals {
             self.recent_arrivals.push(self.id_of(slot));
         }
+    }
+
+    /// The one admission body of arrivals and joins: draw the initial
+    /// pieces, take an arena slot, reset its lifecycle state, and make
+    /// one tracker request — all from `rng`.
+    fn admit<O: RunObserver>(
+        &mut self,
+        upload_kbps: f64,
+        completion: f64,
+        rng: &mut ChaCha8Rng,
+        round: u64,
+        obs: &O,
+    ) -> PeerId {
+        let pieces = tracker::draw_pieces(self.swarm.config().piece_count, completion, rng);
+        let slot = self
+            .swarm
+            .arrive(upload_kbps, PeerBehavior::Compliant, pieces);
+        if slot == self.arrival_round.len() {
+            self.arrival_round.push(0);
+            self.completion_recorded.push(false);
+            self.leave_decided.push(false);
+            self.publisher.push(false);
+        }
+        self.arrival_round[slot] = round;
+        self.completion_recorded[slot] = false;
+        self.leave_decided[slot] = false;
+        // Session arrivals are never publishers, complete or not.
+        self.publisher[slot] = false;
+        self.stats.arrivals += 1;
         if O::ENABLED {
             obs.arrival(round as f64, slot);
         }
-        self.wire(slot, &mut rng, round);
+        self.wire(slot, rng, round);
+        slot
     }
 
     /// One tracker request for `slot` ([`tracker::wire`]) over the
@@ -1150,7 +1099,6 @@ impl Session {
         let target = self.effective_target(partitioned);
         tracker::wire(
             &mut self.swarm,
-            &self.present_slots,
             slot,
             target,
             self.config.peer_list_cap,
@@ -1171,27 +1119,6 @@ impl Session {
         }
     }
 
-    /// Book-keeping for a freshly (re)occupied arena slot.
-    fn on_slot_filled(&mut self, slot: PeerId, round: u64) {
-        if slot == self.generation.len() {
-            self.generation.push(self.gen_floor);
-            self.arrival_round.push(0);
-            self.completion_recorded.push(false);
-            self.leave_decided.push(false);
-            self.publisher.push(false);
-            self.slot_pos.push(ABSENT);
-        }
-        self.generation[slot] = self.generation[slot].wrapping_add(1);
-        self.arrival_round[slot] = round;
-        self.completion_recorded[slot] = false;
-        self.leave_decided[slot] = false;
-        // Session arrivals are never publishers, complete or not.
-        self.publisher[slot] = false;
-        debug_assert_eq!(self.slot_pos[slot], ABSENT);
-        self.slot_pos[slot] = self.present_slots.len() as u32;
-        self.present_slots.push(slot as u32);
-    }
-
     /// Removes `p` and records the departure.
     fn depart<O: RunObserver>(&mut self, p: PeerId, reason: DepartReason, obs: &O) {
         match reason {
@@ -1205,14 +1132,6 @@ impl Session {
                 _ => obs.departure(t, p),
             }
         }
-        // Swap-remove from the dense present list.
-        let pos = self.slot_pos[p] as usize;
-        debug_assert_eq!(self.present_slots[pos] as usize, p);
-        let last = *self.present_slots.last().expect("p was present");
-        self.present_slots[pos] = last;
-        self.slot_pos[last as usize] = pos as u32;
-        self.present_slots.pop();
-        self.slot_pos[p] = ABSENT;
         self.stats.departures += 1;
         match reason {
             DepartReason::Aborted => self.stats.aborted += 1,

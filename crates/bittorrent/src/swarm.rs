@@ -81,11 +81,14 @@ use crate::observer::{NullObserver, RunObserver};
 use crate::{PeerBehavior, PieceSet, SwarmConfig};
 
 /// Index of a peer inside a [`Swarm`] (an arena slot; the session layer
-/// wraps it with a generation tag).
+/// pairs it with the slot's generation tag).
 pub type PeerId = usize;
 
 /// Sentinel for "no optimistic unchoke" in the flat optimistic array.
 pub(crate) const NO_OPT: u32 = u32::MAX;
+
+/// Present-list position of an absent slot.
+const ABSENT: u32 = u32::MAX;
 
 /// One independent ChaCha stream per `(round, peer)` pair: the randomness
 /// source of the indexed-round semantics. The stream id packs the round in
@@ -325,6 +328,21 @@ pub struct Swarm {
     /// slot's stream id and row capacity, keeping stream assignment and
     /// wiring capacity identical to the uncompacted twin.
     reuse_stack: Vec<(u32, u32)>,
+    /// Membership ledger: the present slots as a dense list (pushed by
+    /// [`Swarm::arrive`], swap-removed by [`Swarm::depart`]) — the
+    /// tracker's uniform candidate pool — and each slot's position in
+    /// it ([`ABSENT`] while departed).
+    present_slots: Vec<u32>,
+    slot_pos: Vec<u32>,
+    /// Per-slot generation tag, bumped by every arrival into the slot,
+    /// so a stale handle or queued event never aliases a later occupant.
+    generation: Vec<u32>,
+    /// Tag of fresh growth slots; [`Swarm::compact`] lifts it (and every
+    /// survivor) past every tag issued so far, since it renames slots.
+    gen_floor: u32,
+    /// Whether present slots still ascend in stream order; only a
+    /// post-compaction growth slot carrying a recycled stream breaks it.
+    stream_ordered: bool,
     /// Virtual arena length had no compaction ever run: the stream id
     /// handed to arrivals that grow genuinely fresh slots.
     logical_len: u64,
@@ -498,6 +516,11 @@ impl Swarm {
             live_bound: n,
             stream_id: (0..n as u32).collect(),
             reuse_stack: Vec::new(),
+            present_slots: (0..n as u32).collect(),
+            slot_pos: (0..n as u32).collect(),
+            generation: vec![0; n],
+            gen_floor: 0,
+            stream_ordered: true,
             logical_len: n as u64,
             grow_row_cap: (config.mean_neighbors.ceil() as usize)
                 .saturating_mul(2)
@@ -876,6 +899,28 @@ impl Swarm {
     #[must_use]
     pub fn stream_of(&self, p: PeerId) -> usize {
         self.stream_id[p] as usize
+    }
+
+    /// The dense present list (see the `present_slots` field).
+    pub(crate) fn present_slots(&self) -> &[u32] {
+        &self.present_slots
+    }
+
+    /// Generation tag of slot `p` (see the `generation` field).
+    pub(crate) fn generation_of(&self, p: PeerId) -> u32 {
+        self.generation[p]
+    }
+
+    /// Fills `out` with the present slots in indexed-stream order: slot
+    /// order, sorted by stream only once an arrival has broken the match.
+    /// Stream order keeps a compacting session's sequential passes on
+    /// the same peers as its never-compacting twin's.
+    pub(crate) fn present_in_stream_order(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend((0..self.live_bound as u32).filter(|&p| self.present[p as usize]));
+        if !self.stream_ordered {
+            out.sort_unstable_by_key(|&p| self.stream_id[p as usize]);
+        }
     }
 
     /// The serial rechoke phase: [`Swarm::rechoke_peer`] for every live
@@ -1408,6 +1453,12 @@ impl Swarm {
         self.received_prev = received_prev;
         self.received_curr = received_curr;
         self.credit = credit;
+        // Every dead row — free-listed here, or dropped by a compaction but
+        // still a degree-0 row on the never-compacted twin — now holds
+        // exactly `extra` slots, and a reuse hands out that capacity.
+        for entry in &mut self.reuse_stack {
+            entry.1 = extra as u32;
+        }
         self.grow_row_cap = self
             .grow_row_cap
             .max(self.config.mean_neighbors.ceil() as usize + extra);
@@ -1459,8 +1510,12 @@ impl Swarm {
                 // Post-compaction: the dead slot itself is gone, but its
                 // stream id and row capacity live on in a fresh slot, so
                 // randomness and wiring acceptance match the uncompacted
-                // twin exactly.
-                Some((stream, cap)) => self.grow_one_slot(cap as usize, stream),
+                // twin exactly. The recycled stream may sort below a
+                // present peer's, so slot order stops being stream order.
+                Some((stream, cap)) => {
+                    self.stream_ordered = false;
+                    self.grow_one_slot(cap as usize, stream)
+                }
                 None => {
                     let stream = self.logical_len as u32;
                     self.logical_len += 1;
@@ -1471,6 +1526,9 @@ impl Swarm {
         debug_assert!(!self.present[p] && self.deg[p] == 0);
         self.present[p] = true;
         self.live_bound = self.live_bound.max(p + 1);
+        self.generation[p] = self.generation[p].wrapping_add(1);
+        self.slot_pos[p] = self.present_slots.len() as u32;
+        self.present_slots.push(p as u32);
         self.upload_kbps[p] = upload_kbps;
         self.behavior[p] = behavior;
         for i in pieces.ones() {
@@ -1525,6 +1583,8 @@ impl Swarm {
         self.tft_len.push(0);
         self.optimistic.push(NO_OPT);
         self.stream_id.push(stream);
+        self.slot_pos.push(ABSENT);
+        self.generation.push(self.gen_floor);
         p
     }
 
@@ -1577,6 +1637,11 @@ impl Swarm {
             self.downloading_now -= 1;
         }
         self.present[p] = false;
+        let pos = std::mem::replace(&mut self.slot_pos[p], ABSENT) as usize;
+        self.present_slots.swap_remove(pos);
+        if let Some(&moved) = self.present_slots.get(pos) {
+            self.slot_pos[moved as usize] = pos as u32;
+        }
         self.tft_len[p] = 0;
         self.optimistic[p] = NO_OPT;
         self.free.push(p as u32);
@@ -1634,7 +1699,11 @@ impl Swarm {
     /// * dead slots' loss accumulators fold into a departed-total bucket
     ///   ([`Swarm::lost_kbit`] is conserved); their cumulative transfer
     ///   totals (readable until reuse on the uncompacted twin) are
-    ///   dropped.
+    ///   dropped;
+    /// * the dense present list keeps its positions (tracker wiring draws
+    ///   positions into it) with only its slot values remapped, and every
+    ///   survivor takes one generation tag above any tag issued before,
+    ///   so no pre-compaction handle resolves afterwards.
     ///
     /// The **serial** round draws peer randomness from one shared stream
     /// in slot order, so a compacted swarm's serial rounds diverge from
@@ -1735,7 +1804,15 @@ impl Swarm {
                 keep
             });
         }
+        let top = self.generation.iter().copied().max().unwrap_or(0);
+        self.gen_floor = top.wrapping_add(1);
+        for slot in &mut self.present_slots {
+            *slot = remap[*slot as usize];
+        }
         let present = std::mem::take(&mut self.present);
+        retain_present(&present, &mut self.slot_pos);
+        retain_present(&present, &mut self.generation);
+        self.generation.fill(self.gen_floor);
         retain_present(&present, &mut self.deg);
         retain_present(&present, &mut self.upload_kbps);
         retain_present(&present, &mut self.behavior);
@@ -1869,8 +1946,11 @@ impl Swarm {
     /// Checks the engine's structural invariants — reverse-edge symmetry,
     /// degree bounds, zeroed slack slots (no dangling credit or rate
     /// state beyond any live row), free-list consistency (departed slots
-    /// exactly once on the free list, never live), availability counts
-    /// and the population split against a from-scratch recount. Test
+    /// exactly once on the free list, never live), the membership ledger
+    /// (the dense present list is a permutation of the present slots, the
+    /// position index its inverse, and an unbroken order flag means
+    /// present streams ascend with slot), availability counts and the
+    /// population split against a from-scratch recount. Test
     /// support for the membership/fault proptests;
     /// `O(edges + peers · pieces)`.
     ///
@@ -1902,16 +1982,22 @@ impl Swarm {
             (self.live_bound..n).all(|p| !self.present[p]),
             "present peer past the live bound"
         );
-        // Present peers' stream ids are distinct logical identities.
-        let mut streams: Vec<u32> = (0..n)
+        // Present peers' stream ids are distinct logical identities, and
+        // ascend with slot while the order flag is set.
+        let slot_streams: Vec<u32> = (0..n)
             .filter(|&p| self.present[p])
             .map(|p| self.stream_id[p])
             .collect();
+        assert!(
+            !self.stream_ordered || slot_streams.windows(2).all(|w| w[0] < w[1]),
+            "order flag set but present streams do not ascend with slot"
+        );
+        let mut streams = slot_streams.clone();
         streams.sort_unstable();
         streams.dedup();
         assert_eq!(
             streams.len(),
-            self.present.iter().filter(|&&x| x).count(),
+            slot_streams.len(),
             "duplicate stream id among present peers"
         );
         assert!(
@@ -1920,6 +2006,19 @@ impl Swarm {
                 .all(|&s| u64::from(s) < self.logical_len),
             "stream id past the logical arena length"
         );
+        // The dense present list is a permutation of the present slots
+        // with the position index as its inverse (absent slots carry the
+        // sentinel, checked below).
+        assert_eq!(
+            self.present_slots.len(),
+            slot_streams.len(),
+            "present list is not the present population"
+        );
+        for (pos, &slot) in self.present_slots.iter().enumerate() {
+            let slot = slot as usize;
+            assert!(self.present[slot], "absent slot {slot} on the present list");
+            assert_eq!(self.slot_pos[slot] as usize, pos, "position of slot {slot}");
+        }
         for p in 0..n {
             assert!(
                 self.deg[p] as usize <= self.row_capacity(p),
@@ -1940,6 +2039,7 @@ impl Swarm {
             }
             if !self.present[p] {
                 assert_eq!(self.deg[p], 0, "absent peer {p} keeps edges");
+                assert_eq!(self.slot_pos[p], ABSENT, "absent slot {p} is listed");
                 assert!(free_seen[p], "absent slot {p} missing from the free list");
                 continue;
             }

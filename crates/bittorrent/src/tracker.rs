@@ -5,8 +5,9 @@
 //! ([`Session`](crate::session::Session)), an external join
 //! (`Session::join_with`), a fault-repair request, or an event-core
 //! arrival / announce ([`EventEngine`](crate::events::EventEngine)).
-//! Each caller supplies its own ChaCha stream, so the two functions here
-//! carry no determinism state of their own.
+//! Each caller supplies its own ChaCha stream, and the candidate pool is
+//! the arena's own dense present list, so the two functions here carry no
+//! determinism or membership state of their own.
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -30,24 +31,22 @@ pub(crate) fn draw_pieces(piece_count: usize, completion: f64, rng: &mut ChaCha8
 }
 
 /// One tracker request: connects `slot` to distinct random peers of the
-/// dense `present` list until it reaches `target` degree, and returns
-/// the number of edges added.
+/// swarm's dense present list until it reaches `target` degree, and
+/// returns the number of edges added.
 ///
 /// * **Uncapped** (`cap == None`): rejection-samples uniform positions of
-///   `present`, with a budget of `12 · target + 24` attempts that only
-///   absorbs self / duplicate / full-row collisions.
+///   the present list, with a budget of `12 · target + 24` attempts that
+///   only absorbs self / duplicate / full-row collisions.
 /// * **Capped** (`cap == Some(c)`, the peer-list cap of Al-Hamra et al.):
 ///   the tracker hands out at most `c` *distinct* uniform candidates — a
-///   partial Fisher–Yates over a copy of `present` in `scratch` — so a
-///   request adds at most `min(c, target)` edges.
+///   partial Fisher–Yates over a copy of the present list in `scratch` —
+///   so a request adds at most `min(c, target)` edges.
 ///
 /// While `partitioned`, cross-half candidates
 /// ([`FaultPlan::cross_partition`]) are refused. A request that starts at
 /// or above `target`, or with no other present peer, draws nothing.
-#[allow(clippy::too_many_arguments)] // one tracker request, spelled out
 pub(crate) fn wire(
     swarm: &mut Swarm,
-    present: &[u32],
     slot: PeerId,
     target: usize,
     cap: Option<usize>,
@@ -56,14 +55,15 @@ pub(crate) fn wire(
     scratch: &mut Vec<u32>,
 ) -> usize {
     let before = swarm.degree(slot);
-    if present.len() <= 1 || before >= target {
+    let pool = swarm.present_slots().len();
+    if pool <= 1 || before >= target {
         return 0;
     }
     let refused = |q: PeerId| q == slot || (partitioned && FaultPlan::cross_partition(slot, q));
     // `connect_peers` rejects duplicates and full rows on its own.
     if let Some(cap) = cap {
         scratch.clear();
-        scratch.extend_from_slice(present);
+        scratch.extend_from_slice(swarm.present_slots());
         for i in 0..cap.min(scratch.len()) {
             if swarm.degree(slot) >= target {
                 break;
@@ -80,7 +80,7 @@ pub(crate) fn wire(
         let mut attempts = 0usize;
         while swarm.degree(slot) < target && attempts < max_attempts {
             attempts += 1;
-            let q = present[rng.gen_range(0..present.len())] as usize;
+            let q = swarm.present_slots()[rng.gen_range(0..pool)] as usize;
             if !refused(q) {
                 swarm.connect_peers(slot, q);
             }

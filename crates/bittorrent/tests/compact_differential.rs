@@ -19,7 +19,7 @@
 use proptest::prelude::*;
 use strat_bittorrent::faults::FaultPlan;
 use strat_bittorrent::session::{ArrivalProcess, DepartureRules, Session, SessionConfig};
-use strat_bittorrent::{Swarm, SwarmConfig};
+use strat_bittorrent::{PeerBehavior, PieceSet, Swarm, SwarmConfig};
 
 fn build_swarm(leechers: usize, seeds: usize, seed: u64) -> Swarm {
     let n = leechers + seeds;
@@ -187,6 +187,76 @@ fn compacting_session_matches_twin_under_crash_faults() {
         );
         compacting.swarm().validate_consistency();
     }
+}
+
+/// Arena-level form of the stream-order case below: after departing
+/// slots 3 and 8 and compacting, the next arrival grows slot 8 carrying
+/// the recycled stream 8 while slot 7 holds stream 9, and the arena's
+/// order flag must say so.
+#[test]
+fn recycled_stream_lands_out_of_slot_order() {
+    let mut swarm = build_swarm(8, 2, 5);
+    swarm.reserve_overlay_slack(4);
+    swarm.depart(3);
+    swarm.depart(8);
+    swarm.compact();
+    let p = swarm.arrive(300.0, PeerBehavior::Compliant, PieceSet::new(48));
+    assert_eq!((p, swarm.stream_of(p), swarm.stream_of(7)), (8, 8, 9));
+    swarm.validate_consistency();
+}
+
+/// The first arrival after a compaction can recycle a stream equal to
+/// its new slot while an earlier slot holds a larger stream: slot order
+/// is no longer stream order even though every slot "looks" unmoved. The
+/// per-slot passes must still follow stream order, or the departure
+/// draws reach different peers than on the never-compacting twin.
+#[test]
+fn recycled_stream_equal_to_its_slot_keeps_twins_equal() {
+    let mk = |compact_threshold: Option<f64>| {
+        let config = SwarmConfig::builder()
+            .leechers(15)
+            .seeds(1)
+            .piece_count(16)
+            .piece_size_kbit(180.0)
+            .initial_completion(0.35)
+            .mean_neighbors(5.0)
+            .seed(198)
+            .build();
+        Session::new(
+            Swarm::new(config, &[300.0; 16]),
+            SessionConfig {
+                arrival: ArrivalProcess::Poisson { rate: 0.3 },
+                departure: DepartureRules {
+                    leave_on_completion: 0.5,
+                    seed_leave_prob: 0.3,
+                    seed_exodus_round: None,
+                    abort_prob: 0.15,
+                },
+                arrival_upload_kbps: 320.0,
+                arrival_completion: 0.1,
+                target_degree: 4,
+                session_seed: 198 ^ 77,
+                peer_list_cap: None,
+                compact_threshold,
+            },
+        )
+    };
+    let mut compacting = mk(Some(0.2));
+    let mut reference = mk(None);
+    for round in 0..20u64 {
+        compacting.run_rounds_parallel(1, 1);
+        reference.run_rounds_parallel(1, 1);
+        compacting.swarm().check_invariants();
+        assert_twins_match(
+            &compacting,
+            &reference,
+            &format!(
+                "round {round} after {} compactions",
+                compacting.compactions()
+            ),
+        );
+    }
+    assert!(compacting.compactions() > 0, "compaction never fired");
 }
 
 /// Compaction invalidates every outstanding handle: a pre-compaction

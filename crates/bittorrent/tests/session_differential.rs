@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use strat_bittorrent::session::{ArrivalProcess, DepartureRules, Session, SessionConfig};
-use strat_bittorrent::{PeerBehavior, PieceSet, Swarm, SwarmConfig};
+use strat_bittorrent::{EventEngine, EventTiming, PeerBehavior, PieceSet, Swarm, SwarmConfig};
 
 /// Everything externally observable about one peer (exact equality).
 type PeerState = (f64, f64, f64, f64, Option<u64>, Vec<usize>);
@@ -54,6 +54,44 @@ fn build_swarm(leechers: usize, seeds: usize, seed: u64) -> Swarm {
         .build();
     let uploads: Vec<f64> = (0..n).map(|i| 120.0 + 31.0 * i as f64).collect();
     Swarm::new(config, &uploads)
+}
+
+/// Both membership engines wrap a swarm that already has a departed
+/// slot: the session's tracker pool, the event core's, and the reuse
+/// capacity of the free-listed slot all come from the arena's one
+/// ledger, which stays consistent round after round of arrivals.
+#[test]
+fn engines_wrap_a_swarm_with_a_departed_slot() {
+    let departed = || {
+        let mut swarm = build_swarm(20, 2, 61);
+        swarm.depart(3);
+        swarm
+    };
+    let churn = SessionConfig {
+        arrival: ArrivalProcess::Poisson { rate: 2.0 },
+        arrival_upload_kbps: 320.0,
+        target_degree: 6,
+        session_seed: 0xdead,
+        ..SessionConfig::default()
+    };
+    let mut session = Session::new(departed(), churn.clone());
+    for _ in 0..10 {
+        session.run_rounds_parallel(1, 2);
+        session.swarm().validate_consistency();
+    }
+    assert!(
+        session.swarm().is_present(3),
+        "the departed slot was never reused"
+    );
+    let mut engine = EventEngine::new(departed(), EventTiming::synchronous_limit(1.0), Some(churn));
+    for _ in 0..10 {
+        engine.run_sync_rounds(1);
+        engine.swarm().validate_consistency();
+    }
+    assert!(
+        engine.swarm().is_present(3),
+        "the departed slot was never reused"
+    );
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! Criterion benchmarks for the core algorithms: Algorithm 1 (generic and
 //! complete-graph forms) and the initiative dynamics — optimized vs the
 //! seed-faithful reference implementations (shared groups from
-//! `strat_bench`) — plus the analytic solvers, graph generation, and the
-//! swarm round loop (optimized vs the retained reference engine).
+//! `strat_bench`) — plus the analytic solvers, the Figure 9 Monte Carlo
+//! (lazy sampler vs the full-graph path), graph generation, and the swarm
+//! round loop (optimized vs the retained reference engine).
 
 use std::time::Duration;
 
@@ -11,8 +12,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use strat_analytic::{b_matching, one_matching};
 use strat_bench::{
-    bench_dynamics, bench_dynamics_ref, bench_prefs, bench_prefs_ref, bench_stable_configuration,
-    bench_stable_configuration_ref, bench_swarm_rounds, bench_swarm_rounds_ref,
+    bench_dynamics, bench_dynamics_ref, bench_monte_carlo, bench_monte_carlo_ref, bench_prefs,
+    bench_prefs_ref, bench_stable_configuration, bench_stable_configuration_ref,
+    bench_swarm_rounds, bench_swarm_rounds_ref,
 };
 use strat_graph::generators;
 
@@ -59,6 +61,8 @@ criterion_group!(
     bench_prefs,
     bench_prefs_ref,
     bench_analytic,
+    bench_monte_carlo,
+    bench_monte_carlo_ref,
     bench_graph,
     bench_swarm_rounds,
     bench_swarm_rounds_ref

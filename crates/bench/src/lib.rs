@@ -24,6 +24,7 @@ use std::time::Duration;
 use criterion::{black_box, BenchmarkId, Criterion};
 use rand::{Rng as _, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use strat_analytic::monte_carlo::{self, MonteCarloConfig};
 use strat_bittorrent::session::{ArrivalProcess, DepartureRules, Session, SessionConfig};
 use strat_bittorrent::{
     overlay, reference::RefSwarm, CapacitySplit, EventEngine, EventTiming, FaultPlan,
@@ -36,7 +37,7 @@ use strat_core::{
     reference, stable_configuration, stable_configuration_complete, Capacities, GlobalRanking,
     InitiativeStrategy, RankedAcceptance,
 };
-use strat_graph::{generators, Graph};
+use strat_graph::{generators, Graph, NodeId};
 use strat_scenario::{Scenario, TopologyModel};
 
 /// Standard declarative instance: `G(n, d)` acceptance graph, identity
@@ -716,6 +717,63 @@ pub fn bench_universe(c: &mut Criterion) {
     group.finish();
 }
 
+/// The Figure 9 Monte Carlo estimator (lazy greedy sampler, one thread):
+///
+/// * `fig9_quick_n600_r1500` — the whole quick-profile `fig9` estimate
+///   (n = 600, p = 5%, b₀ = 2, 1500 realizations, observed peer 359);
+/// * `per_realization_n5000_p0.01_b2` — one realization at the paper's
+///   size (observed peer 2999) on a fresh stream per iteration, histogram
+///   allocation included.
+pub fn bench_monte_carlo(c: &mut Criterion) {
+    let mut group = c.benchmark_group("monte_carlo");
+    group.warm_up_time(Duration::from_millis(400));
+    group.measurement_time(Duration::from_secs(2));
+    let quick = MonteCarloConfig {
+        n: 600,
+        p: 0.05,
+        b0: 2,
+        realizations: 1500,
+        seed: 2007 ^ 0x9,
+        threads: 1,
+    };
+    group.bench_function("fig9_quick_n600_r1500", |b| {
+        b.iter(|| monte_carlo::estimate_choice_distribution(black_box(&quick), 359));
+    });
+    let mut paper = MonteCarloConfig {
+        threads: 1,
+        ..MonteCarloConfig::figure9(1)
+    };
+    group.bench_function("per_realization_n5000_p0.01_b2", |b| {
+        b.iter(|| {
+            paper.seed += 1;
+            monte_carlo::estimate_choice_distribution(black_box(&paper), 2999)
+        });
+    });
+    group.finish();
+}
+
+/// The full-graph path [`bench_monte_carlo`] replaced, on the same
+/// per-realization instance: draw the whole Erdős–Rényi graph, solve the
+/// whole stable configuration (Algorithm 1), read the observed mates.
+pub fn bench_monte_carlo_ref(c: &mut Criterion) {
+    let mut group = c.benchmark_group("monte_carlo_ref");
+    group.warm_up_time(Duration::from_millis(400));
+    group.measurement_time(Duration::from_secs(2));
+    let cfg = MonteCarloConfig::figure9(1);
+    let ranking = GlobalRanking::identity(cfg.n);
+    let caps = Capacities::constant(cfg.n, cfg.b0);
+    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+    group.bench_function("per_realization_n5000_p0.01_b2", |b| {
+        b.iter(|| {
+            let graph = generators::erdos_renyi(cfg.n, cfg.p, &mut rng);
+            let acc = RankedAcceptance::new(graph, ranking.clone()).expect("sizes match");
+            let stable = stable_configuration(&acc, &caps).expect("sizes match");
+            black_box(stable.mates(NodeId::new(2999)).len())
+        });
+    });
+    group.finish();
+}
+
 /// Registers every core group (optimized + reference) on `c`.
 pub fn core_groups(c: &mut Criterion) {
     bench_stable_configuration(c);
@@ -732,4 +790,6 @@ pub fn core_groups(c: &mut Criterion) {
     bench_events_ref(c);
     bench_observer(c);
     bench_universe(c);
+    bench_monte_carlo(c);
+    bench_monte_carlo_ref(c);
 }

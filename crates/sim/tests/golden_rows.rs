@@ -37,7 +37,9 @@ const GOLDEN: &[(&str, u64)] = &[
     ("fig6", 0x080854c2f705590f),
     ("fig7", 0xbf02c29edd43147f),
     ("fig8", 0x76ff142f830e32fb),
-    ("fig9", 0x9fbcb12c1525e1ed),
+    // Re-pinned once when the Monte Carlo moved to the lazy greedy
+    // sampler (same law, different draws).
+    ("fig9", 0xa872c3b79c3b180b),
     ("fig10", 0x8e127414f94cddf0),
     ("fig11", 0xe1aa4db351f79bf1),
     ("bt1", 0x703d7a80283f8682),

@@ -32,10 +32,9 @@ use strat_bittorrent::{
     UniverseConfig,
 };
 use strat_core::prefs::{best_mate_dynamics, LatencyPrefs, PrefDynamicsOutcome};
-use strat_core::GeneralDynamics;
 use strat_core::{
-    reference, stable_configuration, stable_configuration_complete, Capacities, GlobalRanking,
-    InitiativeStrategy, RankedAcceptance,
+    reference, stable_configuration, stable_configuration_complete, Capacities, Dynamics,
+    GlobalRanking, InitiativeStrategy, PrefAcceptance, RankedAcceptance,
 };
 use strat_graph::{generators, Graph, NodeId};
 use strat_scenario::{Scenario, TopologyModel};
@@ -194,8 +193,8 @@ pub fn bench_prefs(c: &mut Criterion) {
     }
     let n = 2000usize;
     let (graph, prefs, caps) = latency_instance(n, 0x9e1);
-    let mut dynamics =
-        GeneralDynamics::new(&graph, &prefs, caps, InitiativeStrategy::BestMate).expect("sizes");
+    let keys = PrefAcceptance::build(&graph, &prefs);
+    let mut dynamics = Dynamics::new(keys, caps, InitiativeStrategy::BestMate).expect("sizes");
     dynamics.settle().expect("latency systems are cycle-free");
     group.bench_with_input(
         BenchmarkId::new("settled_sweep_latency_d20_b3", n),

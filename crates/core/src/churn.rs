@@ -18,7 +18,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use strat_graph::NodeId;
 
-use crate::{Dynamics, DynamicsDriver, InitiativeOutcome};
+use crate::{Dynamics, InitiativeOutcome, PreferenceKeys, RankedAcceptance};
 
 /// What a single churn event did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -35,13 +35,12 @@ pub enum ChurnEvent {
     },
 }
 
-/// Churn-driven simulation: wraps a dynamics backend and interleaves
+/// Churn-driven simulation: wraps a [`Dynamics`] driver and interleaves
 /// random departures/arrivals with initiative steps.
 ///
-/// The process is generic over [`DynamicsDriver`] — any instantiation of
-/// the incremental engine (the ranked [`Dynamics`], which is the default
-/// type parameter, or the generalized-preference drivers) churns the same
-/// way, consuming identical randomness for identical presence decisions.
+/// The process is generic over the driver's key table `K` (the global
+/// ranking by default): every preference model churns the same way,
+/// consuming identical randomness for identical presence decisions.
 ///
 /// # Examples
 ///
@@ -66,13 +65,13 @@ pub enum ChurnEvent {
 /// # Ok::<(), strat_core::ModelError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct ChurnProcess<D: DynamicsDriver = Dynamics> {
-    dynamics: D,
+pub struct ChurnProcess<K: PreferenceKeys = RankedAcceptance> {
+    dynamics: Dynamics<K>,
     rate: f64,
     events: u64,
 }
 
-impl<D: DynamicsDriver> ChurnProcess<D> {
+impl<K: PreferenceKeys> ChurnProcess<K> {
     /// Wraps a dynamics driver with churn at `rate` events per initiative
     /// step.
     ///
@@ -80,7 +79,7 @@ impl<D: DynamicsDriver> ChurnProcess<D> {
     ///
     /// Panics if `rate` is not a finite value in `[0, 1]`.
     #[must_use]
-    pub fn new(dynamics: D, rate: f64) -> Self {
+    pub fn new(dynamics: Dynamics<K>, rate: f64) -> Self {
         assert!(
             rate.is_finite() && (0.0..=1.0).contains(&rate),
             "churn rate must be in [0, 1], got {rate}"
@@ -94,13 +93,13 @@ impl<D: DynamicsDriver> ChurnProcess<D> {
 
     /// The wrapped dynamics (current configuration, disorder, …).
     #[must_use]
-    pub fn dynamics(&self) -> &D {
+    pub fn dynamics(&self) -> &Dynamics<K> {
         &self.dynamics
     }
 
     /// Mutable access to the wrapped dynamics.
     #[must_use]
-    pub fn dynamics_mut(&mut self) -> &mut D {
+    pub fn dynamics_mut(&mut self) -> &mut Dynamics<K> {
         &mut self.dynamics
     }
 
@@ -176,7 +175,7 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
     use strat_graph::generators;
 
-    use crate::{Capacities, GlobalRanking, InitiativeStrategy, RankedAcceptance};
+    use crate::{Capacities, GlobalRanking, InitiativeStrategy};
 
     use super::*;
 

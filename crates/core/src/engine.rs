@@ -1,43 +1,33 @@
-//! The generic event-driven dynamics engine.
+//! The pluggable half of the incremental dynamics engine.
 //!
-//! PR 1 built the fast initiative driver ([`crate::Dynamics`]) hardwired to
-//! the paper's global ranking; `prefs::best_mate_dynamics` covered the
-//! generalized preference systems of §7 by re-scanning full neighborhoods
-//! every sweep. This module unifies them: **one** incremental engine
-//! ([`Engine`]) owns the machinery both need —
+//! [`crate::Dynamics`] is the one initiative-process driver. Its hot-path
+//! machinery — incremental acceptance thresholds, the clean/dirty peer
+//! memo, presence versioning and the memoized instant-stable
+//! configuration — is written once, against the [`PreferenceKeys`]
+//! contract defined here: a precomputed per-neighborhood key table. Keys
+//! generalize global ranks — each peer's acceptance row is sorted by
+//! *that peer's* preference and annotated with strictly increasing
+//! [`Rank`] keys, and `rev_key` answers "what key does my k-th neighbour
+//! assign to *me*" (the reciprocal half of every blocking-pair test).
+//! The table also supplies the two things that depend on what its keys
+//! mean: the instant stable baseline and the disorder metrics. Two
+//! instantiations exist:
 //!
-//! * per-peer **acceptance thresholds**, updated incrementally on the peers
-//!   an event touches (each candidate probe is two array reads + compare);
-//! * the **clean/dirty peer memo** (a clean peer provably has no blocking
-//!   mate; deterministic scans skip it entirely);
-//! * **presence versioning** for churn, with the memoized instant-stable
-//!   configuration keyed on it;
-//! * a **configuration version** that lets metric reads memoize their value
-//!   between events.
-//!
-//! The engine is parameterized over [`PreferenceKeys`]: a precomputed
-//! per-neighborhood key table. Keys generalize global ranks — each peer's
-//! acceptance row is sorted by *that peer's* preference and annotated with
-//! strictly increasing [`Rank`] keys, and `rev_key` answers "what key does
-//! my k-th neighbour assign to *me*" (the reciprocal half of every
-//! blocking-pair test). Two instantiations exist:
-//!
-//! * [`RankedAcceptance`] — keys are global rank positions, `rev_key` is the
-//!   owner's own global rank. [`crate::Dynamics`] is a thin wrapper over
-//!   `Engine<RankedAcceptance>` and stays bit-identical to its pre-refactor
-//!   behaviour (same scans, same RNG consumption, same arena contents);
-//! * [`crate::prefs::PrefAcceptance`] — keys are per-neighborhood preference
-//!   positions built from any [`crate::prefs::PreferenceSystem`];
-//!   [`crate::prefs::GeneralDynamics`] and the dirty-set
-//!   [`crate::prefs::best_mate_dynamics`] ride on it.
+//! * [`RankedAcceptance`] — keys are global rank positions, `rev_key` is
+//!   the owner's own global rank, the baseline is Algorithm 1 and the
+//!   metrics are the paper's rank-labelled ones;
+//! * [`crate::prefs::PrefAcceptance`] — keys are per-neighborhood
+//!   preference positions built from any
+//!   [`crate::prefs::PreferenceSystem`], the baseline is the round-robin
+//!   best-mate fixpoint and both metrics are the key-space
+//!   [`distance::distance_keyed`].
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use strat_graph::NodeId;
 
-use crate::{blocking, Capacities, Matching, ModelError, Rank, RankedAcceptance};
+use crate::{distance, stable_configuration_masked, Capacities, Matching, Rank, RankedAcceptance};
 
 /// How a peer scans its acceptance list for a blocking mate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -79,7 +69,7 @@ impl InitiativeOutcome {
 }
 
 /// Precomputed preference-key access over an acceptance structure — the
-/// fast-path contract of [`Engine`].
+/// fast-path contract of [`crate::Dynamics`].
 ///
 /// Implementations must guarantee, for every peer `v`:
 ///
@@ -99,12 +89,31 @@ pub trait PreferenceKeys {
 
     /// Key that the `k`-th acceptable peer of `v` assigns to `v`.
     fn rev_key(&self, v: NodeId, k: usize) -> Rank;
+
+    /// The instant stable configuration of the peers with `present[v]`
+    /// set, from the empty configuration. It depends only on the table,
+    /// the capacities and the present set, never on a current matching.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table admits no stable configuration (an odd
+    /// preference cycle) or `caps` does not cover it.
+    fn instant_stable(&self, caps: &Capacities, present: &[bool]) -> Matching;
+
+    /// Disorder of `matching` against the baseline `stable` (§3's
+    /// 1-matching metric on the ranked table).
+    fn disorder(&self, matching: &Matching, stable: &Matching) -> f64;
+
+    /// Disorder of `matching` against `stable` under the generalized
+    /// b-matching metric.
+    fn disorder_general(&self, matching: &Matching, stable: &Matching) -> f64;
 }
 
 /// The ranked instantiation: keys are global rank positions (every row of
 /// [`RankedAcceptance`] is already sorted best-rank-first with precomputed
 /// ranks), and the key a neighbour assigns to `v` is `v`'s own global rank,
-/// independent of the neighbour.
+/// independent of the neighbour. The baseline is Algorithm 1 over the
+/// present peers, and the metrics are measured against the global ranking.
 impl PreferenceKeys for RankedAcceptance {
     fn node_count(&self) -> usize {
         self.node_count()
@@ -119,10 +128,23 @@ impl PreferenceKeys for RankedAcceptance {
     fn rev_key(&self, v: NodeId, _k: usize) -> Rank {
         self.ranking().rank_of(v)
     }
+
+    fn instant_stable(&self, caps: &Capacities, present: &[bool]) -> Matching {
+        stable_configuration_masked(self, caps, |v| present[v.index()])
+            .expect("sizes validated at construction")
+    }
+
+    fn disorder(&self, matching: &Matching, stable: &Matching) -> f64 {
+        distance::disorder(self.ranking(), matching, stable)
+    }
+
+    fn disorder_general(&self, matching: &Matching, stable: &Matching) -> f64 {
+        distance::distance_general(self.ranking(), matching, stable)
+    }
 }
 
-/// Key tables can be borrowed: scratch engines (e.g. the instant-stable
-/// computation of [`crate::prefs::GeneralDynamics`]) reuse the owner's
+/// Key tables can be borrowed: scratch drivers (e.g. the instant-stable
+/// computation of [`crate::prefs::PrefAcceptance`]) reuse the owner's
 /// table without cloning it.
 impl<K: PreferenceKeys> PreferenceKeys for &K {
     fn node_count(&self) -> usize {
@@ -138,41 +160,24 @@ impl<K: PreferenceKeys> PreferenceKeys for &K {
     fn rev_key(&self, v: NodeId, k: usize) -> Rank {
         (**self).rev_key(v, k)
     }
-}
 
-/// The common driver surface of the initiative-process engines —
-/// what [`crate::ChurnProcess`] (and the scenario layer's backend enum)
-/// need from a dynamics backend.
-pub trait DynamicsDriver {
-    /// Number of peers (present or not).
-    fn node_count(&self) -> usize;
+    fn instant_stable(&self, caps: &Capacities, present: &[bool]) -> Matching {
+        (**self).instant_stable(caps, present)
+    }
 
-    /// Number of present peers.
-    fn present_count(&self) -> usize;
+    fn disorder(&self, matching: &Matching, stable: &Matching) -> f64 {
+        (**self).disorder(matching, stable)
+    }
 
-    /// Whether peer `v` is present.
-    fn is_present(&self, v: NodeId) -> bool;
-
-    /// Removes a peer (drops its collaborations). No-op if absent.
-    fn remove_peer(&mut self, v: NodeId);
-
-    /// Re-inserts an absent peer with no mates. No-op if present.
-    fn insert_peer(&mut self, v: NodeId);
-
-    /// One initiative by a uniformly random present peer.
-    fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> InitiativeOutcome;
-
-    /// Runs `n` initiatives (one *base unit*). Returns the active count.
-    fn run_base_unit<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
-        let n = self.node_count();
-        (0..n).filter(|_| self.step(rng).is_active()).count()
+    fn disorder_general(&self, matching: &Matching, stable: &Matching) -> f64 {
+        (**self).disorder_general(matching, stable)
     }
 }
 
-/// A metric-value memo keyed by an engine's
+/// A metric-value memo keyed by a driver's
 /// `(presence_version, config_version)` pair: reads between events are
-/// O(1); any initiative or churn event invalidates. Shared by the drivers'
-/// disorder memos so the invalidation semantics live in exactly one place.
+/// O(1); any initiative or churn event invalidates. Shared by the driver's
+/// two disorder memos so the invalidation semantics live in one place.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct VersionMemo(Cell<Option<(u64, u64, f64)>>);
 
@@ -192,517 +197,5 @@ impl VersionMemo {
         let value = compute();
         self.0.set(Some((versions.0, versions.1, value)));
         value
-    }
-}
-
-/// The generic incremental dynamics engine (see the [module docs](self)).
-///
-/// Holds the configuration, the per-peer threshold and clean/dirty caches,
-/// peer presence, and the version counters; scans run entirely on the
-/// precomputed keys of `K`. Use through [`crate::Dynamics`] (global
-/// ranking) or [`crate::prefs::GeneralDynamics`] (arbitrary preference
-/// systems) unless you are building a new driver.
-#[derive(Debug, Clone)]
-pub struct Engine<K: PreferenceKeys> {
-    keys: K,
-    caps: Capacities,
-    matching: Matching,
-    strategy: InitiativeStrategy,
-    /// Decremental-scan cursors, one per peer.
-    cursors: Vec<usize>,
-    /// Peer presence; absent peers neither initiate nor get matched.
-    present: Vec<bool>,
-    present_count: usize,
-    /// Cached acceptance threshold per peer: the raw key position below
-    /// which the peer welcomes a new candidate (worst-mate key when
-    /// saturated, "anyone" when a slot is free, "nobody" at capacity 0).
-    accept_below: Vec<u32>,
-    /// Clean/dirty memo: `false` means "a full scan since the last relevant
-    /// change found no blocking mate for this peer".
-    dirty: Vec<bool>,
-    /// Presence-set version; bumped by every churn (remove/insert) event.
-    presence_version: u64,
-    /// Configuration version; bumped by every event that changes the
-    /// matching or the presence set (metric memo key).
-    config_version: u64,
-    /// Memoized instant stable configuration, tagged with the
-    /// `presence_version` it was computed under. The stable configuration
-    /// depends only on the acceptance structure, the capacities and the
-    /// present set — never on the current matching — so initiatives leave
-    /// it valid and only churn events invalidate it.
-    stable_memo: RefCell<Option<(u64, Matching)>>,
-    initiatives: u64,
-    active_initiatives: u64,
-}
-
-impl<K: PreferenceKeys> Engine<K> {
-    /// Creates an engine starting from the empty configuration `C∅`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::SizeMismatch`] if `caps` does not cover the
-    /// key table.
-    pub fn new(
-        keys: K,
-        caps: Capacities,
-        strategy: InitiativeStrategy,
-    ) -> Result<Self, ModelError> {
-        let n = keys.node_count();
-        caps.check_len(n)?;
-        let matching = Matching::with_capacities(&caps);
-        let mut engine = Self {
-            keys,
-            caps,
-            matching,
-            strategy,
-            cursors: vec![0; n],
-            present: vec![true; n],
-            present_count: n,
-            accept_below: vec![0; n],
-            dirty: vec![true; n],
-            presence_version: 0,
-            config_version: 0,
-            stable_memo: RefCell::new(None),
-            initiatives: 0,
-            active_initiatives: 0,
-        };
-        engine.refresh_all_thresholds();
-        Ok(engine)
-    }
-
-    /// Creates an engine starting from an arbitrary configuration whose
-    /// cached mate keys are already expressed in this engine's key space
-    /// (for the ranked instantiation: global ranks, i.e. any matching built
-    /// by the ranked constructors).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::SizeMismatch`] on size disagreement.
-    pub fn with_configuration(
-        keys: K,
-        caps: Capacities,
-        strategy: InitiativeStrategy,
-        matching: Matching,
-    ) -> Result<Self, ModelError> {
-        if matching.node_count() != keys.node_count() {
-            return Err(ModelError::SizeMismatch {
-                expected: keys.node_count(),
-                actual: matching.node_count(),
-            });
-        }
-        let mut engine = Self::new(keys, caps, strategy)?;
-        engine.matching = matching;
-        engine.refresh_all_thresholds();
-        engine.dirty.fill(true);
-        Ok(engine)
-    }
-
-    /// Number of peers (present or not).
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.keys.node_count()
-    }
-
-    /// Current configuration.
-    #[must_use]
-    pub fn matching(&self) -> &Matching {
-        &self.matching
-    }
-
-    /// The preference-key table.
-    #[must_use]
-    pub fn keys(&self) -> &K {
-        &self.keys
-    }
-
-    /// Capacities in force.
-    #[must_use]
-    pub fn capacities(&self) -> &Capacities {
-        &self.caps
-    }
-
-    /// The configured scan strategy.
-    #[must_use]
-    pub fn strategy(&self) -> InitiativeStrategy {
-        self.strategy
-    }
-
-    /// Total initiatives taken so far.
-    #[must_use]
-    pub fn initiative_count(&self) -> u64 {
-        self.initiatives
-    }
-
-    /// Active (configuration-changing) initiatives taken so far.
-    #[must_use]
-    pub fn active_initiative_count(&self) -> u64 {
-        self.active_initiatives
-    }
-
-    /// Number of present peers.
-    #[must_use]
-    pub fn present_count(&self) -> usize {
-        self.present_count
-    }
-
-    /// Whether peer `v` is present.
-    #[must_use]
-    pub fn is_present(&self, v: NodeId) -> bool {
-        self.present[v.index()]
-    }
-
-    /// `(presence_version, config_version)` — the memo key for any value
-    /// derived from the presence set and the current configuration.
-    #[must_use]
-    pub fn versions(&self) -> (u64, u64) {
-        (self.presence_version, self.config_version)
-    }
-
-    /// The cached acceptance thresholds (test/diagnostic access).
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn accept_below(&self) -> &[u32] {
-        &self.accept_below
-    }
-
-    /// Decomposes the engine into its configuration and capacities
-    /// (scratch-engine pattern: converge, then keep only the result).
-    #[must_use]
-    pub fn into_parts(self) -> (Matching, Capacities) {
-        (self.matching, self.caps)
-    }
-
-    /// Resets the initiative counters to zero (constructors that converge
-    /// internally — e.g. a build-at-stable — use this so a freshly built
-    /// driver reports no pre-existing activity, matching the ranked arm's
-    /// Algorithm 1 jump).
-    pub fn reset_initiative_counters(&mut self) {
-        self.initiatives = 0;
-        self.active_initiatives = 0;
-    }
-
-    /// Removes a peer: drops its collaborations and excludes it from the
-    /// system (Figure 2's perturbation). No-op if already absent.
-    pub fn remove_peer(&mut self, v: NodeId) {
-        if !self.present[v.index()] {
-            return;
-        }
-        self.present[v.index()] = false;
-        self.present_count -= 1;
-        self.presence_version += 1;
-        self.config_version += 1;
-        let dropped = self.matching.isolate(v);
-        self.refresh_threshold(v);
-        self.mark_neighborhood_dirty(v);
-        for mate in dropped {
-            self.refresh_threshold(mate);
-            self.mark_neighborhood_dirty(mate);
-        }
-    }
-
-    /// Re-inserts an absent peer with no mates. No-op if already present.
-    pub fn insert_peer(&mut self, v: NodeId) {
-        if self.present[v.index()] {
-            return;
-        }
-        self.present[v.index()] = true;
-        self.present_count += 1;
-        self.presence_version += 1;
-        self.config_version += 1;
-        debug_assert_eq!(self.matching.degree(v), 0);
-        self.refresh_threshold(v);
-        self.mark_neighborhood_dirty(v);
-    }
-
-    /// Performs one initiative by a uniformly random present peer.
-    ///
-    /// Returns [`InitiativeOutcome::Inactive`] when no peers are present.
-    pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> InitiativeOutcome {
-        let Some(p) = self.random_present_peer(rng) else {
-            return InitiativeOutcome::Inactive;
-        };
-        self.initiative(p, rng)
-    }
-
-    /// Runs `n` initiatives (one *base unit* in the paper's time axis: one
-    /// expected initiative per peer). Returns the number of active ones.
-    pub fn run_base_unit<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
-        let n = self.node_count();
-        (0..n).filter(|_| self.step(rng).is_active()).count()
-    }
-
-    /// Has peer `p` take one initiative with the configured strategy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
-    pub fn initiative<R: Rng + ?Sized>(&mut self, p: NodeId, rng: &mut R) -> InitiativeOutcome {
-        if !self.present[p.index()] {
-            return InitiativeOutcome::Inactive;
-        }
-        self.initiatives += 1;
-        let mate = match self.strategy {
-            // The deterministic scans are memoized: a clean peer has no
-            // blocking mate by construction, so skip the scan entirely.
-            InitiativeStrategy::BestMate => self.memoized_best_mate_scan(p),
-            InitiativeStrategy::Decremental => {
-                if !self.dirty[p.index()] {
-                    None
-                } else {
-                    let found = self.decremental_scan(p);
-                    if found.is_none() {
-                        self.dirty[p.index()] = false;
-                    }
-                    found
-                }
-            }
-            // The random probe draws from the RNG before the memo could
-            // apply; always perform it so streams stay aligned.
-            InitiativeStrategy::Random => self.random_probe(p, rng),
-        };
-        match mate {
-            Some((q, slot)) => {
-                let outcome = self.execute(p, q, slot);
-                self.active_initiatives += 1;
-                outcome
-            }
-            None => InitiativeOutcome::Inactive,
-        }
-    }
-
-    /// Has `p` take one **best-mate** initiative regardless of the
-    /// configured strategy — the deterministic step the round-robin sweeps
-    /// of [`crate::prefs::best_mate_dynamics`] and the instant-stable
-    /// computation are built from. Counters update as for
-    /// [`initiative`](Self::initiative).
-    pub fn best_mate_initiative(&mut self, p: NodeId) -> InitiativeOutcome {
-        if !self.present[p.index()] {
-            return InitiativeOutcome::Inactive;
-        }
-        self.initiatives += 1;
-        match self.memoized_best_mate_scan(p) {
-            Some((q, slot)) => {
-                let outcome = self.execute(p, q, slot);
-                self.active_initiatives += 1;
-                outcome
-            }
-            None => InitiativeOutcome::Inactive,
-        }
-    }
-
-    /// Dirty-set-memoized best-mate scan (`None` marks `p` clean).
-    fn memoized_best_mate_scan(&mut self, p: NodeId) -> Option<(NodeId, usize)> {
-        if !self.dirty[p.index()] {
-            return None;
-        }
-        let found = self.best_mate_scan(p);
-        if found.is_none() {
-            self.dirty[p.index()] = false;
-        }
-        found
-    }
-
-    /// Finds the best blocking mate of `p`: first acceptable `q` in `p`'s
-    /// best-first row such that `(p, q)` blocks the configuration. Returns
-    /// the mate with its row slot (so [`execute`](Self::execute) reads both
-    /// keys without re-searching).
-    fn best_mate_scan(&self, p: NodeId) -> Option<(NodeId, usize)> {
-        let attractive_below = self.accept_below[p.index()];
-        if attractive_below == 0 {
-            return None; // b(p) = 0, or saturated with the best possible mates
-        }
-        let (ids, keys) = self.keys.row(p);
-        let mate_keys = self.matching.mate_ranks(p);
-        let mut mate_ptr = 0usize;
-        for (k, (&q, &q_key)) in ids.iter().zip(keys).enumerate() {
-            if q_key.position() as u32 >= attractive_below {
-                // Best-first row: nobody later is attractive to p either.
-                return None;
-            }
-            // Sorted two-pointer merge: skip candidates already mated to p.
-            // Keys are unique within a row, so equal key means same peer.
-            while mate_ptr < mate_keys.len() && mate_keys[mate_ptr].is_better_than(q_key) {
-                mate_ptr += 1;
-            }
-            if mate_ptr < mate_keys.len() && mate_keys[mate_ptr] == q_key {
-                mate_ptr += 1;
-                continue;
-            }
-            if self.present[q.index()]
-                && (self.keys.rev_key(p, k).position() as u32) < self.accept_below[q.index()]
-            {
-                // `q` is attractive to p here (checked above) and welcomes p.
-                return Some((q, k));
-            }
-        }
-        None
-    }
-
-    /// Whether the configuration is stable for the present peers: no
-    /// acceptance slot holds a blocking pair.
-    #[must_use]
-    pub fn is_stable(&self) -> bool {
-        (0..self.node_count()).all(|v| {
-            let v = NodeId::new(v);
-            if !self.present[v.index()] {
-                return true;
-            }
-            let (ids, keys) = self.keys.row(v);
-            ids.iter().zip(keys).enumerate().all(|(k, (&q, &q_key))| {
-                !(self.present[q.index()] && self.is_blocking_slot(v, q, q_key, k))
-            })
-        })
-    }
-
-    /// Blocking test for row slot `k` of `v` (candidate `q` with key
-    /// `q_key`); callers guarantee both endpoints are present.
-    #[inline]
-    fn is_blocking_slot(&self, v: NodeId, q: NodeId, q_key: Rank, k: usize) -> bool {
-        (q_key.position() as u32) < self.accept_below[v.index()]
-            && (self.keys.rev_key(v, k).position() as u32) < self.accept_below[q.index()]
-            && self.matching.mate_ranks(v).binary_search(&q_key).is_err()
-    }
-
-    fn random_present_peer<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<NodeId> {
-        if self.present_count == 0 {
-            return None;
-        }
-        let n = self.node_count();
-        if self.present_count == n {
-            return Some(NodeId::new(rng.gen_range(0..n)));
-        }
-        // Rejection sampling; presence is the common case in experiments.
-        loop {
-            let v = NodeId::new(rng.gen_range(0..n));
-            if self.present[v.index()] {
-                return Some(v);
-            }
-        }
-    }
-
-    /// Circular scan from the last asked position (decremental strategy).
-    fn decremental_scan(&mut self, p: NodeId) -> Option<(NodeId, usize)> {
-        let (ids, keys) = self.keys.row(p);
-        let len = ids.len();
-        if len == 0 {
-            return None;
-        }
-        let start = self.cursors[p.index()] % len;
-        for k in 0..len {
-            let idx = (start + k) % len;
-            let q = ids[idx];
-            if self.present[q.index()] && self.is_blocking_slot(p, q, keys[idx], idx) {
-                self.cursors[p.index()] = (idx + 1) % len;
-                return Some((q, idx));
-            }
-        }
-        self.cursors[p.index()] = start;
-        None
-    }
-
-    /// Single random probe (random strategy).
-    fn random_probe<R: Rng + ?Sized>(&self, p: NodeId, rng: &mut R) -> Option<(NodeId, usize)> {
-        let (ids, keys) = self.keys.row(p);
-        if ids.is_empty() {
-            return None;
-        }
-        let idx = rng.gen_range(0..ids.len());
-        let q = ids[idx];
-        (self.present[q.index()] && self.is_blocking_slot(p, q, keys[idx], idx)).then_some((q, idx))
-    }
-
-    /// Matches a confirmed blocking pair (row slot `slot` of `p`), evicting
-    /// worst mates as needed.
-    fn execute(&mut self, p: NodeId, q: NodeId, slot: usize) -> InitiativeOutcome {
-        let key_of_q = self.keys.row(p).1[slot];
-        let key_of_p = self.keys.rev_key(p, slot);
-        let mut dropped_by_peer = None;
-        let mut dropped_by_mate = None;
-        if self.matching.is_saturated(&self.caps, p) {
-            let worst = self
-                .matching
-                .worst_mate(p)
-                .expect("saturated implies mates");
-            self.matching
-                .disconnect(p, worst)
-                .expect("worst mate is matched");
-            dropped_by_peer = Some(worst);
-        }
-        if self.matching.is_saturated(&self.caps, q) {
-            let worst = self
-                .matching
-                .worst_mate(q)
-                .expect("saturated implies mates");
-            self.matching
-                .disconnect(q, worst)
-                .expect("worst mate is matched");
-            dropped_by_mate = Some(worst);
-        }
-        self.matching
-            .connect_keyed(&self.caps, p, q, key_of_q, key_of_p)
-            .expect("slots were freed");
-        self.config_version += 1;
-        // Incremental cache maintenance: only the touched peers change, and
-        // only their neighbourhoods can gain new blocking pairs.
-        self.refresh_threshold(p);
-        self.refresh_threshold(q);
-        self.mark_neighborhood_dirty(p);
-        self.mark_neighborhood_dirty(q);
-        if let Some(w) = dropped_by_peer {
-            self.refresh_threshold(w);
-            self.mark_neighborhood_dirty(w);
-        }
-        if let Some(w) = dropped_by_mate {
-            self.refresh_threshold(w);
-            self.mark_neighborhood_dirty(w);
-        }
-        InitiativeOutcome::Active {
-            peer: p,
-            mate: q,
-            dropped_by_peer,
-            dropped_by_mate,
-        }
-    }
-
-    /// Runs `read` on the (memoized) instant stable configuration and the
-    /// current matching, calling `compute` to refresh the memo if a churn
-    /// event invalidated it. What "instant stable" means is the caller's
-    /// contract — Algorithm 1 for the ranked driver, the deterministic
-    /// best-mate fixpoint for the generalized one.
-    pub fn with_instant_stable<T>(
-        &self,
-        compute: impl FnOnce() -> Matching,
-        read: impl FnOnce(&Matching, &Matching) -> T,
-    ) -> T {
-        let mut memo = self.stable_memo.borrow_mut();
-        let fresh = !matches!(*memo, Some((version, _)) if version == self.presence_version);
-        if fresh {
-            *memo = Some((self.presence_version, compute()));
-        }
-        let (_, stable) = memo.as_ref().expect("memo just refreshed");
-        read(stable, &self.matching)
-    }
-
-    /// Recomputes the cached acceptance threshold of `v` (O(1)).
-    #[inline]
-    fn refresh_threshold(&mut self, v: NodeId) {
-        self.accept_below[v.index()] = blocking::accept_threshold(&self.matching, &self.caps, v);
-    }
-
-    fn refresh_all_thresholds(&mut self) {
-        for v in 0..self.node_count() {
-            self.refresh_threshold(NodeId::new(v));
-        }
-    }
-
-    /// Marks `v` and every acceptance-neighbour of `v` dirty: `v`'s mate
-    /// set or presence changed, which is the only way a blocking pair
-    /// involving them can appear.
-    fn mark_neighborhood_dirty(&mut self, v: NodeId) {
-        self.dirty[v.index()] = true;
-        let (ids, _) = self.keys.row(v);
-        for &w in ids {
-            self.dirty[w.index()] = true;
-        }
     }
 }

@@ -84,10 +84,10 @@ pub use accept::RankedAcceptance;
 pub use capacity::{standard_normal, Capacities, CapacityDistribution};
 pub use churn::{ChurnEvent, ChurnProcess};
 pub use dynamics::Dynamics;
-pub use engine::{DynamicsDriver, Engine, InitiativeOutcome, InitiativeStrategy, PreferenceKeys};
+pub use engine::{InitiativeOutcome, InitiativeStrategy, PreferenceKeys};
 pub use error::ModelError;
 pub use matching::Matching;
-pub use prefs::{GeneralDynamics, PrefAcceptance};
+pub use prefs::PrefAcceptance;
 pub use rank::{GlobalRanking, Rank};
 pub use stable::{
     stable_configuration, stable_configuration_complete, stable_configuration_masked,

@@ -18,20 +18,18 @@
 //! * [`LexicographicPrefs`] — combination of two systems (primary, then
 //!   secondary tie-break);
 //! * [`PrefAcceptance`] — the precomputed per-neighborhood key table
-//!   ([`PreferenceKeys`]) that lets the generic incremental engine
-//!   ([`crate::engine::Engine`]) run *any* preference system at the ranked
-//!   path's speed: rows sorted best-first by the owner's preference, with
-//!   reciprocal keys materialized per slot;
-//! * [`GeneralDynamics`] — the initiative-process driver over arbitrary
-//!   preferences (the generalized sibling of [`crate::Dynamics`]), with
-//!   churn support and a keyed disorder metric;
+//!   ([`PreferenceKeys`]) that lets the incremental initiative driver
+//!   ([`Dynamics`]) run *any* preference system at the ranked path's
+//!   speed: rows sorted best-first by the owner's preference, with
+//!   reciprocal keys materialized per slot, the best-mate fixpoint as the
+//!   instant-stable baseline and a keyed disorder metric;
 //! * [`PrefMatching`] + [`best_mate_dynamics`] — blocking-pair dynamics
 //!   under arbitrary preferences, with oscillation detection. General
 //!   roommates instances may have **no** stable configuration (Tan's odd
 //!   preference cycles); [`best_mate_dynamics`] reports that instead of
 //!   spinning forever, and [`odd_cycle_instance`] constructs the classic
-//!   witness. Since the engine unification, `best_mate_dynamics` runs on
-//!   the dirty-set path (clean peers skip their scans); the historical
+//!   witness. `best_mate_dynamics` runs on the dirty-set path of
+//!   [`Dynamics`] (clean peers skip their scans); the historical
 //!   full-scan implementation survives as
 //!   [`crate::reference::best_mate_dynamics`] for differential testing
 //!   and benchmarking.
@@ -41,12 +39,11 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
-use rand::Rng;
 use strat_graph::{Graph, NodeId};
 
 use crate::{
-    distance, Capacities, DynamicsDriver, Engine, GlobalRanking, InitiativeOutcome,
-    InitiativeStrategy, Matching, ModelError, PreferenceKeys, Rank,
+    distance, Capacities, Dynamics, GlobalRanking, InitiativeOutcome, InitiativeStrategy, Matching,
+    PreferenceKeys, Rank,
 };
 
 /// A per-peer preference order over potential mates.
@@ -367,19 +364,26 @@ impl PrefMatching {
     /// detection in the dynamics).
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(self.edge_count);
-        for (u, mates) in self.mates.iter().enumerate() {
-            for &v in mates {
-                if u < v.index() {
-                    edges.push((u as u32, v.raw()));
-                }
+        edge_fingerprint(self.mates.iter().map(Vec::as_slice))
+    }
+}
+
+/// Order-insensitive fingerprint of a configuration given as its mate
+/// rows, row `u` holding the mates of peer `u` (revisit detection in
+/// [`best_mate_dynamics`] and [`Dynamics::settle`]).
+pub(crate) fn edge_fingerprint<'a>(rows: impl Iterator<Item = &'a [NodeId]>) -> u64 {
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    for (u, mates) in rows.enumerate() {
+        for &v in mates {
+            if u < v.index() {
+                edges.push((u as u32, v.raw()));
             }
         }
-        edges.sort_unstable();
-        let mut hasher = DefaultHasher::new();
-        edges.hash(&mut hasher);
-        hasher.finish()
     }
+    edges.sort_unstable();
+    let mut hasher = DefaultHasher::new();
+    edges.hash(&mut hasher);
+    hasher.finish()
 }
 
 /// Outcome of the generalized best-mate dynamics.
@@ -408,16 +412,16 @@ pub enum PrefDynamicsOutcome {
 /// configuration (the argument of the paper's Theorem 1 applies verbatim:
 /// a revisit would extract a preference cycle).
 ///
-/// Internally the sweeps run on the generic incremental engine over a
+/// Internally the sweeps run on the incremental [`Dynamics`] over a
 /// [`PrefAcceptance`] key table: a peer whose last scan found no blocking
 /// mate is *clean* and skips its scan entirely until an event in its
-/// neighborhood can re-create one (the dirty-set memo of
-/// [`crate::engine::Engine`]). A clean peer's scan would have returned
-/// `None` anyway, so the sequence of active initiatives — and therefore
-/// every intermediate and final configuration, including the reported
-/// `steps` and oscillation point — is identical to the historical full-scan
-/// implementation retained as [`crate::reference::best_mate_dynamics`]
-/// (which differential tests assert).
+/// neighborhood can re-create one (the driver's dirty-set memo). A clean
+/// peer's scan would have returned `None` anyway, so the sequence of
+/// active initiatives — and therefore every intermediate and final
+/// configuration, including the reported `steps` and oscillation point —
+/// is identical to the historical full-scan implementation retained as
+/// [`crate::reference::best_mate_dynamics`] (which differential tests
+/// assert).
 ///
 /// # Panics
 ///
@@ -431,11 +435,11 @@ pub fn best_mate_dynamics<P: PreferenceSystem>(
     assert_eq!(prefs.n(), n, "preference system size mismatch");
     caps.check_len(n).expect("capacity size mismatch");
     let keys = PrefAcceptance::build(graph, prefs);
-    let mut engine =
-        Engine::new(keys, caps.clone(), InitiativeStrategy::BestMate).expect("sizes checked above");
-    // The engine's arena matching caches preference keys; the public
+    let mut dynamics = Dynamics::new(keys, caps.clone(), InitiativeStrategy::BestMate)
+        .expect("sizes checked above");
+    // The driver's arena matching caches preference keys; the public
     // outcome keeps the historical `PrefMatching` representation, rebuilt
-    // by replaying the engine's own connect/evict events in order (cheap:
+    // by replaying the driver's own connect/evict events in order (cheap:
     // O(b) per active initiative, off the scan hot path).
     let mut shadow = PrefMatching::new(n);
     let mut seen: HashSet<u64> = HashSet::new();
@@ -449,7 +453,7 @@ pub fn best_mate_dynamics<P: PreferenceSystem>(
                 mate,
                 dropped_by_peer,
                 dropped_by_mate,
-            } = engine.best_mate_initiative(p)
+            } = dynamics.best_mate_initiative(p)
             {
                 if let Some(w) = dropped_by_peer {
                     shadow.disconnect(peer, w);
@@ -660,335 +664,32 @@ impl PreferenceKeys for PrefAcceptance {
     fn rev_key(&self, v: NodeId, k: usize) -> Rank {
         self.rev_keys[self.offsets[v.index()] as usize + k]
     }
-}
 
-/// Order-insensitive fingerprint of an arena configuration (the
-/// [`PrefMatching::fingerprint`] analogue for [`Matching`], used by the
-/// engine-side revisit detection).
-fn matching_fingerprint(m: &Matching) -> u64 {
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m.edge_count());
-    for u in 0..m.node_count() {
-        let u_id = NodeId::new(u);
-        for &v in m.mates(u_id) {
-            if u < v.index() {
-                edges.push((u as u32, v.raw()));
+    /// The deterministic round-robin best-mate fixpoint from `C∅` over the
+    /// present peers ([`Dynamics::settle`] on a scratch driver): general
+    /// systems lose uniqueness, and this is a canonical stable
+    /// configuration for any cycle-free one.
+    fn instant_stable(&self, caps: &Capacities, present: &[bool]) -> Matching {
+        let mut scratch = Dynamics::new(self, caps.clone(), InitiativeStrategy::BestMate)
+            .expect("sizes validated at construction");
+        for (v, &here) in present.iter().enumerate() {
+            if !here {
+                scratch.remove_peer(NodeId::new(v));
             }
         }
-    }
-    edges.sort_unstable();
-    let mut hasher = DefaultHasher::new();
-    edges.hash(&mut hasher);
-    hasher.finish()
-}
-
-/// Runs deterministic round-robin best-mate sweeps on `engine` until
-/// stability, returning the number of active initiatives performed.
-///
-/// # Errors
-///
-/// Returns [`ModelError::NoStableConfiguration`] when a configuration is
-/// revisited (odd preference cycle).
-fn settle_engine<K: PreferenceKeys>(engine: &mut Engine<K>) -> Result<u64, ModelError> {
-    let n = engine.node_count();
-    let mut seen: HashSet<u64> = HashSet::new();
-    seen.insert(matching_fingerprint(engine.matching()));
-    let mut steps = 0u64;
-    loop {
-        let mut any_active = false;
-        for p in 0..n {
-            if engine.best_mate_initiative(NodeId::new(p)).is_active() {
-                steps += 1;
-                any_active = true;
-            }
-        }
-        if !any_active {
-            return Ok(steps);
-        }
-        if !seen.insert(matching_fingerprint(engine.matching())) {
-            return Err(ModelError::NoStableConfiguration);
-        }
-    }
-}
-
-/// Initiative-process driver under an **arbitrary preference system** — the
-/// generalized sibling of [`crate::Dynamics`], running on the same
-/// incremental engine (thresholds, clean/dirty memo, presence versioning)
-/// over a [`PrefAcceptance`] key table.
-///
-/// Differences from the ranked driver, all consequences of dropping the
-/// global ranking:
-///
-/// * the *instant stable configuration* is no longer computable by
-///   Algorithm 1 (and need not be unique); this driver uses the
-///   deterministic round-robin best-mate fixpoint from `C∅` over the
-///   present peers, which is a canonical stable configuration for any
-///   cycle-free system — memoized per presence version exactly like the
-///   ranked driver's;
-/// * [`disorder`](Self::disorder) measures against that baseline with the
-///   key-space metric [`distance::distance_keyed`];
-/// * instances with odd preference cycles have no stable configuration:
-///   [`settle`](Self::settle) reports that as
-///   [`ModelError::NoStableConfiguration`], and the metric reads panic if
-///   asked for a baseline that does not exist.
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// use strat_core::prefs::{GeneralDynamics, LatencyPrefs};
-/// use strat_core::{Capacities, InitiativeStrategy};
-/// use strat_graph::generators;
-///
-/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-/// let graph = generators::erdos_renyi_mean_degree(60, 10.0, &mut rng);
-/// let prefs = LatencyPrefs::new((0..60).map(|i| (i * 37 % 60) as f64).collect());
-/// let caps = Capacities::constant(60, 2);
-/// let mut dynamics =
-///     GeneralDynamics::new(&graph, &prefs, caps, InitiativeStrategy::BestMate)?;
-/// dynamics.settle()?; // deterministic sweeps reach the canonical fixpoint
-/// assert!(dynamics.is_stable());
-/// assert_eq!(dynamics.disorder(), 0.0);
-/// # Ok::<(), strat_core::ModelError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct GeneralDynamics {
-    engine: Engine<PrefAcceptance>,
-    /// Memoized [`disorder`](Self::disorder) value.
-    disorder_memo: crate::engine::VersionMemo,
-}
-
-impl GeneralDynamics {
-    /// Creates a driver from the empty configuration, building the key
-    /// table from `graph` and `prefs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::SizeMismatch`] if `caps` does not cover the
-    /// graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graph` and `prefs` cover different peer counts.
-    pub fn new<P: PreferenceSystem>(
-        graph: &Graph,
-        prefs: &P,
-        caps: Capacities,
-        strategy: InitiativeStrategy,
-    ) -> Result<Self, ModelError> {
-        Self::from_keys(PrefAcceptance::build(graph, prefs), caps, strategy)
+        scratch
+            .settle()
+            .expect("instant stable configuration requires a cycle-free system");
+        let (matching, _) = scratch.into_parts();
+        matching
     }
 
-    /// Creates a driver from a prebuilt key table (reuse the table across
-    /// drivers sharing a topology).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::SizeMismatch`] if `caps` does not cover the
-    /// key table.
-    pub fn from_keys(
-        keys: PrefAcceptance,
-        caps: Capacities,
-        strategy: InitiativeStrategy,
-    ) -> Result<Self, ModelError> {
-        Ok(Self {
-            engine: Engine::new(keys, caps, strategy)?,
-            disorder_memo: crate::engine::VersionMemo::default(),
-        })
+    fn disorder(&self, matching: &Matching, stable: &Matching) -> f64 {
+        distance::distance_keyed(matching, stable)
     }
 
-    /// Number of peers (present or not).
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.engine.node_count()
-    }
-
-    /// Current configuration (mate rows cache preference keys, not global
-    /// ranks).
-    #[must_use]
-    pub fn matching(&self) -> &Matching {
-        self.engine.matching()
-    }
-
-    /// The preference-key table.
-    #[must_use]
-    pub fn keys(&self) -> &PrefAcceptance {
-        self.engine.keys()
-    }
-
-    /// Capacities in force.
-    #[must_use]
-    pub fn capacities(&self) -> &Capacities {
-        self.engine.capacities()
-    }
-
-    /// Total initiatives taken so far.
-    #[must_use]
-    pub fn initiative_count(&self) -> u64 {
-        self.engine.initiative_count()
-    }
-
-    /// Active (configuration-changing) initiatives taken so far.
-    #[must_use]
-    pub fn active_initiative_count(&self) -> u64 {
-        self.engine.active_initiative_count()
-    }
-
-    /// Number of present peers.
-    #[must_use]
-    pub fn present_count(&self) -> usize {
-        self.engine.present_count()
-    }
-
-    /// Whether peer `v` is present.
-    #[must_use]
-    pub fn is_present(&self, v: NodeId) -> bool {
-        self.engine.is_present(v)
-    }
-
-    /// Removes a peer (drops its collaborations). No-op if absent.
-    pub fn remove_peer(&mut self, v: NodeId) {
-        self.engine.remove_peer(v);
-    }
-
-    /// Re-inserts an absent peer with no mates. No-op if present.
-    pub fn insert_peer(&mut self, v: NodeId) {
-        self.engine.insert_peer(v);
-    }
-
-    /// Performs one initiative by a uniformly random present peer.
-    pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> InitiativeOutcome {
-        self.engine.step(rng)
-    }
-
-    /// Runs `n` initiatives (one base unit). Returns the active count.
-    pub fn run_base_unit<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
-        self.engine.run_base_unit(rng)
-    }
-
-    /// Has peer `p` take one initiative with the configured strategy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
-    pub fn initiative<R: Rng + ?Sized>(&mut self, p: NodeId, rng: &mut R) -> InitiativeOutcome {
-        self.engine.initiative(p, rng)
-    }
-
-    /// Has peer `p` take one deterministic **best-mate** initiative
-    /// regardless of the configured strategy (the building block of
-    /// [`settle`](Self::settle) and of benchmark sweeps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
-    pub fn best_mate_initiative(&mut self, p: NodeId) -> InitiativeOutcome {
-        self.engine.best_mate_initiative(p)
-    }
-
-    /// Whether the current configuration is stable for the present peers.
-    #[must_use]
-    pub fn is_stable(&self) -> bool {
-        self.engine.is_stable()
-    }
-
-    /// Runs deterministic round-robin best-mate sweeps until stability
-    /// (the generalized Figure 2 starting point), returning the number of
-    /// active initiatives performed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::NoStableConfiguration`] on a configuration
-    /// revisit (odd preference cycle).
-    pub fn settle(&mut self) -> Result<u64, ModelError> {
-        settle_engine(&mut self.engine)
-    }
-
-    /// Resets the initiative counters to zero. Construction paths that
-    /// converge internally (the scenario layer's build-at-stable) use this
-    /// so the driver starts with no recorded activity, matching the ranked
-    /// arm's Algorithm 1 jump.
-    pub fn reset_initiative_counters(&mut self) {
-        self.engine.reset_initiative_counters();
-    }
-
-    /// Disorder of the current configuration: key-space distance
-    /// ([`distance::distance_keyed`]) to the canonical instant stable
-    /// configuration of the present peers, memoized per
-    /// `(presence, configuration)` version like the ranked driver's
-    /// metrics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the instance admits no stable configuration.
-    #[must_use]
-    pub fn disorder(&self) -> f64 {
-        self.disorder_memo
-            .get_or_compute(self.engine.versions(), || {
-                self.with_instant_stable(|stable, matching| {
-                    distance::distance_keyed(matching, stable)
-                })
-            })
-    }
-
-    /// The canonical instant stable configuration over present peers
-    /// (memoized per presence version; see the type docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the instance admits no stable configuration.
-    #[must_use]
-    pub fn instant_stable(&self) -> Matching {
-        self.with_instant_stable(|stable, _| stable.clone())
-    }
-
-    fn with_instant_stable<T>(&self, f: impl FnOnce(&Matching, &Matching) -> T) -> T {
-        self.engine.with_instant_stable(
-            || {
-                let mut scratch = Engine::new(
-                    self.engine.keys(),
-                    self.engine.capacities().clone(),
-                    InitiativeStrategy::BestMate,
-                )
-                .expect("sizes validated at construction");
-                for v in 0..self.engine.node_count() {
-                    let v = NodeId::new(v);
-                    if !self.engine.is_present(v) {
-                        scratch.remove_peer(v);
-                    }
-                }
-                settle_engine(&mut scratch)
-                    .expect("instant stable configuration requires a cycle-free system");
-                let (matching, _) = scratch.into_parts();
-                matching
-            },
-            f,
-        )
-    }
-}
-
-impl DynamicsDriver for GeneralDynamics {
-    fn node_count(&self) -> usize {
-        GeneralDynamics::node_count(self)
-    }
-
-    fn present_count(&self) -> usize {
-        GeneralDynamics::present_count(self)
-    }
-
-    fn is_present(&self, v: NodeId) -> bool {
-        GeneralDynamics::is_present(self, v)
-    }
-
-    fn remove_peer(&mut self, v: NodeId) {
-        GeneralDynamics::remove_peer(self, v);
-    }
-
-    fn insert_peer(&mut self, v: NodeId) {
-        GeneralDynamics::insert_peer(self, v);
-    }
-
-    fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> InitiativeOutcome {
-        GeneralDynamics::step(self, rng)
+    fn disorder_general(&self, matching: &Matching, stable: &Matching) -> f64 {
+        distance::distance_keyed(matching, stable)
     }
 }
 
@@ -1278,9 +979,12 @@ mod tests {
         let positions: Vec<f64> = (0..n_peers).map(|i| (i * 29 % n_peers) as f64).collect();
         let prefs = LatencyPrefs::new(positions);
         let caps = Capacities::constant(n_peers, 2);
-        let mut dynamics =
-            GeneralDynamics::new(&graph, &prefs, caps.clone(), InitiativeStrategy::BestMate)
-                .unwrap();
+        let mut dynamics = Dynamics::new(
+            PrefAcceptance::build(&graph, &prefs),
+            caps.clone(),
+            InitiativeStrategy::BestMate,
+        )
+        .unwrap();
         let steps = dynamics.settle().unwrap();
         assert!(dynamics.is_stable());
         assert_eq!(dynamics.disorder(), 0.0);
@@ -1313,8 +1017,12 @@ mod tests {
             InitiativeStrategy::Decremental,
             InitiativeStrategy::Random,
         ] {
-            let mut dynamics =
-                GeneralDynamics::new(&graph, &prefs, caps.clone(), strategy).unwrap();
+            let mut dynamics = Dynamics::new(
+                PrefAcceptance::build(&graph, &prefs),
+                caps.clone(),
+                strategy,
+            )
+            .unwrap();
             for _ in 0..3000 {
                 dynamics.run_base_unit(&mut rng);
                 if dynamics.is_stable() {
@@ -1336,8 +1044,12 @@ mod tests {
         let positions: Vec<f64> = (0..n_peers).map(|i| (i * 23 % n_peers) as f64).collect();
         let prefs = LatencyPrefs::new(positions);
         let caps = Capacities::constant(n_peers, 2);
-        let mut dynamics =
-            GeneralDynamics::new(&graph, &prefs, caps, InitiativeStrategy::BestMate).unwrap();
+        let mut dynamics = Dynamics::new(
+            PrefAcceptance::build(&graph, &prefs),
+            caps,
+            InitiativeStrategy::BestMate,
+        )
+        .unwrap();
         for round in 0..200usize {
             dynamics.step(&mut rng);
             if round % 9 == 0 {
@@ -1383,8 +1095,12 @@ mod tests {
         }
         // And the dynamics on such a system still settle.
         let caps = Capacities::constant(9, 2);
-        let mut dynamics =
-            GeneralDynamics::new(&graph, &prefs, caps, InitiativeStrategy::BestMate).unwrap();
+        let mut dynamics = Dynamics::new(
+            PrefAcceptance::build(&graph, &prefs),
+            caps,
+            InitiativeStrategy::BestMate,
+        )
+        .unwrap();
         dynamics.settle().unwrap();
         assert!(dynamics.is_stable());
     }
@@ -1393,8 +1109,12 @@ mod tests {
     fn odd_cycle_settle_reports_no_stable_configuration() {
         let (graph, prefs) = odd_cycle_instance();
         let caps = Capacities::constant(3, 1);
-        let mut dynamics =
-            GeneralDynamics::new(&graph, &prefs, caps, InitiativeStrategy::BestMate).unwrap();
+        let mut dynamics = Dynamics::new(
+            PrefAcceptance::build(&graph, &prefs),
+            caps,
+            InitiativeStrategy::BestMate,
+        )
+        .unwrap();
         assert_eq!(
             dynamics.settle(),
             Err(crate::ModelError::NoStableConfiguration)

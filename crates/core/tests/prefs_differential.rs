@@ -1,7 +1,7 @@
 //! Differential properties of the generalized-preference path: the
-//! dirty-set engine behind `prefs::best_mate_dynamics` (and
-//! `GeneralDynamics`) must be observationally identical to the retained
-//! full-scan implementation `reference::best_mate_dynamics` — same stable
+//! dirty-set driver behind `prefs::best_mate_dynamics` (and
+//! `Dynamics<PrefAcceptance>`) must be observationally identical to the
+//! retained full-scan implementation `reference::best_mate_dynamics` — same stable
 //! configurations (mate-set equality), same step counts, and the same
 //! acyclicity-failure (oscillation) reports — across latency, banded,
 //! lexicographic, gossip-estimated and explicit preference systems.

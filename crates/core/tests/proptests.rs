@@ -105,7 +105,7 @@ proptest! {
             dynamics.step(&mut rng);
             prop_assert!(dynamics
                 .matching()
-                .check_invariants(dynamics.acceptance().ranking(), dynamics.capacities()));
+                .check_invariants(dynamics.keys().ranking(), dynamics.capacities()));
         }
     }
 

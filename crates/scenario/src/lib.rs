@@ -71,7 +71,7 @@ pub use error::ScenarioError;
 pub use model::{
     BehaviorMix, BuiltPreferences, CapacityModel, ChurnModel, PreferenceModel, TopologyModel,
 };
-pub use scenario::{Scenario, ScenarioDynamics, SwarmParams, UniverseParams};
+pub use scenario::{Scenario, ScenarioKeys, SwarmParams, UniverseParams};
 // The swarm-churn section types come from the engine crate verbatim: the
 // scenario's `swarm.churn` section *is* a session configuration, and the
 // `swarm.faults` section *is* a fault plan.

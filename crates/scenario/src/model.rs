@@ -416,19 +416,46 @@ impl PreferenceModel {
     ///
     /// `GlobalRank` and the latency-flavoured models use the identity
     /// ranking (labels are ranks); `GossipEstimated` samples an estimate
-    /// from `rng`.
+    /// from `rng` (no peers, no draws: the empty ranking).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero gossip sample size with peers present; the
+    /// fallible `build_*` entry points reject it as
+    /// [`ScenarioError::InvalidParameter`] instead.
     pub fn build_ranking<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> GlobalRanking {
         match self {
-            PreferenceModel::GossipEstimated { sample_size } => {
+            PreferenceModel::GossipEstimated { sample_size } if n > 0 => {
                 gossip::estimate_ranking(&GlobalRanking::identity(n), *sample_size, rng)
             }
             _ => GlobalRanking::identity(n),
         }
     }
 
+    /// [`build_ranking`](Self::build_ranking) behind this model's
+    /// parameter check, for the fallible `build_*` entry points.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::InvalidParameter`] for a zero gossip
+    /// sample size.
+    pub(crate) fn checked_ranking<R: Rng + ?Sized>(
+        &self,
+        n: usize,
+        rng: &mut R,
+    ) -> Result<GlobalRanking, ScenarioError> {
+        if let PreferenceModel::GossipEstimated { sample_size: 0 } = self {
+            return Err(ScenarioError::InvalidParameter {
+                what: "gossip sample size",
+                reason: "must be positive".to_string(),
+            });
+        }
+        Ok(self.build_ranking(n, rng))
+    }
+
     /// Whether this model is a global-ranking utility, i.e. runs on the
-    /// ranked instantiation of the engine ([`strat_core::Dynamics`])
-    /// rather than the generalized one.
+    /// ranked key table of [`strat_core::Dynamics`] rather than the
+    /// generalized one.
     #[must_use]
     pub fn is_ranked(&self) -> bool {
         matches!(
@@ -445,8 +472,8 @@ impl PreferenceModel {
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::InvalidParameter`] for a non-positive
-    /// latency span or a zero class width.
+    /// Returns [`ScenarioError::InvalidParameter`] for a zero gossip
+    /// sample size, a non-positive latency span or a zero class width.
     pub fn build_preferences<R: Rng + ?Sized>(
         &self,
         n: usize,
@@ -454,7 +481,7 @@ impl PreferenceModel {
     ) -> Result<BuiltPreferences, ScenarioError> {
         match self {
             PreferenceModel::GlobalRank | PreferenceModel::GossipEstimated { .. } => Ok(
-                BuiltPreferences::Global(GlobalPrefs::new(self.build_ranking(n, rng))),
+                BuiltPreferences::Global(GlobalPrefs::new(self.checked_ranking(n, rng)?)),
             ),
             PreferenceModel::Latency { span } => {
                 check_span(*span)?;

@@ -9,8 +9,8 @@ use strat_bittorrent::universe::{
 use strat_bittorrent::{EventEngine, EventTiming, FaultPlan, Swarm, SwarmConfig};
 use strat_core::{
     stable_configuration, stable_configuration_complete, stable_configuration_masked, Capacities,
-    ChurnProcess, Dynamics, DynamicsDriver, GeneralDynamics, GlobalRanking, InitiativeOutcome,
-    InitiativeStrategy, Matching, RankedAcceptance,
+    ChurnProcess, Dynamics, GlobalRanking, InitiativeStrategy, Matching, PrefAcceptance,
+    PreferenceKeys, Rank, RankedAcceptance,
 };
 use strat_graph::{Graph, NodeId};
 
@@ -19,237 +19,65 @@ use crate::{
     TopologyModel,
 };
 
-/// The dynamics backend a scenario's preference axis selects — both arms
-/// are instantiations of the same incremental engine
-/// (`strat_core::engine::Engine`).
+/// The key table a scenario's preference axis selects for its
+/// [`Dynamics`] driver. The runtime choice between the two preference
+/// families is made once, here, at the data format; the driver itself is
+/// the same type either way.
 ///
 /// * [`PreferenceModel::GlobalRank`] and
 ///   [`PreferenceModel::GossipEstimated`] are global-ranking utilities:
-///   they build the **ranked** arm ([`Dynamics`]), whose behaviour (scans,
-///   RNG consumption, disorder metrics) is exactly the historical ranked
-///   path;
+///   they build the **ranked** table, whose behaviour (scans, RNG
+///   consumption, Algorithm 1 baseline, rank-labelled disorder metrics) is
+///   exactly that of `Dynamics<RankedAcceptance>`;
 /// * [`PreferenceModel::Latency`] and
-///   [`PreferenceModel::BandedRankLatency`] build the **general** arm
-///   ([`GeneralDynamics`]) over a per-neighborhood preference-key table —
-///   the same threshold + clean/dirty machinery, now driven by the actual
-///   latency-flavoured preferences instead of silently degrading to the
-///   identity ranking.
-///
-/// The common driver surface is forwarded; backend-specific extras are
-/// reachable through [`as_ranked`](Self::as_ranked) /
-/// [`as_general`](Self::as_general).
+///   [`PreferenceModel::BandedRankLatency`] build the **general** table
+///   ([`PrefAcceptance`]), driven by the actual latency-flavoured
+///   preferences (best-mate fixpoint baseline, key-space disorder for both
+///   metrics).
 #[derive(Debug, Clone)]
 #[non_exhaustive]
-pub enum ScenarioDynamics {
-    /// Global-ranking fast path.
-    Ranked(Dynamics),
-    /// Generalized-preference fast path.
-    General(GeneralDynamics),
+pub enum ScenarioKeys {
+    /// Global-ranking key table.
+    Ranked(RankedAcceptance),
+    /// Generalized-preference key table.
+    General(PrefAcceptance),
 }
 
-impl ScenarioDynamics {
-    /// The ranked backend, if this scenario runs on it.
-    #[must_use]
-    pub fn as_ranked(&self) -> Option<&Dynamics> {
-        match self {
-            ScenarioDynamics::Ranked(d) => Some(d),
-            ScenarioDynamics::General(_) => None,
+/// Forwards a [`PreferenceKeys`] call to the table a [`ScenarioKeys`] holds.
+macro_rules! forward {
+    ($keys:ident.$method:ident($($arg:expr),*)) => {
+        match $keys {
+            ScenarioKeys::Ranked(table) => table.$method($($arg),*),
+            ScenarioKeys::General(table) => table.$method($($arg),*),
         }
-    }
-
-    /// The generalized backend, if this scenario runs on it.
-    #[must_use]
-    pub fn as_general(&self) -> Option<&GeneralDynamics> {
-        match self {
-            ScenarioDynamics::Ranked(_) => None,
-            ScenarioDynamics::General(d) => Some(d),
-        }
-    }
-
-    /// Number of peers (present or not).
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.node_count(),
-            ScenarioDynamics::General(d) => d.node_count(),
-        }
-    }
-
-    /// Number of present peers.
-    #[must_use]
-    pub fn present_count(&self) -> usize {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.present_count(),
-            ScenarioDynamics::General(d) => d.present_count(),
-        }
-    }
-
-    /// Whether peer `v` is present.
-    #[must_use]
-    pub fn is_present(&self, v: NodeId) -> bool {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.is_present(v),
-            ScenarioDynamics::General(d) => d.is_present(v),
-        }
-    }
-
-    /// Current configuration.
-    #[must_use]
-    pub fn matching(&self) -> &Matching {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.matching(),
-            ScenarioDynamics::General(d) => d.matching(),
-        }
-    }
-
-    /// Capacities in force.
-    #[must_use]
-    pub fn capacities(&self) -> &Capacities {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.capacities(),
-            ScenarioDynamics::General(d) => d.capacities(),
-        }
-    }
-
-    /// Total initiatives taken so far.
-    #[must_use]
-    pub fn initiative_count(&self) -> u64 {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.initiative_count(),
-            ScenarioDynamics::General(d) => d.initiative_count(),
-        }
-    }
-
-    /// Active (configuration-changing) initiatives taken so far.
-    #[must_use]
-    pub fn active_initiative_count(&self) -> u64 {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.active_initiative_count(),
-            ScenarioDynamics::General(d) => d.active_initiative_count(),
-        }
-    }
-
-    /// Removes a peer (drops its collaborations). No-op if absent.
-    pub fn remove_peer(&mut self, v: NodeId) {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.remove_peer(v),
-            ScenarioDynamics::General(d) => d.remove_peer(v),
-        }
-    }
-
-    /// Re-inserts an absent peer with no mates. No-op if present.
-    pub fn insert_peer(&mut self, v: NodeId) {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.insert_peer(v),
-            ScenarioDynamics::General(d) => d.insert_peer(v),
-        }
-    }
-
-    /// Performs one initiative by a uniformly random present peer.
-    pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> InitiativeOutcome {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.step(rng),
-            ScenarioDynamics::General(d) => d.step(rng),
-        }
-    }
-
-    /// Runs `n` initiatives (one base unit). Returns the active count.
-    pub fn run_base_unit<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.run_base_unit(rng),
-            ScenarioDynamics::General(d) => d.run_base_unit(rng),
-        }
-    }
-
-    /// Has peer `p` take one initiative with the configured strategy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
-    pub fn initiative<R: Rng + ?Sized>(&mut self, p: NodeId, rng: &mut R) -> InitiativeOutcome {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.initiative(p, rng),
-            ScenarioDynamics::General(d) => d.initiative(p, rng),
-        }
-    }
-
-    /// Whether the current configuration is stable for the present peers.
-    #[must_use]
-    pub fn is_stable(&self) -> bool {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.is_stable(),
-            ScenarioDynamics::General(d) => d.is_stable(),
-        }
-    }
-
-    /// Disorder of the current configuration: distance to the (memoized)
-    /// instant stable configuration of the present peers — the paper's §3
-    /// metric on the ranked arm, the key-space analogue on the general arm.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a general-arm instance admitting no stable configuration
-    /// (impossible for the cycle-free preference models scenarios expose).
-    #[must_use]
-    pub fn disorder(&self) -> f64 {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.disorder(),
-            ScenarioDynamics::General(d) => d.disorder(),
-        }
-    }
-
-    /// Disorder under the generalized b-matching metric (the ranked arm's
-    /// rank-label metric / the general arm's key-space metric) — use this
-    /// instead of [`disorder`](Self::disorder) when capacities exceed 1.
-    ///
-    /// # Panics
-    ///
-    /// See [`disorder`](Self::disorder).
-    #[must_use]
-    pub fn disorder_general(&self) -> f64 {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.disorder_general(),
-            ScenarioDynamics::General(d) => d.disorder(),
-        }
-    }
-
-    /// The instant stable configuration over present peers (memoized).
-    ///
-    /// # Panics
-    ///
-    /// See [`disorder`](Self::disorder).
-    #[must_use]
-    pub fn instant_stable(&self) -> Matching {
-        match self {
-            ScenarioDynamics::Ranked(d) => d.instant_stable(),
-            ScenarioDynamics::General(d) => d.instant_stable(),
-        }
-    }
+    };
 }
 
-impl DynamicsDriver for ScenarioDynamics {
+impl PreferenceKeys for ScenarioKeys {
     fn node_count(&self) -> usize {
-        ScenarioDynamics::node_count(self)
+        forward!(self.node_count())
     }
 
-    fn present_count(&self) -> usize {
-        ScenarioDynamics::present_count(self)
+    #[inline]
+    fn row(&self, v: NodeId) -> (&[NodeId], &[Rank]) {
+        forward!(self.row(v))
     }
 
-    fn is_present(&self, v: NodeId) -> bool {
-        ScenarioDynamics::is_present(self, v)
+    #[inline]
+    fn rev_key(&self, v: NodeId, slot: usize) -> Rank {
+        forward!(self.rev_key(v, slot))
     }
 
-    fn remove_peer(&mut self, v: NodeId) {
-        ScenarioDynamics::remove_peer(self, v);
+    fn instant_stable(&self, caps: &Capacities, present: &[bool]) -> Matching {
+        forward!(self.instant_stable(caps, present))
     }
 
-    fn insert_peer(&mut self, v: NodeId) {
-        ScenarioDynamics::insert_peer(self, v);
+    fn disorder(&self, matching: &Matching, stable: &Matching) -> f64 {
+        forward!(self.disorder(matching, stable))
     }
 
-    fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> InitiativeOutcome {
-        ScenarioDynamics::step(self, rng)
+    fn disorder_general(&self, matching: &Matching, stable: &Matching) -> f64 {
+        forward!(self.disorder_general(matching, stable))
     }
 }
 
@@ -532,6 +360,10 @@ impl Scenario {
 
     /// The global ranking the preference model induces (identity, or a
     /// gossip estimate drawn from `rng`).
+    ///
+    /// # Panics
+    ///
+    /// See [`PreferenceModel::build_ranking`].
     pub fn build_ranking<R: Rng + ?Sized>(&self, rng: &mut R) -> GlobalRanking {
         self.preference.build_ranking(self.peers, rng)
     }
@@ -559,7 +391,7 @@ impl Scenario {
         rng: &mut R,
     ) -> Result<RankedAcceptance, ScenarioError> {
         let graph = self.build_graph(rng)?;
-        let ranking = self.build_ranking(rng);
+        let ranking = self.preference.checked_ranking(self.peers, rng)?;
         Ok(RankedAcceptance::new(graph, ranking)?)
     }
 
@@ -580,10 +412,9 @@ impl Scenario {
     /// The initiative-process driver from the empty configuration,
     /// consuming the RNG in the order topology → preference → capacities.
     ///
-    /// The preference axis selects the backend (see [`ScenarioDynamics`]):
-    /// global-ranking models build the ranked arm exactly as before;
-    /// latency-flavoured models now drive the generic engine instead of
-    /// degrading to an identity ranking.
+    /// The preference axis selects the key table (see [`ScenarioKeys`]):
+    /// global-ranking models build the ranked table, latency-flavoured
+    /// models the generalized one.
     ///
     /// # Errors
     ///
@@ -591,26 +422,16 @@ impl Scenario {
     pub fn build_dynamics<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-    ) -> Result<ScenarioDynamics, ScenarioError> {
-        if self.preference.is_ranked() {
-            let acc = self.build_acceptance(rng)?;
-            let caps = self.build_capacities(rng)?;
-            Ok(ScenarioDynamics::Ranked(Dynamics::new(
-                acc,
-                caps,
-                self.strategy,
-            )?))
+    ) -> Result<Dynamics<ScenarioKeys>, ScenarioError> {
+        let keys = if self.preference.is_ranked() {
+            ScenarioKeys::Ranked(self.build_acceptance(rng)?)
         } else {
             let graph = self.build_graph(rng)?;
             let prefs = self.build_preferences(rng)?;
-            let caps = self.build_capacities(rng)?;
-            Ok(ScenarioDynamics::General(GeneralDynamics::new(
-                &graph,
-                &prefs,
-                caps,
-                self.strategy,
-            )?))
-        }
+            ScenarioKeys::General(PrefAcceptance::build(&graph, &prefs))
+        };
+        let caps = self.build_capacities(rng)?;
+        Ok(Dynamics::new(keys, caps, self.strategy)?)
     }
 
     /// The initiative-process driver started **at** the stable
@@ -618,41 +439,38 @@ impl Scenario {
     /// rather than at `C∅`). Same RNG consumption as
     /// [`build_dynamics`](Self::build_dynamics).
     ///
-    /// The ranked arm jumps there by Algorithm 1; the general arm settles
-    /// with deterministic best-mate sweeps (its canonical stable
+    /// The ranked table jumps there by Algorithm 1; the general table
+    /// settles with deterministic best-mate sweeps (its canonical stable
     /// configuration).
     ///
     /// # Errors
     ///
-    /// Propagates component failures; general-arm preference systems with
-    /// odd preference cycles surface as
+    /// Propagates component failures; general-table preference systems
+    /// with odd preference cycles surface as
     /// [`strat_core::ModelError::NoStableConfiguration`] (none of the
     /// scenario preference models can produce one).
     pub fn build_dynamics_at_stable<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-    ) -> Result<ScenarioDynamics, ScenarioError> {
+    ) -> Result<Dynamics<ScenarioKeys>, ScenarioError> {
         if self.preference.is_ranked() {
             let acc = self.build_acceptance(rng)?;
             let caps = self.build_capacities(rng)?;
             let stable = stable_configuration(&acc, &caps)?;
-            Ok(ScenarioDynamics::Ranked(Dynamics::with_configuration(
-                acc,
+            Ok(Dynamics::with_configuration(
+                ScenarioKeys::Ranked(acc),
                 caps,
                 self.strategy,
                 stable,
-            )?))
+            )?)
         } else {
-            let mut built = self.build_dynamics(rng)?;
-            let ScenarioDynamics::General(ref mut dynamics) = built else {
-                unreachable!("non-ranked preference models build the general arm")
-            };
-            dynamics.settle().map_err(ScenarioError::Model)?;
-            // Counter parity with the ranked arm, which jumps to stability
-            // via Algorithm 1: a freshly built at-stable driver reports no
-            // pre-existing initiative activity.
+            let mut dynamics = self.build_dynamics(rng)?;
+            dynamics.settle()?;
+            // Counter parity with the ranked table, which jumps to
+            // stability via Algorithm 1: a freshly built at-stable driver
+            // reports no pre-existing initiative activity.
             dynamics.reset_initiative_counters();
-            Ok(built)
+            Ok(dynamics)
         }
     }
 
@@ -664,7 +482,7 @@ impl Scenario {
     pub fn build_churn<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-    ) -> Result<ChurnProcess<ScenarioDynamics>, ScenarioError> {
+    ) -> Result<ChurnProcess<ScenarioKeys>, ScenarioError> {
         let rate = self.churn.rate_per_step(self.peers)?;
         Ok(ChurnProcess::new(self.build_dynamics(rng)?, rate))
     }
@@ -680,7 +498,7 @@ impl Scenario {
     /// Propagates component failures.
     pub fn stable_matching<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Matching, ScenarioError> {
         if matches!(self.topology, TopologyModel::Complete) {
-            let ranking = self.build_ranking(rng);
+            let ranking = self.preference.checked_ranking(self.peers, rng)?;
             let caps = self.build_capacities(rng)?;
             Ok(stable_configuration_complete(&ranking, &caps)?)
         } else {
@@ -1003,6 +821,13 @@ mod tests {
         ChaCha8Rng::seed_from_u64(seed)
     }
 
+    fn ranked_keys(dynamics: &Dynamics<ScenarioKeys>) -> &RankedAcceptance {
+        match dynamics.keys() {
+            ScenarioKeys::Ranked(acc) => acc,
+            ScenarioKeys::General(_) => panic!("rank-shaped models build the ranked table"),
+        }
+    }
+
     #[test]
     fn default_scenario_builds_everything() {
         let scenario = Scenario::new("t", 30);
@@ -1037,8 +862,7 @@ mod tests {
             scenario.strategy,
         )
         .unwrap();
-        let built = built.as_ranked().expect("gossip runs the ranked arm");
-        assert_eq!(built.acceptance(), by_hand.acceptance());
+        assert_eq!(ranked_keys(&built), by_hand.keys());
         assert_eq!(built.capacities(), by_hand.capacities());
     }
 
@@ -1550,8 +1374,7 @@ mod tests {
             });
         let a = scenario.build_dynamics(&mut stream_rng(7, 3)).unwrap();
         let b = scenario.build_dynamics(&mut stream_rng(7, 3)).unwrap();
-        let (a, b) = (a.as_ranked().unwrap(), b.as_ranked().unwrap());
-        assert_eq!(a.acceptance(), b.acceptance());
+        assert_eq!(ranked_keys(&a), ranked_keys(&b));
         assert_eq!(a.capacities(), b.capacities());
         let c = scenario.build_dynamics(&mut stream_rng(7, 4)).unwrap();
         assert_ne!(a.capacities(), c.capacities());
@@ -1564,7 +1387,7 @@ mod tests {
             .with_capacity(CapacityModel::Constant { value: 2.0 })
             .with_preference(PreferenceModel::Latency { span: 500.0 });
         let built = scenario.build_dynamics(&mut rng(9)).unwrap();
-        assert!(built.as_general().is_some());
+        assert!(matches!(built.keys(), ScenarioKeys::General(_)));
         assert_eq!(built.node_count(), 60);
         // Deterministic: same stream, same instance.
         let mut a = scenario.build_dynamics(&mut rng(9)).unwrap();
@@ -1588,7 +1411,7 @@ mod tests {
                 span: 300.0,
             });
         let built = scenario.build_dynamics_at_stable(&mut rng(4)).unwrap();
-        assert!(built.as_general().is_some());
+        assert!(matches!(built.keys(), ScenarioKeys::General(_)));
         assert!(built.is_stable());
         assert_eq!(built.disorder(), 0.0);
         // Counter parity with the ranked arm: building at-stable reports no
@@ -1610,7 +1433,7 @@ mod tests {
             churn.run_base_unit(&mut r);
         }
         assert!(churn.event_count() > 0);
-        assert!(churn.dynamics().as_general().is_some());
+        assert!(matches!(churn.dynamics().keys(), ScenarioKeys::General(_)));
         // Population pinned at n or n - 1 by replacement churn.
         assert!((39..=40).contains(&churn.dynamics().present_count()));
         // Disorder reads cleanly on the general arm under churn.
@@ -1636,5 +1459,153 @@ mod tests {
             banded.build_dynamics(&mut rng(1)),
             Err(ScenarioError::InvalidParameter { .. })
         ));
+    }
+
+    #[test]
+    fn zero_gossip_sample_size_is_a_typed_error() {
+        let complete = Scenario::new("t", 20)
+            .with_preference(PreferenceModel::GossipEstimated { sample_size: 0 });
+        let sparse = complete
+            .clone()
+            .with_topology(TopologyModel::ErdosRenyiMeanDegree { d: 4.0 });
+        let rejected = |result: Option<ScenarioError>| {
+            assert!(
+                matches!(
+                    result,
+                    Some(ScenarioError::InvalidParameter {
+                        what: "gossip sample size",
+                        ..
+                    })
+                ),
+                "{result:?}"
+            );
+        };
+        for scenario in [&complete, &sparse] {
+            rejected(scenario.build_dynamics(&mut rng(1)).err());
+            rejected(scenario.build_dynamics_at_stable(&mut rng(1)).err());
+            rejected(scenario.build_churn(&mut rng(1)).err());
+            rejected(scenario.build_acceptance(&mut rng(1)).err());
+            rejected(scenario.build_preferences(&mut rng(1)).err());
+            rejected(scenario.stable_matching(&mut rng(1)).err());
+            rejected(scenario.stable_matching_masked(&mut rng(1), |_| true).err());
+        }
+    }
+
+    #[test]
+    fn gossip_scenario_without_peers_builds_like_global_rank() {
+        for preference in [
+            PreferenceModel::GlobalRank,
+            PreferenceModel::GossipEstimated { sample_size: 20 },
+        ] {
+            let scenario = Scenario::new("t", 0).with_preference(preference);
+            assert_eq!(
+                scenario.build_dynamics(&mut rng(1)).unwrap().node_count(),
+                0
+            );
+            let at_stable = scenario.build_dynamics_at_stable(&mut rng(1)).unwrap();
+            assert_eq!(at_stable.matching().edge_count(), 0);
+            let mut churn = scenario.build_churn(&mut rng(1)).unwrap();
+            assert_eq!(churn.run_base_unit(&mut rng(2)), 0);
+            assert_eq!(
+                scenario.stable_matching(&mut rng(1)).unwrap().edge_count(),
+                0
+            );
+        }
+    }
+
+    /// Asserts two drivers are observably the same driver. The ranked
+    /// `disorder()` is the 1-matching metric, so it is compared on
+    /// 1-matching instances only.
+    fn assert_same_driver<A: PreferenceKeys, B: PreferenceKeys>(
+        a: &Dynamics<A>,
+        b: &Dynamics<B>,
+        what: &str,
+    ) {
+        assert_eq!(a.matching(), b.matching(), "{what}: matching");
+        assert_eq!(a.initiative_count(), b.initiative_count(), "{what}");
+        assert_eq!(
+            a.active_initiative_count(),
+            b.active_initiative_count(),
+            "{what}"
+        );
+        if a.capacities().as_slice().iter().all(|&c| c <= 1) {
+            assert_eq!(a.disorder().to_bits(), b.disorder().to_bits(), "{what}");
+        }
+        assert_eq!(
+            a.disorder_general().to_bits(),
+            b.disorder_general().to_bits(),
+            "{what}"
+        );
+        assert_eq!(a.instant_stable(), b.instant_stable(), "{what}: baseline");
+    }
+
+    /// Runs a scenario-built driver and churn process in lockstep with
+    /// their directly built twins, checking every observable.
+    fn check_twins<K: PreferenceKeys + Clone>(
+        mut built: Dynamics<ScenarioKeys>,
+        mut direct: Dynamics<K>,
+        mut churn: ChurnProcess<ScenarioKeys>,
+        what: &str,
+    ) {
+        let mut direct_churn = ChurnProcess::new(direct.clone(), churn.rate());
+        assert_same_driver(&built, &direct, what);
+        let (mut rng_a, mut rng_b) = (rng(11), rng(11));
+        for _ in 0..5 {
+            built.run_base_unit(&mut rng_a);
+            direct.run_base_unit(&mut rng_b);
+        }
+        assert_same_driver(&built, &direct, what);
+        let (mut rng_a, mut rng_b) = (rng(12), rng(12));
+        for _ in 0..5 {
+            churn.run_base_unit(&mut rng_a);
+            direct_churn.run_base_unit(&mut rng_b);
+        }
+        assert!(churn.event_count() > 0, "{what}: no churn");
+        assert_eq!(churn.event_count(), direct_churn.event_count(), "{what}");
+        assert_same_driver(churn.dynamics(), direct_churn.dynamics(), what);
+    }
+
+    #[test]
+    fn scenario_built_driver_equals_the_directly_built_one() {
+        // `ScenarioKeys` only delegates: the scenario-built driver and a
+        // driver built directly on the underlying table from the same
+        // stream must agree on every observable, with and without churn.
+        let strategies = [
+            InitiativeStrategy::BestMate,
+            InitiativeStrategy::Decremental,
+            InitiativeStrategy::Random,
+        ];
+        for preference in [
+            PreferenceModel::GlobalRank,
+            PreferenceModel::Latency { span: 100.0 },
+        ] {
+            for slots in [1.0, 2.0] {
+                for strategy in strategies {
+                    let scenario = Scenario::new("t", 120)
+                        .with_topology(TopologyModel::ErdosRenyiMeanDegree { d: 8.0 })
+                        .with_capacity(CapacityModel::Constant { value: slots })
+                        .with_preference(preference.clone())
+                        .with_strategy(strategy)
+                        .with_churn(ChurnModel::Rate { rate: 0.05 });
+                    let what = format!("{preference:?} / {strategy:?} / b = {slots}");
+                    let built = scenario.build_dynamics(&mut rng(3)).unwrap();
+                    let churn = scenario.build_churn(&mut rng(3)).unwrap();
+                    let mut r = rng(3);
+                    if preference.is_ranked() {
+                        let acc = scenario.build_acceptance(&mut r).unwrap();
+                        let caps = scenario.build_capacities(&mut r).unwrap();
+                        let direct = Dynamics::new(acc, caps, strategy).unwrap();
+                        check_twins(built, direct, churn, &what);
+                    } else {
+                        let graph = scenario.build_graph(&mut r).unwrap();
+                        let prefs = scenario.build_preferences(&mut r).unwrap();
+                        let caps = scenario.build_capacities(&mut r).unwrap();
+                        let keys = PrefAcceptance::build(&graph, &prefs);
+                        let direct = Dynamics::new(keys, caps, strategy).unwrap();
+                        check_twins(built, direct, churn, &what);
+                    }
+                }
+            }
+        }
     }
 }

@@ -23,8 +23,9 @@
 //! (small offsets, distance-blind), and both disorder trajectories
 //! collapse towards 0 — the generic engine converges like the ranked one.
 
+use strat_core::Dynamics;
 use strat_graph::components::Components;
-use strat_scenario::{CapacityModel, PreferenceModel, Scenario, ScenarioDynamics, TopologyModel};
+use strat_scenario::{CapacityModel, PreferenceModel, Scenario, ScenarioKeys, TopologyModel};
 
 use crate::experiments::common;
 use crate::runner::{ExperimentContext, ExperimentResult};
@@ -38,7 +39,7 @@ struct ArmSample {
     clusters: f64,
 }
 
-fn measure(dynamics: &ScenarioDynamics, positions: &[f64]) -> ArmSample {
+fn measure(dynamics: &Dynamics<ScenarioKeys>, positions: &[f64]) -> ArmSample {
     let m = dynamics.matching();
     let mut dist = 0.0f64;
     let mut offset = 0.0f64;

@@ -654,7 +654,11 @@ pub fn bench_observer(c: &mut Criterion) {
 /// * `round_shared_n1000_t8` — one universe step over 8 torrents sharing
 ///   a ~1000-member population under stationary Poisson churn: all eight
 ///   membership passes, the cross-swarm claim pass, replica sync,
-///   demand-weighted capacity rebalance and all eight swarm rounds;
+///   demand-weighted capacity rebalance and all eight swarm rounds,
+///   stepped serially (`threads = None`);
+/// * `round_shared_n1000_t8_threads` — the same step on a clone of the
+///   same universe at `Some(strat_par::default_threads())`: membership
+///   and round passes fanned out across torrents;
 /// * `membership_join_leave_d20` — the membership primitives the claim
 ///   and sync passes are built from: one `join_with` (arena slot claim +
 ///   degree-20 wiring) immediately undone by `leave`, on a stationary
@@ -698,8 +702,13 @@ pub fn bench_universe(c: &mut Criterion) {
         },
     );
     universe.run_rounds(20, None); // reach stationary cross-swarm turnover
+    let mut threaded = universe.clone();
     group.bench_function("round_shared_n1000_t8", |b| {
         b.iter(|| universe.run_rounds(1, None));
+    });
+    let threads = strat_par::default_threads();
+    group.bench_function("round_shared_n1000_t8_threads", |b| {
+        b.iter(|| threaded.run_rounds(1, Some(threads)));
     });
 
     let mut session = universe_session(8);

@@ -49,7 +49,15 @@
 //! so all the *aggregates* this module computes (kbit sums per peer,
 //! class-pair unchoke counts) are exact and thread-invariant.
 //!
+//! A [`Universe`] stepped with `Some(threads)` runs different torrents'
+//! sessions concurrently, so events reaching different torrents'
+//! observers `obs[t]` may interleave in time (and a single observer
+//! shared by several torrents sees them mixed). Each `obs[t]` is still
+//! driven by its own session only, one pass at a time, and keeps that
+//! session's ordering contract above.
+//!
 //! [`run_rounds_parallel_with`]: crate::Swarm::run_rounds_parallel_with
+//! [`Universe`]: crate::universe::Universe
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

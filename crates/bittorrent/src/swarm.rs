@@ -1206,7 +1206,7 @@ impl Swarm {
                 let tftup_c = tftup_parts.next().expect("one part per range");
                 let pp_c = pp_parts.next().expect("one part per range");
                 let scratch = scratch_parts.next().expect("one scratch per range");
-                scope.spawn(move || {
+                run_or_spawn(scope, ranges.len() == 1, move || {
                     let snap = !pp_c.is_empty();
                     for p in range.clone() {
                         let li = p - range.start;
@@ -1332,7 +1332,7 @@ impl Swarm {
                 let comp = comp_parts.next().expect("one counter per range");
                 let lost_n = lost_parts.next().expect("one counter per range");
                 let scratch = scratch_parts.next().expect("one scratch per range");
-                scope.spawn(move || {
+                run_or_spawn(scope, ranges.len() == 1, move || {
                     let edge_base = row_off[range.start];
                     for q in range.clone() {
                         let li = q - range.start;
@@ -2188,6 +2188,23 @@ impl Swarm {
             self.count_completions(1);
         }
         completed
+    }
+}
+
+/// Runs one parallel-pass job: on the calling thread when the round has a
+/// single range, else on its own scoped worker. A round driven at one
+/// thread (a universe session whose torrents already share the threads)
+/// then spawns nothing, and fresh worker threads cost start-up time and
+/// their own allocator arenas.
+fn run_or_spawn<'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    inline: bool,
+    job: impl FnOnce() + Send + 'scope,
+) {
+    if inline {
+        job();
+    } else {
+        scope.spawn(job);
     }
 }
 

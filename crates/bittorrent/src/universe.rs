@@ -31,7 +31,8 @@
 //! bit-identical to the plain [`Session`]**, serial and parallel, at any
 //! thread count (`tests/universe_differential.rs`). Multi-torrent runs
 //! are bit-reproducible for any thread count for the same reason the
-//! sessions are.
+//! sessions are, and because the passes that run torrents concurrently
+//! (see [`Universe::step`]) touch only their own session.
 //!
 //! Sessions with [`compact_threshold`] set are rejected: compaction
 //! invalidates outstanding handles wholesale, and the universe keeps
@@ -114,7 +115,7 @@ pub struct UniverseConfig {
     pub class_upload_kbps: Vec<f64>,
     /// Per-torrent popularity weights driving the extra-membership draws.
     /// Empty means uniform; otherwise the length must equal the torrent
-    /// count and every weight must be positive.
+    /// count, every weight must be positive and their sum finite.
     pub popularity: Vec<f64>,
     /// Seed of the universe's `(round, event)` streams.
     pub universe_seed: u64,
@@ -161,6 +162,14 @@ impl UniverseConfig {
                 if !(w.is_finite() && w > 0.0) {
                     return Err(format!("popularity weights must be positive, got {w}"));
                 }
+            }
+            // The extra-torrent draw samples below the weights' sum; an
+            // overflowing sum would make every draw pick the first candidate.
+            let total: f64 = self.popularity.iter().sum();
+            if !total.is_finite() {
+                return Err(format!(
+                    "popularity weights must have a finite sum, got {total}"
+                ));
             }
         }
         Ok(())
@@ -286,6 +295,10 @@ pub struct Universe {
     /// Rounds stepped so far (all sessions advance in lockstep).
     round: u64,
     stats: UniverseStats,
+    /// Rebalance scratch, reused across members and rounds: one member's
+    /// active `(torrent, handle)` replicas and their split weights.
+    split_active: Vec<(usize, SessionPeerId)>,
+    split_weights: Vec<f64>,
 }
 
 impl Universe {
@@ -345,6 +358,8 @@ impl Universe {
             class_counter: 0,
             round: 0,
             stats: UniverseStats::default(),
+            split_active: Vec::new(),
+            split_weights: Vec::new(),
         };
         universe.claim_initial_populations();
         universe
@@ -502,8 +517,11 @@ impl Universe {
     }
 
     /// Runs `rounds` universe rounds unobserved. `threads` selects the
-    /// sessions' round engine: `None` is serial, `Some(t)` the
-    /// indexed-stream parallel engine (bit-identical for any `t`).
+    /// sessions' round engine: `None` is the serial engine, stepped one
+    /// torrent at a time on the calling thread; `Some(t)` is the
+    /// indexed-stream parallel engine with a total budget of `t` threads
+    /// (see [`step`](Self::step) for the split). Every output is
+    /// bit-identical for any `t`.
     pub fn run_rounds(&mut self, rounds: u64, threads: Option<usize>) {
         let obs = vec![NullObserver; self.sessions.len()];
         for _ in 0..rounds {
@@ -529,12 +547,20 @@ impl Universe {
         }
     }
 
-    /// One universe round: every session's membership pass (torrent
-    /// order), the claim pass (adopt fresh arrivals, draw extra
+    /// One universe round: every session's membership pass, the claim
+    /// pass (adopt fresh arrivals in torrent order, draw extra
     /// memberships, cross-join), the sync pass (detect departures,
     /// withdraw leavers' replicas), the rebalance pass (capacity split at
     /// the rechoke boundary), every session's round pass, and completion
     /// recording.
+    ///
+    /// The membership and round passes touch only their own session and
+    /// its `obs[t]`, so under `threads = Some(t)` they fan out across
+    /// torrents: up to `min(t, T)` sessions run at once, each round on
+    /// `max(1, t / T)` threads of the indexed engine (`T` torrents). The
+    /// claim, sync, rebalance and recording passes stay serial. `None`
+    /// runs everything on the calling thread, one torrent at a time —
+    /// the mode for callers that already parallelize across universes.
     ///
     /// # Panics
     ///
@@ -545,15 +571,20 @@ impl Universe {
             self.sessions.len(),
             "one observer per torrent required"
         );
-        for t in 0..self.sessions.len() {
-            self.sessions[t].membership_pass_with(&obs[t]);
-        }
+        let torrents = self.sessions.len();
+        let (workers, inner) = match threads {
+            None => (1, None),
+            Some(t) => (t, Some((t / torrents).max(1))),
+        };
+        strat_par::par_for_each_mut(&mut self.sessions, workers, |t, session| {
+            session.membership_pass_with(&obs[t]);
+        });
         self.claim_pass(obs);
         self.sync_pass(obs);
         self.rebalance();
-        for t in 0..self.sessions.len() {
-            self.sessions[t].round_pass_with(threads, &obs[t]);
-        }
+        strat_par::par_for_each_mut(&mut self.sessions, workers, |t, session| {
+            session.round_pass_with(inner, &obs[t]);
+        });
         self.record_completions();
         self.round += 1;
     }
@@ -733,47 +764,47 @@ impl Universe {
     /// capacity came from the session), which is what keeps the
     /// 1-torrent universe bit-identical to the plain session.
     fn rebalance(&mut self) {
-        for m in 0..self.members.len() {
-            if !self.members[m].active {
-                continue;
-            }
-            let active: Vec<usize> = (0..self.members[m].replicas.len())
-                .filter(|&r| self.members[m].replicas[r].active)
-                .collect();
-            let capacity = self.members[m].capacity;
-            if active.len() == 1 {
-                let (t, id) = {
-                    let rep = &self.members[m].replicas[active[0]];
-                    (rep.torrent as usize, rep.id)
-                };
-                let ok = self.sessions[t].set_upload_kbps(id, capacity);
+        let Self {
+            sessions,
+            config,
+            members,
+            split_active: active,
+            split_weights: weights,
+            ..
+        } = self;
+        for member in members.iter().filter(|m| m.active) {
+            active.clear();
+            active.extend(
+                member
+                    .replicas
+                    .iter()
+                    .filter(|r| r.active)
+                    .map(|r| (r.torrent as usize, r.id)),
+            );
+            let capacity = member.capacity;
+            if let [(t, id)] = active[..] {
+                let ok = sessions[t].set_upload_kbps(id, capacity);
                 debug_assert!(ok, "active replicas resolve after the sync pass");
                 continue;
             }
-            let weights: Vec<f64> = match self.config.split {
-                CapacitySplit::EqualShare => vec![1.0; active.len()],
-                CapacitySplit::DemandWeighted => active
-                    .iter()
-                    .map(|&r| {
-                        let rep = &self.members[m].replicas[r];
-                        let t = rep.torrent as usize;
-                        let slot = self.sessions[t]
-                            .resolve(rep.id)
+            weights.clear();
+            match config.split {
+                CapacitySplit::EqualShare => weights.resize(active.len(), 1.0),
+                CapacitySplit::DemandWeighted => {
+                    weights.extend(active.iter().map(|&(t, id)| {
+                        let slot = sessions[t]
+                            .resolve(id)
                             .expect("active replicas resolve after the sync pass");
-                        let peer = self.sessions[t].swarm().peer(slot);
+                        let swarm = sessions[t].swarm();
                         let missing =
-                            self.sessions[t].swarm().config().piece_count - peer.pieces().count();
+                            swarm.config().piece_count - swarm.peer(slot).pieces().count();
                         1.0 + missing as f64
-                    })
-                    .collect(),
-            };
+                    }));
+                }
+            }
             let total: f64 = weights.iter().sum();
-            for (i, &r) in active.iter().enumerate() {
-                let (t, id) = {
-                    let rep = &self.members[m].replicas[r];
-                    (rep.torrent as usize, rep.id)
-                };
-                let ok = self.sessions[t].set_upload_kbps(id, capacity * weights[i] / total);
+            for (&(t, id), &w) in active.iter().zip(weights.iter()) {
+                let ok = sessions[t].set_upload_kbps(id, capacity * w / total);
                 debug_assert!(ok, "active replicas resolve after the sync pass");
             }
         }
@@ -1126,6 +1157,37 @@ mod tests {
         };
         s = Session::new(s.swarm().clone(), cfg);
         let _ = Universe::new(vec![s], UniverseConfig::default());
+    }
+
+    /// Each weight is finite, but their sum overflows to +inf, which
+    /// would pin every extra-torrent draw to the first candidate.
+    fn overflowing_popularity() -> UniverseConfig {
+        UniverseConfig {
+            membership: MembershipModel::Fixed { extra: 1 },
+            popularity: vec![f64::MAX; 4],
+            ..UniverseConfig::default()
+        }
+    }
+
+    #[test]
+    fn overflowing_popularity_weights_fail_validation() {
+        let err = overflowing_popularity()
+            .validate(4)
+            .expect_err("overflowing weights pass validation");
+        assert!(err.contains("finite sum"), "{err}");
+        // Large but summable weights stay valid.
+        let large = UniverseConfig {
+            popularity: vec![f64::MAX / 8.0; 4],
+            ..UniverseConfig::default()
+        };
+        assert_eq!(large.validate(4), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "popularity weights must have a finite sum")]
+    fn overflowing_popularity_weights_are_refused() {
+        let sessions = (0..4).map(|t| session(t, 6, 1, 2.0)).collect();
+        let _ = Universe::new(sessions, overflowing_popularity());
     }
 
     #[test]

@@ -7,6 +7,14 @@
 //!   claim/sync/rebalance passes either consume only universe streams
 //!   (unused at `T = 1`) or write back bitwise-identical capacities, so
 //!   this pins that the sharing layer adds *nothing* to a lone swarm.
+//! * **Thread-budget independence** — `Some(t)` fans the sessions'
+//!   membership and round passes out across torrents (up to `min(t, T)`
+//!   at once, each round on `max(1, t / T)` threads). A 5-torrent
+//!   universe must end in the same swarms, statistics and completion
+//!   records at every budget from 1 to 16 — uneven worker queues and the
+//!   inner-thread split included — and per-torrent observers attached to
+//!   the fanned-out passes must change nothing and record what they
+//!   record at one thread.
 //! * **Capacity conservation** — at every rechoke boundary the sum of a
 //!   member's per-torrent upload shares equals its capacity, for random
 //!   torrent counts, membership widths and split policies (proptest).
@@ -14,9 +22,9 @@
 use proptest::prelude::*;
 use strat_bittorrent::session::{ArrivalProcess, DepartureRules, Session, SessionConfig};
 use strat_bittorrent::universe::{
-    derive_seed, CapacitySplit, MembershipModel, Universe, UniverseConfig,
+    derive_seed, CapacitySplit, MembershipModel, Universe, UniverseConfig, UniverseStats,
 };
-use strat_bittorrent::{NullObserver, Swarm, SwarmConfig};
+use strat_bittorrent::{NullObserver, Swarm, SwarmConfig, TraceLog, TraceObserver};
 
 /// Everything externally observable about one peer (exact equality).
 type PeerState = (bool, f64, f64, f64, f64, f64, Option<u64>, Vec<usize>);
@@ -148,6 +156,104 @@ fn one_torrent_universe_is_bit_identical_to_session_parallel() {
             "threads {threads}"
         );
     }
+}
+
+/// A 5-torrent universe with two extra memberships per member, capacity
+/// classes, demand-weighted splits and Zipf-like popularity.
+fn five_torrent_universe(seed: u64) -> Universe {
+    let sessions = (0..5u64)
+        .map(|t| {
+            Session::new(
+                build_swarm(14 + 3 * t as usize, 2, derive_seed(seed, t)),
+                SessionConfig {
+                    session_seed: derive_seed(seed ^ 0x5e55, t),
+                    ..churn_config(seed)
+                },
+            )
+        })
+        .collect();
+    Universe::new(
+        sessions,
+        UniverseConfig {
+            membership: MembershipModel::Fixed { extra: 2 },
+            split: CapacitySplit::DemandWeighted,
+            class_upload_kbps: vec![150.0, 400.0, 950.0],
+            popularity: vec![1.0, 0.5, 0.33, 0.25, 0.2],
+            universe_seed: seed ^ 0x0a11,
+        },
+    )
+}
+
+type UniverseState = (Vec<(Vec<PeerState>, Vec<u32>)>, UniverseStats);
+
+/// Every session's full swarm state plus the universe statistics (which
+/// carry the completion records).
+fn universe_state(universe: &Universe) -> UniverseState {
+    (
+        universe
+            .sessions()
+            .iter()
+            .map(|s| full_state(s.swarm()))
+            .collect(),
+        universe.stats().clone(),
+    )
+}
+
+#[test]
+fn multi_torrent_universe_is_identical_at_every_thread_budget() {
+    let rounds = 18;
+    let run = |threads: usize| {
+        let mut universe = five_torrent_universe(29);
+        universe.run_rounds(rounds, Some(threads));
+        for session in universe.sessions() {
+            session.swarm().validate_consistency();
+        }
+        universe_state(&universe)
+    };
+    let baseline = run(1);
+    let stats = &baseline.1;
+    assert!(
+        stats.cross_joins > 0 && stats.member_departures > 0,
+        "{stats:?}"
+    );
+    assert!(
+        stats.replica_departures > 0 && stats.completions > 0,
+        "{stats:?}"
+    );
+    // 2 and 3 workers over 5 torrents leave uneven queues; 8 caps the
+    // workers at 5; 16 also splits every round across 3 inner threads.
+    for threads in [2, 3, 8, 16] {
+        assert_eq!(run(threads), baseline, "threads = {threads}");
+    }
+}
+
+/// One recording observer per torrent. At `Some(1)` and at `Some(4)`
+/// over 5 torrents every session round runs on a single thread, so each
+/// torrent's log must match event for event, not just in aggregate.
+#[test]
+fn per_torrent_observers_under_fan_out_are_pure_taps() {
+    let rounds = 14;
+    let observed = |threads: usize| {
+        let mut universe = five_torrent_universe(83);
+        let obs: Vec<TraceObserver> = (0..5).map(|_| TraceObserver::new()).collect();
+        universe.run_rounds_with(rounds, Some(threads), &obs);
+        let logs: Vec<TraceLog> = obs.into_iter().map(TraceObserver::into_log).collect();
+        (universe_state(&universe), logs)
+    };
+    let mut plain = five_torrent_universe(83);
+    plain.run_rounds(rounds, Some(4));
+    let (state, logs) = observed(4);
+    assert_eq!(state, universe_state(&plain), "observers changed the run");
+    for (t, log) in logs.iter().enumerate() {
+        assert!(
+            !log.unchokes.is_empty() && !log.transfers.is_empty() && !log.arrivals.is_empty(),
+            "torrent {t} recorded nothing"
+        );
+    }
+    assert!(
+        observed(1) == (state, logs),
+        "logs differ from the one-thread run"
+    );
 }
 
 proptest! {

@@ -2,7 +2,8 @@
 //!
 //! The embarrassingly-parallel layers (Monte-Carlo realizations,
 //! independent experiment runs, parameter sweeps) fan out through
-//! [`par_map`], built on [`std::thread::scope`] — no external runtime.
+//! [`par_map`] (or, for items simulated in place, [`par_for_each_mut`]),
+//! built on [`std::thread::scope`] — no external runtime.
 //!
 //! # Determinism contract
 //!
@@ -21,6 +22,7 @@
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Default worker count: `STRAT_THREADS` if set, else the machine's
 /// available parallelism, else 1.
@@ -93,6 +95,48 @@ where
         .into_iter()
         .map(|slot| slot.expect("par_map: every index is claimed once"))
         .collect()
+}
+
+/// Runs `f(i, &mut items[i])` for every item on up to `threads` threads
+/// (the caller plus scoped workers).
+///
+/// The in-place companion of [`par_map`] for items that own their whole
+/// state (one simulation per item, say): every item is visited exactly
+/// once, by one worker, so the result is the sequential loop's for any
+/// thread count as long as `f` touches nothing shared but read-only or
+/// per-item state. Workers pull the next unvisited item from a shared
+/// cursor — a mutex-guarded `iter_mut`, locked only to take one item —
+/// so a few expensive items do not leave the other workers idle. With
+/// `threads <= 1` the loop runs inline.
+///
+/// # Panics
+///
+/// Propagates panics from `f`.
+pub fn par_for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let threads = threads.max(1).min(items.len().max(1));
+    if threads <= 1 {
+        for (i, item) in items.iter_mut().enumerate() {
+            f(i, item);
+        }
+        return;
+    }
+    let cursor = Mutex::new(items.iter_mut().enumerate());
+    let work = || loop {
+        // The guard drops at the end of this statement: `f` runs unlocked.
+        let next = cursor.lock().expect("cursor is never held across f").next();
+        let Some((i, item)) = next else { break };
+        f(i, item);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
+    });
 }
 
 /// Splits `0..total` into at most `parts` contiguous, non-empty ranges
@@ -192,6 +236,54 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map(&empty, 8, |_, x| *x).is_empty());
         assert_eq!(par_map(&[42u32], 8, |i, x| *x + i as u32), vec![42]);
+    }
+
+    #[test]
+    fn par_for_each_mut_matches_sequential_for_all_thread_counts() {
+        let step = |i: usize, x: &mut u64| *x = *x * 3 + i as u64;
+        let mut expected: Vec<u64> = (0..103).collect();
+        for (i, x) in expected.iter_mut().enumerate() {
+            step(i, x);
+        }
+        for threads in [1, 2, 3, 7, 16, 200] {
+            let mut got: Vec<u64> = (0..103).collect();
+            par_for_each_mut(&mut got, threads, step);
+            assert_eq!(got, expected, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn par_for_each_mut_with_skewed_item_costs_matches_sequential() {
+        // A few items cost orders of magnitude more than the rest, so
+        // workers finish out of index order; every item must still be
+        // visited exactly once, with its own index.
+        let cost = |x: u64| if x.is_multiple_of(13) { 200_000 } else { 10 };
+        let step = |i: usize, x: &mut (u64, u32)| {
+            let mut acc = x.0 ^ i as u64;
+            for k in 0..cost(x.0) {
+                acc = acc.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(k);
+            }
+            *x = (acc, x.1 + 1);
+        };
+        let fresh = || (0..40u64).map(|x| (x, 0u32)).collect::<Vec<_>>();
+        let mut expected = fresh();
+        for (i, x) in expected.iter_mut().enumerate() {
+            step(i, x);
+        }
+        for threads in [1, 2, 3, 8] {
+            let mut got = fresh();
+            par_for_each_mut(&mut got, threads, step);
+            assert_eq!(got, expected, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn par_for_each_mut_empty_and_single() {
+        let mut empty: Vec<u32> = Vec::new();
+        par_for_each_mut(&mut empty, 8, |_, _| unreachable!("no items"));
+        let mut single = [42u32];
+        par_for_each_mut(&mut single, 8, |i, x| *x += i as u32 + 1);
+        assert_eq!(single, [43]);
     }
 
     #[test]

@@ -38,6 +38,8 @@ use strat_core::{
 };
 use strat_graph::{generators, Graph, NodeId};
 use strat_scenario::{Scenario, TopologyModel};
+use strat_sim::experiments::btchurn;
+use strat_sim::runner::ExperimentContext;
 
 /// Standard declarative instance: `G(n, d)` acceptance graph, identity
 /// ranking, constant 1-matching (the scenario layer is the only builder
@@ -386,7 +388,11 @@ pub fn bench_swarm_rounds_ref(c: &mut Criterion) {
 ///   (arena reuse + incremental overlay/availability patching, no round);
 /// * `round_closed_n500` — a zero-churn session round next to the plain
 ///   engine's `swarm/rounds8_n500_pieces` baseline: the wrapper's
-///   overhead on closed swarms is observational bookkeeping only.
+///   overhead on closed swarms is observational bookkeeping only;
+/// * `round_open_p512_n300` — one serial round of the `btchurn` quick
+///   cell (512 pieces, ~300 peers) after its 120 warm-up rounds, on a
+///   fresh clone per iteration: rarest-first keeps availability nearly
+///   uniform there, so hundreds of pieces share each holder count.
 pub fn bench_session(c: &mut Criterion) {
     let mut group = c.benchmark_group("session");
     group.warm_up_time(Duration::from_millis(400));
@@ -442,6 +448,24 @@ pub fn bench_session(c: &mut Criterion) {
         b.iter(|| {
             let mut session = pristine.clone();
             session.run_rounds(PIECE_WINDOW);
+            session
+        });
+    });
+
+    // Built from `btchurn`'s own stream (0xc4) and warm-up horizon, so
+    // the measured state is the experiment's first quick cell.
+    let cell = btchurn::preset(&ExperimentContext {
+        quick: true,
+        seed: 2007,
+    });
+    let mut warmed = cell
+        .build_session(&mut strat_scenario::stream_rng(cell.seed, 0xc4))
+        .expect("btchurn preset builds a session");
+    warmed.run_rounds(120);
+    group.bench_function("round_open_p512_n300", |b| {
+        b.iter(|| {
+            let mut session = warmed.clone();
+            session.run_rounds(1);
             session
         });
     });

@@ -1950,8 +1950,9 @@ impl Swarm {
     /// (the dense present list is a permutation of the present slots, the
     /// position index its inverse, and an unbroken order flag means
     /// present streams ascend with slot), availability counts and the
-    /// population split against a from-scratch recount. Test
-    /// support for the membership/fault proptests;
+    /// population split against a from-scratch recount, and the
+    /// availability index's own structure (permutation, buckets, mask
+    /// rows). Test support for the membership/fault proptests;
     /// `O(edges + peers · pieces)`.
     ///
     /// # Panics
@@ -2068,6 +2069,7 @@ impl Swarm {
                 .count() as u32;
             assert_eq!(holders, self.availability()[i], "availability of piece {i}");
         }
+        self.avail.validate();
     }
 
     /// Runs [`Swarm::validate_consistency`] in debug builds and is a

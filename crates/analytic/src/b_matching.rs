@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Solution of the independent `b₀`-matching recurrence.
 ///
@@ -39,7 +39,7 @@ use serde::{Deserialize, Serialize};
 /// };
 /// assert!(mean(first) < mean(second));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BMatchingDistribution {
     n: usize,
     p: f64,
@@ -190,7 +190,7 @@ pub fn solve(n: usize, p: f64, b0: u32, peers: &[usize]) -> BMatchingDistributio
 /// This powers the §6 efficiency model (Figure 11): with `weights[j]` = the
 /// per-slot upload bandwidth of peer `j`, `weighted[i]` is peer `i`'s
 /// expected download rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExchangeExpectations {
     /// `weighted[i] = Σ_c Σ_j D_c(i, j) · weights[j]`.
     pub weighted: Vec<f64>,

@@ -36,10 +36,10 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of a Monte-Carlo estimation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MonteCarloConfig {
     /// Number of peers.
     pub n: usize,
@@ -72,7 +72,7 @@ impl MonteCarloConfig {
 }
 
 /// Per-choice mate-rank histograms for one observed peer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ChoiceHistogram {
     /// The observed peer (0-based rank).
     pub peer: usize,

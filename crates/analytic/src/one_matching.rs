@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Solution of the independent 1-matching recurrence.
 ///
@@ -37,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// let mode = (0..500).max_by(|&a, &b| row[a].total_cmp(&row[b])).unwrap();
 /// assert!((mode as i64 - 250).abs() < 25, "mode {mode}");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MateDistribution {
     n: usize,
     p: f64,

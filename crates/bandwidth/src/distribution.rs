@@ -12,7 +12,7 @@
 //! (see DESIGN.md).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Error raised when constructing a [`BandwidthCdf`] from invalid points.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,7 +57,7 @@ impl std::error::Error for BandwidthError {}
 /// let q = cdf.quantile(f);
 /// assert!((q - 64.0).abs() / 64.0 < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BandwidthCdf {
     /// `(log10(kbps), cumulative fraction)`, strictly increasing in both.
     points: Vec<(f64, f64)>,

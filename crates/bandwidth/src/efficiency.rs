@@ -19,13 +19,13 @@
 //!   TFT upload (`E[D] / (b₀ · slot(i))`), which additionally discounts the
 //!   unmatched risk of the worst peers (Figure 8c).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use strat_analytic::b_matching;
 
 use crate::BandwidthCdf;
 
 /// Parameters of the Figure 11 experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EfficiencyModel {
     /// Number of TFT collaboration slots per peer (paper: 3, i.e. 4 minus
     /// the generous slot).
@@ -50,7 +50,7 @@ impl Default for EfficiencyModel {
 }
 
 /// One peer of the efficiency curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct EfficiencyPoint {
     /// Global rank (0 = best).
     pub rank: usize,

@@ -14,32 +14,36 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use serde_json::Value;
+use serde::Deserialize;
 
 /// A row moved when NEW/OLD is more than this far from 1.
 const FLAG: f64 = 0.15;
 
+/// The part of a report this tool reads; every other key is ignored.
+#[derive(Deserialize)]
+struct Report {
+    groups: Vec<Row>,
+}
+
+/// One `groups` row.
+#[derive(Deserialize)]
+struct Row {
+    group: String,
+    bench: String,
+    median_ns: f64,
+}
+
 /// `group/bench → median_ns` of one report's `groups` rows.
 fn medians(path: &str) -> Result<BTreeMap<String, f64>, String> {
     let raw = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let report = serde_json::from_str_value(&raw).map_err(|e| format!("{path}: {e:?}"))?;
-    let rows = report
-        .get("groups")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{path}: no `groups` array"))?;
-    let mut medians = BTreeMap::new();
-    for row in rows {
-        let field = |key: &str| row.get(key).and_then(Value::as_str);
-        let (Some(group), Some(bench), Some(ns)) = (
-            field("group"),
-            field("bench"),
-            row.get("median_ns").and_then(Value::as_f64),
-        ) else {
-            return Err(format!("{path}: malformed `groups` row {row:?}"));
-        };
-        medians.insert(format!("{group}/{bench}"), ns);
-    }
-    Ok(medians)
+    let value = serde_json::from_str_value(&raw).map_err(|e| format!("{path}: {e:?}"))?;
+    let report =
+        Report::from_value(&value).map_err(|e| format!("{path}: malformed report: {e}"))?;
+    Ok(report
+        .groups
+        .into_iter()
+        .map(|row| (format!("{}/{}", row.group, row.bench), row.median_ns))
+        .collect())
 }
 
 fn moved(ratio: f64) -> bool {

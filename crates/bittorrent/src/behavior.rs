@@ -12,10 +12,10 @@
 //!   their unchokes uniformly at random over interested neighbours instead
 //!   of reciprocating, donating capacity without demanding a TFT signal.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How a peer runs the choking algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 #[non_exhaustive]
 pub enum PeerBehavior {
     /// Reference client: Tit-for-Tat reciprocation plus the optimistic

@@ -1,6 +1,6 @@
 //! Swarm configuration.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of a BitTorrent swarm simulation.
 ///
@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// per round.
 ///
 /// Build with [`SwarmConfig::builder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SwarmConfig {
     /// Number of leechers.
     pub leechers: usize,

@@ -6,7 +6,7 @@
 //! rank. These metrics observe exactly that, plus the share-ratio /
 //! efficiency quantities of Figure 11.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{PeerId, Swarm};
 
@@ -49,7 +49,7 @@ pub fn upload_ranks(swarm: &Swarm) -> Vec<usize> {
 }
 
 /// Snapshot of the stratification state of a swarm.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StratificationSnapshot {
     /// Simulation round at which the snapshot was taken.
     pub round: u64,
@@ -87,7 +87,7 @@ pub fn stratification_snapshot(swarm: &Swarm) -> StratificationSnapshot {
 }
 
 /// Per-peer performance summary for the leecher population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PeerPerformance {
     /// Peer index.
     pub peer: PeerId,

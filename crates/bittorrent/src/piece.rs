@@ -1,6 +1,6 @@
 //! Piece sets: fixed-size bitsets over the pieces of the shared file.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Words stored inline before falling back to the heap: 4 × 64 = 256
 /// pieces, covering every configuration the experiments run. Keeping the
@@ -60,7 +60,7 @@ impl WordStore {
 /// assert_eq!(have.count(), 1);
 /// assert!(!have.is_complete());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PieceSet {
     words: WordStore,
     piece_count: usize,

@@ -211,7 +211,6 @@ pub struct SessionConfig {
     /// gets sparser and wider as `c` shrinks. `None` is bit-identical to
     /// pre-cap builds. The cap applies to every tracker request: arrival
     /// and join wiring as well as fault repair.
-    #[serde(default)]
     pub peer_list_cap: Option<usize>,
     /// Arena-compaction trigger: when the dead-slot fraction
     /// `swarm.dead_slots() / swarm.peer_count()` reaches this threshold
@@ -231,7 +230,6 @@ pub struct SessionConfig {
     /// draws are keyed by slot/edge position. Serial-round sessions
     /// diverge once churn resumes (the serial engine draws from one
     /// shared stream in slot order).
-    #[serde(default)]
     pub compact_threshold: Option<f64>,
 }
 
@@ -306,7 +304,7 @@ impl SessionConfig {
 /// the slot had when the handle was issued. A handle goes stale the
 /// moment its slot is recycled by a later arrival, so sessions can keep
 /// references across churn without aliasing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct SessionPeerId {
     /// Arena slot.
     pub slot: u32,
@@ -315,7 +313,7 @@ pub struct SessionPeerId {
 }
 
 /// Why a peer left the swarm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum DepartReason {
     /// Left right after completing (`leave_on_completion`).
     Completed,
@@ -335,7 +333,7 @@ pub enum DepartReason {
 }
 
 /// Cumulative session statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct SessionStats {
     /// Peers admitted by the arrival process.
     pub arrivals: u64,
@@ -380,7 +378,7 @@ impl SessionStats {
 
 /// Completion summary of one arrival wave (see
 /// [`Session::cohort_completions`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CohortCompletion {
     /// First round of the cohort's arrival window.
     pub window_start: u64,

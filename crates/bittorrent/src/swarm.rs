@@ -72,7 +72,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use strat_graph::{generators, NodeId};
 use strat_par::split_lengths;
 
@@ -107,7 +107,7 @@ pub(crate) fn peer_round_rng(seed: u64, round: u64, peer: usize) -> ChaCha8Rng {
 /// peers holding the complete file (original seeds and promoted
 /// leechers). Maintained incrementally — reading it never rescans piece
 /// state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Population {
     /// Present peers that do not yet hold every piece.
     pub downloading: usize,

@@ -103,7 +103,7 @@ pub enum CapacitySplit {
 }
 
 /// Parameters of a [`Universe`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct UniverseConfig {
     /// Per-member multi-torrent membership process.
     pub membership: MembershipModel,
@@ -201,7 +201,7 @@ struct Member {
 }
 
 /// One `(member, torrent)` completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct UniverseCompletion {
     /// Member index.
     pub member: u32,
@@ -217,7 +217,7 @@ pub struct UniverseCompletion {
 }
 
 /// Cumulative universe statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct UniverseStats {
     /// Members ever claimed (initial populations included).
     pub members: u64,

@@ -6,7 +6,7 @@
 //! phase transition from disjoint clusters to stratified giant components.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use strat_graph::NodeId;
 
 use crate::ModelError;
@@ -23,7 +23,7 @@ use crate::ModelError;
 /// assert_eq!(caps.total(), 15);
 /// assert_eq!(caps.of(strat_graph::NodeId::new(2)), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Capacities {
     values: Vec<u32>,
     total: u64,
@@ -131,7 +131,7 @@ impl Capacities {
 }
 
 /// Distribution from which per-peer capacities are drawn.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 #[non_exhaustive]
 pub enum CapacityDistribution {
     /// Every peer gets exactly `b0` slots (constant `b₀`-matching, §4.1).

@@ -15,13 +15,13 @@
 //! departure flows balance in the paper's setting.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use strat_graph::NodeId;
 
 use crate::{Dynamics, InitiativeOutcome, PreferenceKeys, RankedAcceptance};
 
 /// What a single churn event did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ChurnEvent {
     /// A present peer left and no absent peer was available to replace it
     /// (only possible when everybody is present).

@@ -12,13 +12,13 @@
 //!   paper uses "Mean Max Offset" and "Max Mean Offset" interchangeably for
 //!   this same quantity; we keep MMO.)
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use strat_graph::components::Components;
 
 use crate::{GlobalRanking, Matching};
 
 /// Summary statistics of the collaboration graph of a configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClusterStats {
     /// Number of connected components (isolated peers count as singletons).
     pub component_count: usize,

@@ -43,7 +43,7 @@ pub enum InitiativeStrategy {
 }
 
 /// Outcome of one initiative.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum InitiativeOutcome {
     /// The initiative changed the configuration: `peer` matched with `mate`.
     Active {

@@ -6,7 +6,7 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use strat_graph::NodeId;
 
 use crate::ModelError;
@@ -25,7 +25,7 @@ use crate::ModelError;
 /// assert!(best.is_better_than(Rank::new(3)));
 /// assert_eq!(format!("{best}"), "r0");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[serde(transparent)]
 pub struct Rank(u32);
 
@@ -83,7 +83,7 @@ impl core::fmt::Display for Rank {
 /// assert!(ranking.prefers(NodeId::new(2), NodeId::new(1)));
 /// # Ok::<(), strat_core::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct GlobalRanking {
     /// `rank_of[v]` = rank of node `v`.
     rank_of: Vec<Rank>,

@@ -1,6 +1,6 @@
 //! Undirected, loopless graphs with sorted adjacency lists.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{GraphError, NodeId};
 
@@ -31,7 +31,7 @@ use crate::{GraphError, NodeId};
 /// assert_eq!(g.degree(NodeId::new(3)), 0);
 /// # Ok::<(), strat_graph::GraphError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Graph {
     /// `adjacency[v]` is the sorted list of neighbours of `v`.
     adjacency: Vec<Vec<NodeId>>,

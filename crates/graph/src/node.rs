@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of a peer (node) in a graph.
 ///
@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.index(), 3);
 /// assert_eq!(format!("{a}"), "n3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[serde(transparent)]
 pub struct NodeId(u32);
 

@@ -110,3 +110,9 @@ impl From<serde_json::ParseError> for ScenarioError {
         ScenarioError::Parse(e.to_string())
     }
 }
+
+impl From<serde::DeError> for ScenarioError {
+    fn from(e: serde::DeError) -> Self {
+        ScenarioError::Parse(e.to_string())
+    }
+}

@@ -1,18 +1,12 @@
 //! JSON round-trip for [`Scenario`]: serialization comes from the serde
 //! derives (externally tagged enums, exactly like upstream serde's
-//! defaults); deserialization walks the `serde_json::Value` tree produced
-//! by the shim parser.
+//! defaults), and so does deserialization, from the `serde_json::Value`
+//! tree produced by the shim parser.
 
+use serde::Deserialize;
 use serde_json::Value;
-use strat_core::InitiativeStrategy;
 
-use strat_bittorrent::universe::{CapacitySplit, MembershipModel};
-
-use crate::{
-    ArrivalProcess, BehaviorMix, CapacityModel, ChurnModel, DepartureRules, EventTiming, FaultPlan,
-    FaultWindow, PreferenceModel, Scenario, ScenarioError, SessionConfig, SwarmParams,
-    TopologyModel, UniverseParams,
-};
+use crate::{Scenario, ScenarioError};
 
 impl Scenario {
     /// Compact JSON encoding of this scenario.
@@ -54,443 +48,52 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns [`ScenarioError::Parse`] on malformed JSON, unknown
-    /// variants, or missing/ill-typed fields.
+    /// variants, or missing/ill-typed fields (the message names the
+    /// field's path), and [`ScenarioError::InvalidParameter`] for the
+    /// removed `swarm.churn.batched_wiring: true`.
     pub fn from_json(input: &str) -> Result<Self, ScenarioError> {
         let value = serde_json::from_str_value(input)?;
-        Self::from_value(&value)
-    }
-
-    fn from_value(value: &Value) -> Result<Self, ScenarioError> {
-        Ok(Self {
-            name: string_field(value, "name")?,
-            experiment: string_field(value, "experiment")?,
-            seed: u64_field(value, "seed")?,
-            peers: usize_field(value, "peers")?,
-            capacity: CapacityModel::from_value(require(value, "capacity")?)?,
-            topology: TopologyModel::from_value(require(value, "topology")?)?,
-            preference: PreferenceModel::from_value(require(value, "preference")?)?,
-            churn: ChurnModel::from_value(require(value, "churn")?)?,
-            strategy: strategy_from_value(require(value, "strategy")?)?,
-            swarm: match require(value, "swarm")? {
-                Value::Null => None,
-                v => Some(SwarmParams::from_value(v)?),
-            },
-        })
+        reject_batched_wiring(&value)?;
+        Ok(Self::from_value(&value)?)
     }
 }
 
-impl CapacityModel {
-    fn from_value(value: &Value) -> Result<Self, ScenarioError> {
-        let (tag, body) = variant(value, "capacity model")?;
-        match tag {
-            "Constant" => Ok(CapacityModel::Constant {
-                value: f64_field(body, "value")?,
-            }),
-            "RoundedNormal" => Ok(CapacityModel::RoundedNormal {
-                mean: f64_field(body, "mean")?,
-                sigma: f64_field(body, "sigma")?,
-            }),
-            "Uniform" => Ok(CapacityModel::Uniform {
-                lo: f64_field(body, "lo")?,
-                hi: f64_field(body, "hi")?,
-            }),
-            "SaroiuByRank" => Ok(CapacityModel::SaroiuByRank),
-            "SaroiuShuffled" => Ok(CapacityModel::SaroiuShuffled {
-                shuffle_seed: u64_field(body, "shuffle_seed")?,
-            }),
-            "Explicit" => Ok(CapacityModel::Explicit {
-                values: f64_array_field(body, "values")?,
-            }),
-            other => Err(unknown_variant("capacity model", other)),
-        }
-    }
-}
-
-impl TopologyModel {
-    fn from_value(value: &Value) -> Result<Self, ScenarioError> {
-        let (tag, body) = variant(value, "topology model")?;
-        match tag {
-            "Complete" => Ok(TopologyModel::Complete),
-            "ErdosRenyiMeanDegree" => Ok(TopologyModel::ErdosRenyiMeanDegree {
-                d: f64_field(body, "d")?,
-            }),
-            "ErdosRenyiEdgeProbability" => Ok(TopologyModel::ErdosRenyiEdgeProbability {
-                p: f64_field(body, "p")?,
-            }),
-            "Explicit" => {
-                let raw = require(body, "edges")?
-                    .as_array()
-                    .ok_or_else(|| type_error("edges", "array"))?;
-                let mut edges = Vec::with_capacity(raw.len());
-                for pair in raw {
-                    let pair = pair
-                        .as_array()
-                        .filter(|p| p.len() == 2)
-                        .ok_or_else(|| type_error("edge", "[u, v] pair"))?;
-                    edges.push((
-                        pair[0]
-                            .as_usize()
-                            .ok_or_else(|| type_error("edge endpoint", "index"))?,
-                        pair[1]
-                            .as_usize()
-                            .ok_or_else(|| type_error("edge endpoint", "index"))?,
-                    ));
-                }
-                Ok(TopologyModel::Explicit { edges })
-            }
-            other => Err(unknown_variant("topology model", other)),
-        }
-    }
-}
-
-impl PreferenceModel {
-    fn from_value(value: &Value) -> Result<Self, ScenarioError> {
-        let (tag, body) = variant(value, "preference model")?;
-        match tag {
-            "GlobalRank" => Ok(PreferenceModel::GlobalRank),
-            "GossipEstimated" => Ok(PreferenceModel::GossipEstimated {
-                sample_size: usize_field(body, "sample_size")?,
-            }),
-            "Latency" => Ok(PreferenceModel::Latency {
-                span: f64_field(body, "span")?,
-            }),
-            "BandedRankLatency" => Ok(PreferenceModel::BandedRankLatency {
-                class_width: usize_field(body, "class_width")?,
-                span: f64_field(body, "span")?,
-            }),
-            other => Err(unknown_variant("preference model", other)),
-        }
-    }
-}
-
-impl ChurnModel {
-    fn from_value(value: &Value) -> Result<Self, ScenarioError> {
-        let (tag, body) = variant(value, "churn model")?;
-        match tag {
-            "None" => Ok(ChurnModel::None),
-            "Rate" => Ok(ChurnModel::Rate {
-                rate: f64_field(body, "rate")?,
-            }),
-            "PoissonPerBaseUnit" => Ok(ChurnModel::PoissonPerBaseUnit {
-                events_per_base_unit: f64_field(body, "events_per_base_unit")?,
-            }),
-            other => Err(unknown_variant("churn model", other)),
-        }
-    }
-}
-
-impl SwarmParams {
-    fn from_value(value: &Value) -> Result<Self, ScenarioError> {
-        let behavior = require(value, "behavior")?;
-        Ok(Self {
-            seeds: usize_field(value, "seeds")?,
-            seed_upload_kbps: f64_field(value, "seed_upload_kbps")?,
-            tft_slots: usize_field(value, "tft_slots")?,
-            optimistic_slots: usize_field(value, "optimistic_slots")?,
-            optimistic_period: u32::try_from(u64_field(value, "optimistic_period")?)
-                .map_err(|_| type_error("optimistic_period", "u32"))?,
-            piece_count: usize_field(value, "piece_count")?,
-            piece_size_kbit: f64_field(value, "piece_size_kbit")?,
-            round_seconds: f64_field(value, "round_seconds")?,
-            initial_completion: f64_field(value, "initial_completion")?,
-            seed_after_completion: bool_field(value, "seed_after_completion")?,
-            fluid_content: bool_field(value, "fluid_content")?,
-            swarm_seed: u64_field(value, "swarm_seed")?,
-            behavior: BehaviorMix {
-                free_riders: usize_field(behavior, "free_riders")?,
-                altruists: usize_field(behavior, "altruists")?,
-            },
-            churn: optional_section(value, "churn", session_config_from_value)?,
-            faults: optional_section(value, "faults", fault_plan_from_value)?,
-            timing: optional_section(value, "timing", event_timing_from_value)?,
-            universe: optional_section(value, "universe", universe_params_from_value)?,
-        })
-    }
-}
-
-/// Legacy-tolerant optional swarm sub-section: preset files written
-/// before a section existed carry no key at all, and absence — like an
-/// explicit `null` — means the section is disabled (closed swarm, no
-/// faults, synchronous rounds, single torrent).
-fn optional_section<T>(
-    value: &Value,
-    field: &str,
-    parse: impl FnOnce(&Value) -> Result<T, ScenarioError>,
-) -> Result<Option<T>, ScenarioError> {
-    match value.get(field) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => parse(v).map(Some),
-    }
-}
-
-fn universe_params_from_value(value: &Value) -> Result<UniverseParams, ScenarioError> {
-    Ok(UniverseParams {
-        torrents: usize_field(value, "torrents")?,
-        popularity_skew: f64_field(value, "popularity_skew")?,
-        membership: membership_from_value(require(value, "membership")?)?,
-        split: split_from_value(require(value, "split")?)?,
-        class_upload_kbps: f64_array_field(value, "class_upload_kbps")?,
-        universe_seed: u64_field(value, "universe_seed")?,
-    })
-}
-
-fn membership_from_value(value: &Value) -> Result<MembershipModel, ScenarioError> {
-    let (tag, body) = variant(value, "membership model")?;
-    match tag {
-        "Single" => Ok(MembershipModel::Single),
-        "Fixed" => Ok(MembershipModel::Fixed {
-            extra: usize_field(body, "extra")?,
+/// `swarm.churn.batched_wiring` is a removed key. Older preset files carry
+/// it as `false` or null, which is how every session wires, so they load
+/// (the derived reader ignores unknown keys); a file asking for `true`
+/// asks for wiring that no longer exists, so it is refused rather than
+/// silently ignored.
+fn reject_batched_wiring(value: &Value) -> Result<(), ScenarioError> {
+    let Some(key) = value
+        .get("swarm")
+        .and_then(|swarm| swarm.get("churn"))
+        .and_then(|churn| churn.get("batched_wiring"))
+    else {
+        return Ok(());
+    };
+    match Option::<bool>::from_value(key) {
+        Ok(Some(true)) => Err(ScenarioError::InvalidParameter {
+            what: "batched_wiring",
+            reason: "batched tracker wiring was removed; every request uses the one \
+                     tracker path (drop the key or set it to false)"
+                .to_string(),
         }),
-        other => Err(unknown_variant("membership model", other)),
+        Ok(_) => Ok(()),
+        Err(e) => Err(e.at("swarm.churn.batched_wiring").into()),
     }
-}
-
-fn split_from_value(value: &Value) -> Result<CapacitySplit, ScenarioError> {
-    let (tag, _) = variant(value, "capacity split")?;
-    match tag {
-        "EqualShare" => Ok(CapacitySplit::EqualShare),
-        "DemandWeighted" => Ok(CapacitySplit::DemandWeighted),
-        other => Err(unknown_variant("capacity split", other)),
-    }
-}
-
-fn event_timing_from_value(value: &Value) -> Result<EventTiming, ScenarioError> {
-    let multipliers = require(value, "speed_multipliers")?
-        .as_array()
-        .ok_or_else(|| type_error("speed_multipliers", "array"))?
-        .iter()
-        .map(|m| {
-            m.as_f64()
-                .ok_or_else(|| type_error("speed multiplier", "number"))
-        })
-        .collect::<Result<Vec<f64>, _>>()?;
-    Ok(EventTiming {
-        rechoke_interval: f64_field(value, "rechoke_interval")?,
-        transfer_quantum: optional_f64_field(value, "transfer_quantum")?,
-        announce_interval: optional_f64_field(value, "announce_interval")?,
-        speed_multipliers: multipliers,
-    })
-}
-
-fn optional_f64_field(value: &Value, field: &str) -> Result<Option<f64>, ScenarioError> {
-    match require(value, field)? {
-        Value::Null => Ok(None),
-        v => Ok(Some(
-            v.as_f64()
-                .ok_or_else(|| type_error(field, "number or null"))?,
-        )),
-    }
-}
-
-fn fault_plan_from_value(value: &Value) -> Result<FaultPlan, ScenarioError> {
-    Ok(FaultPlan {
-        crash_prob: f64_field(value, "crash_prob")?,
-        loss_prob: f64_field(value, "loss_prob")?,
-        outages: fault_windows_field(value, "outages")?,
-        partitions: fault_windows_field(value, "partitions")?,
-        fault_seed: u64_field(value, "fault_seed")?,
-    })
-}
-
-fn fault_windows_field(value: &Value, field: &str) -> Result<Vec<FaultWindow>, ScenarioError> {
-    require(value, field)?
-        .as_array()
-        .ok_or_else(|| type_error(field, "array"))?
-        .iter()
-        .map(|w| {
-            Ok(FaultWindow {
-                start: u64_field(w, "start")?,
-                rounds: u64_field(w, "rounds")?,
-            })
-        })
-        .collect()
-}
-
-fn session_config_from_value(value: &Value) -> Result<SessionConfig, ScenarioError> {
-    // `batched_wiring` is a removed key. Older preset files carry it as
-    // `false` or null, which is how every session wires, so they load; a
-    // file asking for `true` asks for wiring that no longer exists, so it
-    // is refused rather than silently ignored.
-    match value.get("batched_wiring") {
-        None | Some(Value::Null | Value::Bool(false)) => {}
-        Some(Value::Bool(true)) => {
-            return Err(ScenarioError::InvalidParameter {
-                what: "batched_wiring",
-                reason: "batched tracker wiring was removed; every request uses the one \
-                         tracker path (drop the key or set it to false)"
-                    .to_string(),
-            })
-        }
-        Some(_) => return Err(type_error("batched_wiring", "bool")),
-    }
-    let departure = require(value, "departure")?;
-    Ok(SessionConfig {
-        arrival: arrival_from_value(require(value, "arrival")?)?,
-        departure: DepartureRules {
-            leave_on_completion: f64_field(departure, "leave_on_completion")?,
-            seed_leave_prob: f64_field(departure, "seed_leave_prob")?,
-            seed_exodus_round: match require(departure, "seed_exodus_round")? {
-                Value::Null => None,
-                v => {
-                    Some(v.as_u64().ok_or_else(|| {
-                        type_error("seed_exodus_round", "unsigned integer or null")
-                    })?)
-                }
-            },
-            abort_prob: f64_field(departure, "abort_prob")?,
-        },
-        arrival_upload_kbps: f64_field(value, "arrival_upload_kbps")?,
-        arrival_completion: f64_field(value, "arrival_completion")?,
-        target_degree: usize_field(value, "target_degree")?,
-        session_seed: u64_field(value, "session_seed")?,
-        // Legacy tolerance again: pre-tracker-cap preset files carry no
-        // `peer_list_cap` key; absence (like null) means uncapped.
-        peer_list_cap: match value.get("peer_list_cap") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .and_then(|c| usize::try_from(c).ok())
-                    .ok_or_else(|| type_error("peer_list_cap", "unsigned integer or null"))?,
-            ),
-        },
-        // Legacy tolerance once more: pre-compaction preset files carry
-        // no `compact_threshold` key; absence (like null) never compacts.
-        compact_threshold: match value.get("compact_threshold") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(
-                v.as_f64()
-                    .ok_or_else(|| type_error("compact_threshold", "number or null"))?,
-            ),
-        },
-    })
-}
-
-fn arrival_from_value(value: &Value) -> Result<ArrivalProcess, ScenarioError> {
-    let (tag, body) = variant(value, "arrival process")?;
-    match tag {
-        "None" => Ok(ArrivalProcess::None),
-        "Poisson" => Ok(ArrivalProcess::Poisson {
-            rate: f64_field(body, "rate")?,
-        }),
-        "Burst" => Ok(ArrivalProcess::Burst {
-            round: u64_field(body, "round")?,
-            count: u32::try_from(u64_field(body, "count")?)
-                .map_err(|_| type_error("count", "u32"))?,
-        }),
-        "Trace" => {
-            let raw = require(body, "arrivals")?
-                .as_array()
-                .ok_or_else(|| type_error("arrivals", "array"))?;
-            let mut arrivals = Vec::with_capacity(raw.len());
-            for pair in raw {
-                let pair = pair
-                    .as_array()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| type_error("arrival entry", "[round, count] pair"))?;
-                arrivals.push((
-                    pair[0]
-                        .as_u64()
-                        .ok_or_else(|| type_error("arrival round", "unsigned integer"))?,
-                    u32::try_from(
-                        pair[1]
-                            .as_u64()
-                            .ok_or_else(|| type_error("arrival count", "unsigned integer"))?,
-                    )
-                    .map_err(|_| type_error("arrival count", "u32"))?,
-                ));
-            }
-            Ok(ArrivalProcess::Trace { arrivals })
-        }
-        other => Err(unknown_variant("arrival process", other)),
-    }
-}
-
-fn strategy_from_value(value: &Value) -> Result<InitiativeStrategy, ScenarioError> {
-    match value.as_str() {
-        Some("BestMate") => Ok(InitiativeStrategy::BestMate),
-        Some("Decremental") => Ok(InitiativeStrategy::Decremental),
-        Some("Random") => Ok(InitiativeStrategy::Random),
-        Some(other) => Err(unknown_variant("initiative strategy", other)),
-        None => Err(type_error("strategy", "string")),
-    }
-}
-
-/// Splits an externally tagged enum value into `(variant, body)`; unit
-/// variants are bare strings with a null body.
-fn variant<'v>(value: &'v Value, what: &str) -> Result<(&'v str, &'v Value), ScenarioError> {
-    static NULL: Value = Value::Null;
-    if let Some(tag) = value.as_str() {
-        return Ok((tag, &NULL));
-    }
-    if let Some(map) = value.as_object() {
-        if map.len() == 1 {
-            let (tag, body) = map.iter().next().expect("len checked");
-            return Ok((tag.as_str(), body));
-        }
-    }
-    Err(ScenarioError::Parse(format!(
-        "expected an externally tagged {what}, found {value:?}"
-    )))
-}
-
-fn require<'v>(value: &'v Value, field: &str) -> Result<&'v Value, ScenarioError> {
-    value
-        .get(field)
-        .ok_or_else(|| ScenarioError::Parse(format!("missing field `{field}`")))
-}
-
-fn type_error(field: &str, wanted: &str) -> ScenarioError {
-    ScenarioError::Parse(format!("field `{field}` must be a {wanted}"))
-}
-
-fn string_field(value: &Value, field: &str) -> Result<String, ScenarioError> {
-    require(value, field)?
-        .as_str()
-        .map(str::to_owned)
-        .ok_or_else(|| type_error(field, "string"))
-}
-
-fn f64_field(value: &Value, field: &str) -> Result<f64, ScenarioError> {
-    require(value, field)?
-        .as_f64()
-        .ok_or_else(|| type_error(field, "number"))
-}
-
-fn u64_field(value: &Value, field: &str) -> Result<u64, ScenarioError> {
-    require(value, field)?
-        .as_u64()
-        .ok_or_else(|| type_error(field, "unsigned integer"))
-}
-
-fn usize_field(value: &Value, field: &str) -> Result<usize, ScenarioError> {
-    require(value, field)?
-        .as_usize()
-        .ok_or_else(|| type_error(field, "unsigned integer"))
-}
-
-fn bool_field(value: &Value, field: &str) -> Result<bool, ScenarioError> {
-    require(value, field)?
-        .as_bool()
-        .ok_or_else(|| type_error(field, "bool"))
-}
-
-fn f64_array_field(value: &Value, field: &str) -> Result<Vec<f64>, ScenarioError> {
-    require(value, field)?
-        .as_array()
-        .ok_or_else(|| type_error(field, "array"))?
-        .iter()
-        .map(|v| v.as_f64().ok_or_else(|| type_error(field, "number array")))
-        .collect()
-}
-
-fn unknown_variant(what: &str, tag: &str) -> ScenarioError {
-    ScenarioError::Parse(format!("unknown {what} variant `{tag}`"))
 }
 
 #[cfg(test)]
 mod tests {
+    use strat_bittorrent::universe::{CapacitySplit, MembershipModel};
+    use strat_core::InitiativeStrategy;
+
     use super::*;
-    use crate::SwarmParams;
+    use crate::{
+        ArrivalProcess, BehaviorMix, CapacityModel, ChurnModel, DepartureRules, EventTiming,
+        FaultPlan, FaultWindow, PreferenceModel, SessionConfig, SwarmParams, TopologyModel,
+        UniverseParams,
+    };
 
     fn full_scenario() -> Scenario {
         Scenario::new("full", 321)
@@ -566,6 +169,59 @@ mod tests {
             Err(ScenarioError::Parse(_))
         ));
         assert!(Scenario::from_json("not json at all").is_err());
+
+        // Errors name the path to the offending value...
+        let scenario = Scenario::new("churny", 10).with_swarm(SwarmParams {
+            churn: Some(SessionConfig {
+                departure: DepartureRules {
+                    abort_prob: 0.01,
+                    ..DepartureRules::none()
+                },
+                ..SessionConfig::default()
+            }),
+            ..SwarmParams::default()
+        });
+        let json = scenario.to_json();
+        let parse_error = |json: &str| match Scenario::from_json(json) {
+            Err(ScenarioError::Parse(message)) => message,
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        let ill_typed = json.replacen("\"abort_prob\":0.01", "\"abort_prob\":\"x\"", 1);
+        assert_ne!(ill_typed, json, "field not rewritten");
+        let message = parse_error(&ill_typed);
+        assert!(
+            message.contains("`swarm.churn.departure.abort_prob`"),
+            "{message}"
+        );
+        assert!(message.contains("expected a number"), "{message}");
+        // ...and a missing required field is named under its parent's path.
+        let missing = json.replacen(",\"abort_prob\":0.01", "", 1);
+        assert_ne!(missing, json, "field not removed");
+        let message = parse_error(&missing);
+        assert!(message.contains("`swarm.churn.departure`"), "{message}");
+        assert!(message.contains("missing field `abort_prob`"), "{message}");
+    }
+
+    #[test]
+    fn absent_optional_fields_parse_to_none() {
+        // Every `Option` field reads an absent key as `None`, like `null`.
+        let scenario = Scenario::new("dyn-only", 5);
+        let json = scenario.to_json().replace(",\"swarm\":null", "");
+        assert!(!json.contains("swarm"), "not stripped: {json}");
+        assert_eq!(Scenario::from_json(&json).unwrap(), scenario);
+
+        let scenario = Scenario::new("sparse", 8).with_swarm(SwarmParams {
+            churn: Some(SessionConfig::default()),
+            timing: Some(EventTiming::default()),
+            ..SwarmParams::default()
+        });
+        let mut json = scenario.to_json();
+        for key in ["seed_exodus_round", "transfer_quantum", "announce_interval"] {
+            let stripped = json.replacen(&format!("\"{key}\":null,"), "", 1);
+            assert_ne!(stripped, json, "{key} not stripped");
+            json = stripped;
+        }
+        assert_eq!(Scenario::from_json(&json).unwrap(), scenario);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   byte flips) — structurally close to valid, the regime where sloppy
 //!   `unwrap`s hide;
 //! * structure-aware token swaps (renaming keys/variants, number →
-//!   string, deleting fields), which exercise every `require`/type-check
-//!   arm.
+//!   string, deleting fields), which exercise the derived reader's
+//!   missing-field, type-check and unknown-variant paths.
 //!
 //! Valid inputs must keep round-tripping, so the fuzzing can't pass by
 //! rejecting everything.

@@ -15,7 +15,9 @@
 //! `--scenario FILE.json` loads a declarative scenario (see
 //! `strat-scenario`), dispatches on its `experiment` binding and runs that
 //! kernel on it — the scenario's own seed drives all randomness, so a
-//! dumped preset reproduces its figure bit-identically.
+//! dumped preset reproduces its figure bit-identically. A file that does
+//! not parse, or that its kernel cannot build, prints the typed error and
+//! exits 2.
 //!
 //! The `scenarios` subcommand lists the named presets of every paper
 //! figure, or (with `--dump`) writes them as pretty-printed JSON into
@@ -190,7 +192,13 @@ fn scenario_command(args: &Args, path: &PathBuf) -> i32 {
         scenario.name, scenario.experiment, scenario.seed
     );
     let start = Instant::now();
-    let result = (entry.run_scenario)(&ctx, &scenario);
+    let result = match (entry.try_run_scenario)(&ctx, &scenario) {
+        Ok(result) => result,
+        Err(e) => {
+            eprintln!("error: {}: {e}", path.display());
+            return 2;
+        }
+    };
     print_result(&result, args.plot);
     println!("  ({:.2}s)", start.elapsed().as_secs_f64());
     if let Some(out) = &args.out {

@@ -11,7 +11,9 @@
 //!   peers above 1.
 
 use strat_bittorrent::metrics;
-use strat_scenario::{BehaviorMix, CapacityModel, Scenario, SwarmParams, TopologyModel};
+use strat_scenario::{
+    BehaviorMix, CapacityModel, Scenario, ScenarioError, SwarmParams, TopologyModel,
+};
 
 use crate::experiments::common;
 use crate::runner::{ExperimentContext, ExperimentResult};
@@ -43,19 +45,19 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the BT swarm validation on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the BT swarm validation kernel on an arbitrary base scenario.
-#[must_use]
-pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
+pub fn run_scenario(
+    ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
     let leechers = scenario.peers;
     let rounds = if ctx.quick { 80u64 } else { 240 };
     let seeds = scenario.swarm.as_ref().map_or(2, |s| s.seeds);
 
-    let mut swarm = scenario
-        .build_swarm(&mut common::rng(scenario.seed, 0xb1))
-        .unwrap_or_else(|e| panic!("bt1 scenario: {e}"));
+    let mut swarm = scenario.build_swarm(&mut common::rng(scenario.seed, 0xb1))?;
     let mut result = ExperimentResult::new(
         "bt1",
         "BT swarm: TFT stratification and share ratios (section 6 in vivo)",
@@ -147,7 +149,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
          exactly as Theorem 1's convergence predicts."
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

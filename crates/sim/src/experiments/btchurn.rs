@@ -27,8 +27,8 @@
 
 use strat_analytic::fluid::BtFluidParams;
 use strat_scenario::{
-    ArrivalProcess, CapacityModel, DepartureRules, Scenario, SessionConfig, SwarmParams,
-    TopologyModel,
+    ArrivalProcess, CapacityModel, DepartureRules, Scenario, ScenarioError, SessionConfig,
+    SwarmParams, TopologyModel,
 };
 
 use crate::experiments::common;
@@ -142,7 +142,7 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the churn sweep on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// What one `(λ, γ)` cell measured.
@@ -163,14 +163,18 @@ struct CellRun {
 }
 
 /// Builds and runs one sweep cell from the base scenario.
-fn run_cell(scenario: &Scenario, lambda: f64, gamma: f64, warmup: u64, measure: u64) -> CellRun {
+fn run_cell(
+    scenario: &Scenario,
+    lambda: f64,
+    gamma: f64,
+    warmup: u64,
+    measure: u64,
+) -> Result<CellRun, ScenarioError> {
     let sample_every = 10u64;
     let cell = cell_scenario(scenario, lambda, gamma);
     let params = fluid_params(&cell, lambda, gamma);
     let steady = params.steady_state();
-    let mut session = cell
-        .build_session(&mut common::rng(cell.seed, 0xc4))
-        .unwrap_or_else(|e| panic!("btchurn scenario: {e}"));
+    let mut session = cell.build_session(&mut common::rng(cell.seed, 0xc4))?;
 
     // The fluid trajectory from the same initial condition (x0 at the
     // predicted steady state, no promoted seeds yet).
@@ -246,7 +250,7 @@ fn run_cell(scenario: &Scenario, lambda: f64, gamma: f64, warmup: u64, measure: 
             )
         })
         .collect();
-    CellRun {
+    Ok(CellRun {
         rows,
         rel_err: (sim_x - steady.leechers).abs() / steady.leechers,
         seed_err: (sim_y - seed_pred).abs() / seed_pred,
@@ -256,17 +260,22 @@ fn run_cell(scenario: &Scenario, lambda: f64, gamma: f64, warmup: u64, measure: 
             "Per-cohort completion times (lambda = {lambda}, gamma = {gamma}, 40-round waves): {}",
             rendered.join("; ")
         ),
-    }
+    })
 }
 
 /// Runs the arrival-rate × seed-leave sweep derived from an arbitrary
 /// base scenario (which must carry `swarm.churn`).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the scenario lacks a swarm or churn section.
-#[must_use]
-pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
+/// [`ScenarioError::MissingSwarm`] / [`ScenarioError::MissingChurn`] if
+/// the scenario lacks a swarm or churn section, or any cell's build error.
+pub fn run_scenario(
+    ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
+    let swarm = scenario.swarm.as_ref().ok_or(ScenarioError::MissingSwarm)?;
+    swarm.churn.as_ref().ok_or(ScenarioError::MissingChurn)?;
     let cells = sweep(ctx.quick);
     let (warmup, measure) = horizon(ctx.quick);
 
@@ -290,7 +299,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
 
     let runs = common::par_cells(&cells, |&(lambda, gamma)| {
         run_cell(scenario, lambda, gamma, warmup, measure)
-    });
+    })?;
 
     let mut max_rel_err = 0.0f64;
     let mut seed_errs: Vec<f64> = Vec::new();
@@ -340,7 +349,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
          faithful to the regime Xu's model describes."
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

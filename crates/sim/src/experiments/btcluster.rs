@@ -24,7 +24,7 @@
 //! excess, and the random-unchoke control affinity.
 
 use strat_bittorrent::observer::{ClusterObserver, UNTRACKED_CLASS};
-use strat_scenario::{CapacityModel, Scenario, SwarmParams, TopologyModel};
+use strat_scenario::{CapacityModel, Scenario, ScenarioError, SwarmParams, TopologyModel};
 
 use crate::experiments::common;
 use crate::runner::{ExperimentContext, ExperimentResult};
@@ -118,18 +118,22 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the clustering sweep on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the class-spread sweep derived from an arbitrary base scenario
 /// (which must carry a swarm section).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the scenario lacks a swarm section or an affinity estimate
-/// (no unchokes observed).
-#[must_use]
-pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
+/// [`ScenarioError::MissingSwarm`] if the scenario lacks a swarm section,
+/// a cell's build error, or [`ScenarioError::InvalidParameter`] when a
+/// cell yields no affinity estimate (no unchokes observed).
+pub fn run_scenario(
+    ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
+    scenario.swarm.as_ref().ok_or(ScenarioError::MissingSwarm)?;
     let sweep = spreads(ctx.quick);
     let (warmup, measure) = horizon(ctx.quick);
 
@@ -161,21 +165,20 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
         let classes = class_labels(cell.peers);
 
         // Choked swarm: warm up unobserved, then measure with the tap.
-        let mut swarm = cell
-            .build_swarm(&mut common::rng(cell.seed, 0xc1))
-            .unwrap_or_else(|e| panic!("btcluster scenario: {e}"));
+        let mut swarm = cell.build_swarm(&mut common::rng(cell.seed, 0xc1))?;
         swarm.run_rounds(warmup);
         let obs = ClusterObserver::new(classes.clone());
         swarm.run_rounds_with(measure, &obs);
         let affinity = obs
             .tft_affinity()
-            .expect("choked swarm issues TFT unchokes");
+            .ok_or_else(|| ScenarioError::InvalidParameter {
+                what: "swarm",
+                reason: "the swarm issued no TFT unchokes to measure".to_string(),
+            })?;
 
         // Random-unchoke twin: same capacities, choking disabled.
         let twin = random_twin(&cell);
-        let mut rand_swarm = twin
-            .build_swarm(&mut common::rng(twin.seed, 0xc1))
-            .unwrap_or_else(|e| panic!("btcluster twin: {e}"));
+        let mut rand_swarm = twin.build_swarm(&mut common::rng(twin.seed, 0xc1))?;
         rand_swarm.run_rounds(warmup);
         let rand_obs = ClusterObserver::new(classes);
         rand_swarm.run_rounds_with(measure, &rand_obs);
@@ -236,7 +239,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
          the paper's stratification theorem."
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

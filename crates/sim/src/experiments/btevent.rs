@@ -38,8 +38,8 @@
 
 use strat_analytic::fluid::BtMultiClassParams;
 use strat_scenario::{
-    ArrivalProcess, CapacityModel, DepartureRules, EventTiming, Scenario, SessionConfig,
-    SwarmParams, TopologyModel,
+    ArrivalProcess, CapacityModel, DepartureRules, EventTiming, Scenario, ScenarioError,
+    SessionConfig, SwarmParams, TopologyModel,
 };
 
 use crate::experiments::common;
@@ -176,7 +176,7 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the heterogeneity sweep on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// What one speed-spread cell measured.
@@ -197,7 +197,12 @@ struct CellRun {
 }
 
 /// Builds and runs the event engine for one speed spread.
-fn run_cell(scenario: &Scenario, spread: f64, warmup: u64, measure: u64) -> CellRun {
+fn run_cell(
+    scenario: &Scenario,
+    spread: f64,
+    warmup: u64,
+    measure: u64,
+) -> Result<CellRun, ScenarioError> {
     let cell = cell_scenario(scenario, spread);
     let params = fluid_params(&cell, spread);
     let fluid_rounds = params.mean_download_rounds();
@@ -206,9 +211,7 @@ fn run_cell(scenario: &Scenario, spread: f64, warmup: u64, measure: u64) -> Cell
         .as_ref()
         .expect("btevent has a swarm section")
         .round_seconds;
-    let mut engine = cell
-        .build_event_engine(&mut common::rng(cell.seed, 0xe7))
-        .unwrap_or_else(|e| panic!("btevent scenario: {e}"));
+    let mut engine = cell.build_event_engine(&mut common::rng(cell.seed, 0xe7))?;
     engine.run_for((warmup + measure) as f64 * round_seconds);
 
     // Per-class mean download time of peers that arrived after the
@@ -241,7 +244,7 @@ fn run_cell(scenario: &Scenario, spread: f64, warmup: u64, measure: u64) -> Cell
     }
 
     let stats = engine.stats();
-    CellRun {
+    Ok(CellRun {
         rows,
         measured,
         fluid_rounds,
@@ -269,17 +272,24 @@ fn run_cell(scenario: &Scenario, spread: f64, warmup: u64, measure: u64) -> Cell
             stats.departures,
             engine.present_count(),
         ),
-    }
+    })
 }
 
 /// Runs the speed-spread sweep derived from an arbitrary base scenario
 /// (which must carry `swarm.churn` and `swarm.timing`).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the scenario lacks a swarm, churn or timing section.
-#[must_use]
-pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
+/// [`ScenarioError::MissingSwarm`] / [`ScenarioError::MissingTiming`] if
+/// the scenario lacks a swarm or timing section, or any cell's build
+/// error (a missing churn section, a fault plan the event engine does
+/// not run, …).
+pub fn run_scenario(
+    ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
+    let swarm = scenario.swarm.as_ref().ok_or(ScenarioError::MissingSwarm)?;
+    swarm.timing.as_ref().ok_or(ScenarioError::MissingTiming)?;
     let cells = sweep(ctx.quick);
     let (warmup, measure) = horizon(ctx.quick);
 
@@ -314,7 +324,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
 
     let runs = common::par_cells(&cells, |&spread| {
         run_cell(scenario, spread, warmup, measure)
-    });
+    })?;
     for (&spread, run) in cells.iter().zip(runs) {
         for row in run.rows {
             result.push_row(row);
@@ -385,7 +395,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
          event timeline, in the direction and order Xu's heterogeneous model predicts."
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

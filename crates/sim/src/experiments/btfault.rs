@@ -26,8 +26,8 @@
 use strat_analytic::fluid::BtFluidParams;
 use strat_bittorrent::overlay;
 use strat_scenario::{
-    ArrivalProcess, CapacityModel, DepartureRules, FaultPlan, FaultWindow, Scenario, SessionConfig,
-    SwarmParams, TopologyModel,
+    ArrivalProcess, CapacityModel, DepartureRules, FaultPlan, FaultWindow, Scenario, ScenarioError,
+    SessionConfig, SwarmParams, TopologyModel,
 };
 
 use crate::experiments::common;
@@ -169,7 +169,7 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the fault sweep on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// What one cell's simulation measured: its rows and the handful of
@@ -200,7 +200,7 @@ struct CellOutcome {
 
 /// Builds and simulates one cell of the sweep derived from `base`.
 #[allow(clippy::too_many_lines)]
-fn simulate_cell(base: &Scenario, cell: Cell, quick: bool) -> CellOutcome {
+fn simulate_cell(base: &Scenario, cell: Cell, quick: bool) -> Result<CellOutcome, ScenarioError> {
     let (crash, loss, outage, partition) = cell;
     let (warmup, measure) = horizon(quick);
     let sample_every = 10u64;
@@ -208,9 +208,7 @@ fn simulate_cell(base: &Scenario, cell: Cell, quick: bool) -> CellOutcome {
 
     let scenario = cell_scenario(base, cell, quick);
     let fluid_leechers = fluid_params(&scenario, cell).steady_state().leechers;
-    let mut session = scenario
-        .build_session(&mut common::rng(scenario.seed, 0xfa))
-        .unwrap_or_else(|e| panic!("btfault scenario: {e}"));
+    let mut session = scenario.build_session(&mut common::rng(scenario.seed, 0xfa))?;
 
     let mut rows = Vec::new();
     let mut tail_leechers = 0.0f64;
@@ -284,7 +282,7 @@ fn simulate_cell(base: &Scenario, cell: Cell, quick: bool) -> CellOutcome {
         records.iter().sum::<f64>() / records.len() as f64
     };
 
-    CellOutcome {
+    Ok(CellOutcome {
         rows,
         rel_err: (leechers - fluid_leechers).abs() / fluid_leechers,
         recovery,
@@ -294,19 +292,23 @@ fn simulate_cell(base: &Scenario, cell: Cell, quick: bool) -> CellOutcome {
         lost_deliveries: session.swarm().lost_deliveries(),
         announces: (stats.deferred_announces, stats.announce_retries),
         pending_announces: session.pending_announces(),
-    }
+    })
 }
 
 /// Runs the crash × loss × outage sweep (plus the partition-recovery
 /// cell) derived from an arbitrary base scenario, which must carry
 /// `swarm.churn` (its `swarm.faults` section is replaced per cell).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the scenario lacks a swarm or churn section.
-#[must_use]
+/// [`ScenarioError::MissingSwarm`] if the scenario lacks a swarm
+/// section, or any cell's build error (a missing churn section, …).
 #[allow(clippy::too_many_lines)]
-pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
+pub fn run_scenario(
+    ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
+    scenario.swarm.as_ref().ok_or(ScenarioError::MissingSwarm)?;
     let cells = sweep(ctx.quick);
     let (warmup, measure) = horizon(ctx.quick);
 
@@ -342,7 +344,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
         .find(|&&(_, _, _, partition)| partition > 0)
         .expect("sweep has a partition cell");
     let items: Vec<Cell> = cells.iter().copied().chain([partition_cell]).collect();
-    let mut outcomes = common::par_cells(&items, |&cell| simulate_cell(scenario, cell, ctx.quick));
+    let mut outcomes = common::par_cells(&items, |&cell| simulate_cell(scenario, cell, ctx.quick))?;
     let rerun = outcomes.pop().expect("the rerun item");
 
     let mut max_rel_err = 0.0f64;
@@ -454,7 +456,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
          rather than destabilizing it."
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

@@ -16,7 +16,9 @@
 //! ride the wave earlier than slow peers (the bandwidth stratification of
 //! §6 showing up in completion times).
 
-use strat_scenario::{BehaviorMix, CapacityModel, Scenario, SwarmParams, TopologyModel};
+use strat_scenario::{
+    BehaviorMix, CapacityModel, Scenario, ScenarioError, SwarmParams, TopologyModel,
+};
 
 use crate::experiments::common;
 use crate::runner::{ExperimentContext, ExperimentResult};
@@ -50,7 +52,7 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the flash-crowd experiment on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the flash-crowd kernel on an arbitrary base scenario.
@@ -58,8 +60,10 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
 /// Rounds execute through the parallel engine on all available workers;
 /// the determinism contract keeps the rows identical for any thread
 /// count.
-#[must_use]
-pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
+pub fn run_scenario(
+    ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
     run_scenario_with_threads(ctx, scenario, strat_par::default_threads())
 }
 
@@ -69,15 +73,13 @@ fn run_scenario_with_threads(
     ctx: &ExperimentContext,
     scenario: &Scenario,
     threads: usize,
-) -> ExperimentResult {
+) -> Result<ExperimentResult, ScenarioError> {
     let leechers = scenario.peers;
     let rounds = if ctx.quick { 60u64 } else { 160 };
     let sample_every = 5u64;
     let seeds = scenario.swarm.as_ref().map_or(0, |s| s.seeds);
 
-    let mut swarm = scenario
-        .build_swarm(&mut common::rng(scenario.seed, 0xf1))
-        .unwrap_or_else(|e| panic!("btflash scenario: {e}"));
+    let mut swarm = scenario.build_swarm(&mut common::rng(scenario.seed, 0xf1))?;
     let piece_count = swarm.config().piece_count;
 
     let mut result = ExperimentResult::new(
@@ -167,7 +169,7 @@ fn run_scenario_with_threads(
          The completion wave sweeps the swarm by bandwidth rank — the §6 \
          stratification expressed in completion times rather than share ratios."
     ));
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

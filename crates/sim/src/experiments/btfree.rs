@@ -10,7 +10,9 @@
 //! the compliant population's at every level, while total swarm throughput
 //! shrinks with the withdrawn capacity.
 
-use strat_scenario::{BehaviorMix, CapacityModel, Scenario, SwarmParams, TopologyModel};
+use strat_scenario::{
+    BehaviorMix, CapacityModel, Scenario, ScenarioError, SwarmParams, TopologyModel,
+};
 
 use crate::experiments::common;
 use crate::runner::{ExperimentContext, ExperimentResult};
@@ -43,7 +45,7 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the free-rider sweep on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the free-rider sweep derived from an arbitrary base scenario: each
@@ -51,17 +53,17 @@ pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
 /// (riders occupy the top leecher indices — bandwidth-representative under
 /// shuffled capacities).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the scenario lacks a swarm section.
-#[must_use]
-pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
+/// [`ScenarioError::MissingSwarm`] if the scenario lacks a swarm section,
+/// or a level's build error.
+pub fn run_scenario(
+    ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
     let leechers = scenario.peers;
     let rounds = if ctx.quick { 60u64 } else { 150 };
-    let base_params = scenario
-        .swarm
-        .clone()
-        .unwrap_or_else(|| panic!("btfree scenario needs a swarm section"));
+    let base_params = scenario.swarm.clone().ok_or(ScenarioError::MissingSwarm)?;
 
     let mut result = ExperimentResult::new(
         "btfree",
@@ -92,9 +94,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
             },
             ..base_params.clone()
         });
-        let mut swarm = level_scenario
-            .build_swarm(&mut common::rng(scenario.seed, 0xf4))
-            .unwrap_or_else(|e| panic!("btfree scenario: {e}"));
+        let mut swarm = level_scenario.build_swarm(&mut common::rng(scenario.seed, 0xf4))?;
         swarm.run_rounds(rounds);
 
         // Riders occupy the top leecher indices (the BehaviorMix layout).
@@ -150,7 +150,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
          incentive mechanism the §6 b-matching model attributes to TFT."
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

@@ -34,8 +34,8 @@
 use strat_analytic::fluid::BtMultiClassParams;
 use strat_bittorrent::observer::{ClusterObserver, UNTRACKED_CLASS};
 use strat_scenario::{
-    ArrivalProcess, CapacityModel, DepartureRules, MembershipModel, Scenario, SessionConfig,
-    SwarmParams, TopologyModel, UniverseParams,
+    ArrivalProcess, CapacityModel, DepartureRules, MembershipModel, Scenario, ScenarioError,
+    SessionConfig, SwarmParams, TopologyModel, UniverseParams,
 };
 
 use crate::experiments::common;
@@ -248,11 +248,15 @@ struct CellRun {
 }
 
 /// Builds and runs the universe for one sweep cell.
-fn run_cell(scenario: &Scenario, torrents: usize, skew: f64, warmup: u64, measure: u64) -> CellRun {
+fn run_cell(
+    scenario: &Scenario,
+    torrents: usize,
+    skew: f64,
+    warmup: u64,
+    measure: u64,
+) -> Result<CellRun, ScenarioError> {
     let cell = cell_scenario(scenario, torrents, skew);
-    let mut universe = cell
-        .build_universe(&mut common::rng(cell.seed, 0xb71))
-        .unwrap_or_else(|e| panic!("btmulti scenario: {e}"));
+    let mut universe = cell.build_universe(&mut common::rng(cell.seed, 0xb71))?;
 
     universe.run_rounds(warmup, None);
     // Measurement window: per-torrent cluster observers whose
@@ -350,7 +354,7 @@ fn run_cell(scenario: &Scenario, torrents: usize, skew: f64, warmup: u64, measur
     }
 
     let stats = universe.stats();
-    CellRun {
+    Ok(CellRun {
         rows,
         rel_errs,
         ordered: pooled[0] > pooled[1] && pooled[1] > pooled[2],
@@ -370,24 +374,33 @@ fn run_cell(scenario: &Scenario, torrents: usize, skew: f64, warmup: u64, measur
             stats.replica_departures,
             stats.completions,
         ),
-    }
+    })
 }
 
 /// Runs the multi-swarm sweep on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the torrent-count × popularity-skew sweep derived from an
 /// arbitrary base scenario (which must carry `swarm.churn` and
 /// `swarm.universe`).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the scenario lacks a swarm, churn or universe section.
-#[must_use]
-pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
+/// [`ScenarioError::MissingSwarm`] / [`ScenarioError::MissingUniverse`]
+/// if the scenario lacks a swarm or universe section, or any cell's
+/// build error (a missing churn section, …).
+pub fn run_scenario(
+    ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
+    let swarm = scenario.swarm.as_ref().ok_or(ScenarioError::MissingSwarm)?;
+    swarm
+        .universe
+        .as_ref()
+        .ok_or(ScenarioError::MissingUniverse)?;
     let cells = sweep(ctx.quick);
     let (warmup, measure) = horizon(ctx.quick);
 
@@ -413,7 +426,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
 
     let runs = common::par_cells(&cells, |&(torrents, skew)| {
         run_cell(scenario, torrents, skew, warmup, measure)
-    });
+    })?;
 
     let mut max_rel_err = 0.0f64;
     let mut ordered = true;
@@ -487,7 +500,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
          reshuffling it, which is the cross-swarm form of the paper's stratification claim."
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

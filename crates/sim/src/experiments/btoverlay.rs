@@ -27,8 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use strat_bittorrent::overlay::{self, OverlaySnapshot};
 use strat_bittorrent::RunObserver;
 use strat_scenario::{
-    ArrivalProcess, CapacityModel, DepartureRules, Scenario, SessionConfig, SwarmParams,
-    TopologyModel,
+    ArrivalProcess, CapacityModel, DepartureRules, Scenario, ScenarioError, SessionConfig,
+    SwarmParams, TopologyModel,
 };
 
 use crate::experiments::common;
@@ -115,7 +115,7 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the peer-list-cap sweep on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Counts the membership hooks a session fires: all the replay check
@@ -151,7 +151,7 @@ struct CapRun {
 }
 
 /// Builds and runs the session for one peer-list cap.
-fn run_cap(scenario: &Scenario, cap: Option<usize>, rounds: u64) -> CapRun {
+fn run_cap(scenario: &Scenario, cap: Option<usize>, rounds: u64) -> Result<CapRun, ScenarioError> {
     let sample_every = 20u64;
     let cell = cell_scenario(scenario, cap);
     let cap_col = cap.map_or(0.0, |c| c as f64);
@@ -168,9 +168,7 @@ fn run_cap(scenario: &Scenario, cap: Option<usize>, rounds: u64) -> CapRun {
             snap.stalled as f64,
         ]
     };
-    let mut session = cell
-        .build_session(&mut common::rng(cell.seed, 0xee))
-        .unwrap_or_else(|e| panic!("btoverlay scenario: {e}"));
+    let mut session = cell.build_session(&mut common::rng(cell.seed, 0xee))?;
     let obs = MembershipCounts::default();
 
     let mut rows = Vec::new();
@@ -186,22 +184,27 @@ fn run_cap(scenario: &Scenario, cap: Option<usize>, rounds: u64) -> CapRun {
     // The observer's membership hooks must replay the session's own
     // bookkeeping: the overlay metrics come off an unmodified engine.
     let stats = session.stats();
-    CapRun {
+    Ok(CapRun {
         rows,
         last,
         replay_ok: obs.arrivals.into_inner() == stats.arrivals
             && obs.departures.into_inner() == stats.departures,
-    }
+    })
 }
 
 /// Runs the cap sweep derived from an arbitrary base scenario (which
 /// must carry `swarm.churn`).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the scenario lacks a swarm or churn section.
-#[must_use]
-pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
+/// [`ScenarioError::MissingSwarm`] / [`ScenarioError::MissingChurn`] if
+/// the scenario lacks a swarm or churn section, or any cell's build error.
+pub fn run_scenario(
+    ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
+    let swarm = scenario.swarm.as_ref().ok_or(ScenarioError::MissingSwarm)?;
+    swarm.churn.as_ref().ok_or(ScenarioError::MissingChurn)?;
     let sweep = caps(ctx.quick);
     let rounds = horizon(ctx.quick);
 
@@ -225,7 +228,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
         ],
     );
 
-    let runs = common::par_cells(&sweep, |&cap| run_cap(scenario, cap, rounds));
+    let runs = common::par_cells(&sweep, |&cap| run_cap(scenario, cap, rounds))?;
 
     let mut degrees: Vec<f64> = Vec::new();
     let mut diameters: Vec<f64> = Vec::new();
@@ -282,7 +285,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
          and the overlay module on unmodified engine state."
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

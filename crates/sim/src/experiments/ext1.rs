@@ -18,7 +18,7 @@ use strat_core::prefs::{
 };
 use strat_core::{Capacities, GlobalRanking};
 use strat_graph::{Graph, NodeId};
-use strat_scenario::{CapacityModel, PreferenceModel, Scenario, TopologyModel};
+use strat_scenario::{CapacityModel, PreferenceModel, Scenario, ScenarioError, TopologyModel};
 
 use crate::experiments::common;
 use crate::runner::{ExperimentContext, ExperimentResult};
@@ -76,26 +76,31 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the combined-utilities trade-off on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the combined-utilities kernel on an arbitrary base scenario.
-#[must_use]
-pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
+pub fn run_scenario(
+    _ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
     let n = scenario.peers;
     let d = scenario.topology.mean_degree(n);
     let mut rng = common::rng(scenario.seed, 0xe1);
     // Scenario build order: topology, then preference (the latency
     // embedding all preference variants share), then capacities.
-    let graph = scenario.build_graph(&mut rng).expect("valid scenario");
+    let graph = scenario.build_graph(&mut rng)?;
     let ranking = GlobalRanking::identity(n);
     // Latency positions uncorrelated with rank.
     let positions = scenario
         .preference
         .latency_positions(n, &mut rng)
-        .expect("ext1 requires a latency-flavoured preference model");
+        .ok_or_else(|| ScenarioError::InvalidParameter {
+            what: "preference",
+            reason: "ext1 needs a latency-flavoured preference model".to_string(),
+        })?;
     let latency = LatencyPrefs::new(positions);
-    let caps: Capacities = scenario.build_capacities(&mut rng).expect("valid scenario");
+    let caps: Capacities = scenario.build_capacities(&mut rng)?;
     let b0 = caps.of(NodeId::new(0));
 
     let mut result = ExperimentResult::new(
@@ -198,7 +203,7 @@ pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> Experiment
          delay). In many cases, combining different utility function will be necessary.'"
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

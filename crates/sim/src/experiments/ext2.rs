@@ -9,7 +9,7 @@
 //! true one, and the MMO degradation, as the gossip sample size grows.
 
 use strat_core::{cluster, distance, gossip, stable_configuration, RankedAcceptance};
-use strat_scenario::{PreferenceModel, Scenario};
+use strat_scenario::{PreferenceModel, Scenario, ScenarioError};
 
 use crate::experiments::common;
 use crate::runner::{ExperimentContext, ExperimentResult};
@@ -28,14 +28,16 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the gossip-rank-estimation experiment on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the gossip-rank-estimation kernel on an arbitrary base scenario;
 /// the scenario's gossip sample size anchors the sweep
 /// `k × {0.3, 1, 3, 10, 30}`.
-#[must_use]
-pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
+pub fn run_scenario(
+    ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
     let n = scenario.peers;
     let d = scenario.topology.mean_degree(n);
     let anchor = match scenario.preference {
@@ -66,9 +68,9 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
         let mut rng = common::rng(scenario.seed, 0xe2_00 + rep as u64);
         // The scenario provides the shared substrate (graph + truth +
         // capacities); each k re-estimates ranks from the same stream.
-        let graph = scenario.build_graph(&mut rng).expect("valid scenario");
+        let graph = scenario.build_graph(&mut rng)?;
         let truth = PreferenceModel::GlobalRank.build_ranking(n, &mut rng);
-        let caps = scenario.build_capacities(&mut rng).expect("valid scenario");
+        let caps = scenario.build_capacities(&mut rng)?;
         let true_acc = RankedAcceptance::new(graph.clone(), truth.clone()).expect("sizes");
         let true_stable = stable_configuration(&true_acc, &caps).expect("sizes");
         let true_mmo = cluster::mean_max_offset(&truth, &true_stable);
@@ -136,7 +138,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
          systems."
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

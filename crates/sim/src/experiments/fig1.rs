@@ -10,7 +10,7 @@
 //! Paper observation: disorder quickly decreases; the stable configuration
 //! is reached in less than `d` base units.
 
-use strat_scenario::{Scenario, TopologyModel};
+use strat_scenario::{Scenario, ScenarioError, TopologyModel};
 
 use crate::experiments::common;
 use crate::runner::{ExperimentContext, ExperimentResult};
@@ -25,14 +25,15 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the Figure 1 reproduction on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the Figure 1 kernel on an arbitrary base scenario.
-#[must_use]
-pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
-    let n = scenario.peers;
-    assert!(n >= 10, "fig1 scenario needs at least 10 peers, got {n}");
+pub fn run_scenario(
+    ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
+    let n = common::min_peers("fig1", scenario, 10)?;
     let d = scenario.topology.mean_degree(n);
     let configs: &[(usize, f64)] = &[(n / 10, d), (n, d / 5.0), (n, d)];
     let units = 40usize;
@@ -58,7 +59,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
             .with_topology(TopologyModel::ErdosRenyiMeanDegree { d });
         for rep in 0..repetitions {
             let mut rng = common::rng(scenario.seed, (c as u64) << 8 | rep as u64);
-            let mut dynamics = variant.build_dynamics(&mut rng).expect("valid scenario");
+            let mut dynamics = variant.build_dynamics(&mut rng)?;
             traces[c][0] += dynamics.disorder();
             for t in 1..=units {
                 dynamics.run_base_unit(&mut rng);
@@ -114,7 +115,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
          configuration is reached in less than nd initiatives (that is d base units).'"
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! distribution substituted for the Saroiu et al. Gnutella measurement
 //! (substitution rationale in DESIGN.md).
 
-use strat_scenario::{CapacityModel, Scenario};
+use strat_scenario::{CapacityModel, Scenario, ScenarioError};
 
 use crate::runner::{ExperimentContext, ExperimentResult};
 
@@ -20,17 +20,22 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the Figure 10 reproduction on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the Figure 10 kernel on an arbitrary base scenario (which must
 /// use a Saroiu capacity model).
-#[must_use]
-pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
+pub fn run_scenario(
+    _ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
     let cdf = scenario
         .capacity
         .bandwidth_cdf()
-        .expect("fig10 requires a Saroiu capacity model");
+        .ok_or_else(|| ScenarioError::CapacityUnit {
+            model: format!("{:?}", scenario.capacity),
+            wanted: "a bandwidth distribution",
+        })?;
 
     let mut result = ExperimentResult::new(
         "fig10",
@@ -82,7 +87,7 @@ pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> Experiment
             frac * 100.0
         ));
     }
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

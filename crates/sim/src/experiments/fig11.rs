@@ -9,7 +9,7 @@
 //! 4. the lowest peers see high efficiency (while risking unmatchedness).
 
 use strat_bandwidth::{efficiency_curve, mean_ratio_in_band, EfficiencyModel};
-use strat_scenario::{CapacityModel, Scenario, SwarmParams, TopologyModel};
+use strat_scenario::{CapacityModel, Scenario, ScenarioError, SwarmParams, TopologyModel};
 
 use crate::runner::{ExperimentContext, ExperimentResult};
 
@@ -27,13 +27,15 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the Figure 11 reproduction on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the Figure 11 kernel on an arbitrary base scenario (Saroiu
 /// capacities; `b₀` read from the swarm section's TFT slots).
-#[must_use]
-pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
+pub fn run_scenario(
+    _ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
     let b0 = scenario.swarm.as_ref().map_or(3, |s| s.tft_slots as u32);
     let model = EfficiencyModel {
         b0,
@@ -43,7 +45,10 @@ pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> Experiment
     let cdf = scenario
         .capacity
         .bandwidth_cdf()
-        .expect("fig11 requires a Saroiu capacity model");
+        .ok_or_else(|| ScenarioError::CapacityUnit {
+            model: format!("{:?}", scenario.capacity),
+            wanted: "a bandwidth distribution",
+        })?;
     let curve = efficiency_curve(&model, &cdf);
 
     let mut result = ExperimentResult::new(
@@ -121,7 +126,7 @@ pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> Experiment
          argument for BitTorrent's 4-slot default."
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! induces more disorder than removing a bad one.
 
 use strat_graph::NodeId;
-use strat_scenario::Scenario;
+use strat_scenario::{Scenario, ScenarioError};
 
 use crate::experiments::common;
 use crate::runner::{ExperimentContext, ExperimentResult};
@@ -24,14 +24,15 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the Figure 2 reproduction on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the Figure 2 kernel on an arbitrary base scenario.
-#[must_use]
-pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
-    let n = scenario.peers;
-    assert!(n >= 10, "fig2 scenario needs at least 10 peers, got {n}");
+pub fn run_scenario(
+    ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
+    let n = common::min_peers("fig2", scenario, 10)?;
     let d = scenario.topology.mean_degree(n);
     // Paper's removed peers are the 1-based labels 1/100/300/600; ours are
     // 0-based ranks, scaled to the scenario's population.
@@ -61,9 +62,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
             let mut rng = common::rng(scenario.seed, 0x0200 + ((c as u64) << 8) + rep as u64);
             // Jump straight to the stable configuration (Algorithm 1), then
             // perturb.
-            let mut dynamics = scenario
-                .build_dynamics_at_stable(&mut rng)
-                .expect("valid scenario");
+            let mut dynamics = scenario.build_dynamics_at_stable(&mut rng)?;
             dynamics.remove_peer(NodeId::new(removed));
             let d0 = dynamics.disorder();
             traces[c][0] += d0;
@@ -114,7 +113,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
          disorder than removing a bad peer.'"
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

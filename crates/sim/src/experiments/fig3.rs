@@ -8,7 +8,7 @@
 //! the instant stable configuration, but disorder stays under control and
 //! the average disorder is roughly proportional to the churn rate.
 
-use strat_scenario::{ChurnModel, Scenario};
+use strat_scenario::{ChurnModel, Scenario, ScenarioError};
 
 use crate::experiments::common;
 use crate::runner::{ExperimentContext, ExperimentResult};
@@ -25,13 +25,15 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the Figure 3 reproduction on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the Figure 3 kernel on an arbitrary base scenario; the scenario's
 /// churn rate anchors the sweep `rate × {1, 1/3, 1/10, 1/60, 0}`.
-#[must_use]
-pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
+pub fn run_scenario(
+    ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
     let n = scenario.peers;
     let d = scenario.topology.mean_degree(n);
     // Churn per initiative step, matching the paper's x/1000 labels. The
@@ -78,7 +80,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
         });
         for rep in 0..repetitions {
             let mut rng = common::rng(scenario.seed, 0x0300 + ((c as u64) << 8) + rep as u64);
-            let mut churn = variant.build_churn(&mut rng).expect("valid scenario");
+            let mut churn = variant.build_churn(&mut rng)?;
             traces[c][0] += churn.dynamics().disorder();
             for t in 1..=units {
                 churn.run_base_unit(&mut rng);
@@ -135,7 +137,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
          proportional to the churn rate.'"
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

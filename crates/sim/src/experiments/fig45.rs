@@ -8,7 +8,7 @@
 
 use strat_core::{cluster, GlobalRanking};
 use strat_graph::{components::Components, NodeId};
-use strat_scenario::{CapacityModel, Scenario};
+use strat_scenario::{CapacityModel, Scenario, ScenarioError};
 
 use crate::experiments::common;
 use crate::runner::{ExperimentContext, ExperimentResult};
@@ -25,12 +25,14 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the Figures 4–5 reproduction on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the Figures 4–5 kernel on an arbitrary base scenario.
-#[must_use]
-pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
+pub fn run_scenario(
+    _ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
     let n = scenario.peers; // 3k+3 peers as in the paper's drawing
     let b0 = match scenario.capacity {
         CapacityModel::Constant { value } => value as u32,
@@ -53,7 +55,7 @@ pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> Experiment
 
     // Figure 4: constant b0-matching.
     let mut rng = common::rng(scenario.seed, 0x45);
-    let m4 = scenario.stable_matching(&mut rng).expect("valid scenario");
+    let m4 = scenario.stable_matching(&mut rng)?;
     let comps4 = Components::of(&m4.to_graph());
 
     // Figure 5: same but peer 1 (rank 0) gets one extra slot.
@@ -62,7 +64,7 @@ pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> Experiment
     let fig5 = scenario
         .clone()
         .with_capacity(CapacityModel::Explicit { values: caps5 });
-    let m5 = fig5.stable_matching(&mut rng).expect("valid scenario");
+    let m5 = fig5.stable_matching(&mut rng)?;
     let comps5 = Components::of(&m5.to_graph());
 
     for p in 0..n {
@@ -106,7 +108,7 @@ pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> Experiment
          set b0 >= 3' — the basic argument for BitTorrent's 4 default slots."
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! stratification.
 
 use strat_core::cluster;
-use strat_scenario::{CapacityModel, Scenario};
+use strat_scenario::{CapacityModel, Scenario, ScenarioError};
 
 use crate::experiments::common;
 use crate::runner::{ExperimentContext, ExperimentResult};
@@ -29,13 +29,15 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the Figure 6 reproduction on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the Figure 6 kernel on an arbitrary base scenario (the scenario's
 /// `b̄` anchors the sweep).
-#[must_use]
-pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
+pub fn run_scenario(
+    ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
     let b_mean = match scenario.capacity {
         CapacityModel::RoundedNormal { mean, .. } => mean,
         _ => 6.0,
@@ -69,7 +71,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
         let mut mmo_sum = 0.0;
         for rep in 0..repetitions {
             let mut rng = common::rng(scenario.seed, 0x0600 + ((ci as u64) << 8) + rep as u64);
-            let m = variant.stable_matching(&mut rng).expect("valid scenario");
+            let m = variant.stable_matching(&mut rng)?;
             let stats = cluster::cluster_stats(&ranking, &m);
             cluster_sum += stats.mean_cluster_size;
             mmo_sum += stats.mmo;
@@ -125,7 +127,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
          almost constant... In contrast, as cluster size explodes, MMO decreases.'"
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

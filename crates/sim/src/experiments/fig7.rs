@@ -6,7 +6,7 @@
 //! the independent model inflates `D(2,3)` by exactly `p³(1−p)`.
 
 use strat_analytic::{exact, one_matching};
-use strat_scenario::{Scenario, TopologyModel};
+use strat_scenario::{Scenario, ScenarioError, TopologyModel};
 
 use crate::runner::{ExperimentContext, ExperimentResult};
 
@@ -22,12 +22,14 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the Figure 7 reproduction on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the Figure 7 kernel on an arbitrary base scenario.
-#[must_use]
-pub fn run_scenario(_ctx: &ExperimentContext, _scenario: &Scenario) -> ExperimentResult {
+pub fn run_scenario(
+    _ctx: &ExperimentContext,
+    _scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
     let mut result = ExperimentResult::new(
         "fig7",
         "Figure 7: exact vs independent-model matching probabilities, n = 3",
@@ -83,7 +85,7 @@ pub fn run_scenario(_ctx: &ExperimentContext, _scenario: &Scenario) -> Experimen
          except D(2,3) = D_exact(2,3) + p^3(1-p).'"
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

@@ -10,8 +10,9 @@
 //!   worst peer is matched in exactly half of the cases.
 
 use strat_analytic::one_matching;
-use strat_scenario::{Scenario, TopologyModel};
+use strat_scenario::{Scenario, ScenarioError, TopologyModel};
 
+use crate::experiments::common;
 use crate::runner::{ExperimentContext, ExperimentResult};
 
 /// The Figure 8 scenario: the independent 1-matching system at `d = 25`
@@ -32,14 +33,15 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the Figure 8 reproduction on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the Figure 8 kernel on an arbitrary base scenario.
-#[must_use]
-pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
-    let n = scenario.peers;
-    assert!(n >= 25, "fig8 scenario needs at least 25 peers, got {n}");
+pub fn run_scenario(
+    _ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
+    let n = common::min_peers("fig8", scenario, 25)?;
     let p = scenario.topology.edge_probability(n);
     // Paper peers 200 / 2500 / 4800 (1-based) scaled to n.
     let peers = [n * 200 / 5000 - 1, n * 2500 / 5000 - 1, n * 4800 / 5000 - 1];
@@ -142,7 +144,7 @@ pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> Experiment
          be matched exactly in half of the cases.'"
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

@@ -11,8 +11,9 @@
 //! without building the graph.
 
 use strat_analytic::{b_matching, monte_carlo};
-use strat_scenario::{CapacityModel, Scenario, TopologyModel};
+use strat_scenario::{CapacityModel, Scenario, ScenarioError, TopologyModel};
 
+use crate::experiments::common;
 use crate::runner::{ExperimentContext, ExperimentResult};
 
 /// The Figure 9 scenario: the independent 2-matching system Algorithm 3
@@ -33,14 +34,15 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the Figure 9 reproduction on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the Figure 9 kernel on an arbitrary base scenario.
-#[must_use]
-pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
-    let n = scenario.peers;
-    assert!(n >= 12, "fig9 scenario needs at least 12 peers, got {n}");
+pub fn run_scenario(
+    ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
+    let n = common::min_peers("fig9", scenario, 12)?;
     let p = scenario.topology.edge_probability(n);
     let realizations = if ctx.quick { 1500u64 } else { 1_000_000 };
     let b0 = match scenario.capacity {
@@ -145,7 +147,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
          bars scaled by sqrt(10^6/realizations)."
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

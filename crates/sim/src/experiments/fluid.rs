@@ -6,7 +6,7 @@
 //! stratification.
 
 use strat_analytic::fluid;
-use strat_scenario::{Scenario, TopologyModel};
+use strat_scenario::{Scenario, ScenarioError, TopologyModel};
 
 use crate::runner::{ExperimentContext, ExperimentResult};
 
@@ -24,13 +24,15 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the fluid-limit validation on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the fluid-limit kernel on an arbitrary base scenario (its `n`
 /// and `d` cap the sweep).
-#[must_use]
-pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
+pub fn run_scenario(
+    _ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
     let d_max = scenario.topology.mean_degree(scenario.peers);
     let ds: Vec<f64> = [5.0f64, 10.0, 20.0, 50.0]
         .into_iter()
@@ -84,7 +86,7 @@ pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> Experiment
          only on d, never on n."
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

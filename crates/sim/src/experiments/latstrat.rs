@@ -25,7 +25,9 @@
 
 use strat_core::Dynamics;
 use strat_graph::components::Components;
-use strat_scenario::{CapacityModel, PreferenceModel, Scenario, ScenarioKeys, TopologyModel};
+use strat_scenario::{
+    CapacityModel, PreferenceModel, Scenario, ScenarioError, ScenarioKeys, TopologyModel,
+};
 
 use crate::experiments::common;
 use crate::runner::{ExperimentContext, ExperimentResult};
@@ -81,15 +83,17 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the latency-clustering comparison on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the latency-clustering kernel on an arbitrary base scenario. The
 /// scenario's preference model provides the latency arm (a ranked-only
 /// scenario falls back to the preset's `[0, 1000)` embedding); the ranked
 /// twin swaps in `GlobalRank` on the same topology, capacities and seed.
-#[must_use]
-pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
+pub fn run_scenario(
+    ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
     let n = scenario.peers;
     let d = scenario.topology.mean_degree(n);
     let lat_pref = if scenario.preference.is_ranked() {
@@ -133,7 +137,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
         // was built with (the ranked arm shares the topology draws, hence
         // the graph).
         let mut twin = common::rng(scenario.seed, stream);
-        let _ = lat_variant.build_graph(&mut twin).expect("valid scenario");
+        let _ = lat_variant.build_graph(&mut twin)?;
         let positions = lat_variant
             .preference
             .latency_positions(n, &mut twin)
@@ -147,9 +151,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
         // twin's topology draws come first in its own stream, so the graph
         // is shared too.
         let mut lat_rng = common::rng(scenario.seed, stream);
-        let mut lat_dynamics = lat_variant
-            .build_dynamics(&mut lat_rng)
-            .expect("valid scenario");
+        let mut lat_dynamics = lat_variant.build_dynamics(&mut lat_rng)?;
         let ranked_variant = scenario
             .clone()
             .with_preference(PreferenceModel::GlobalRank)
@@ -162,9 +164,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
                     .collect(),
             });
         let mut rank_rng = common::rng(scenario.seed, stream);
-        let mut ranked_dynamics = ranked_variant
-            .build_dynamics(&mut rank_rng)
-            .expect("valid scenario");
+        let mut ranked_dynamics = ranked_variant.build_dynamics(&mut rank_rng)?;
 
         for (arm, dynamics, rng) in [
             (0usize, &mut lat_dynamics, &mut lat_rng),
@@ -255,7 +255,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
          strata contrast is measured on one initiative process, not two simulators."
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 fn add(acc: &mut ArmSample, sample: ArmSample, repetitions: usize) {

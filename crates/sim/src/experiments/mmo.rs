@@ -1,7 +1,7 @@
 //! MMO closed form (§4.2): `MMO(b₀) = (1/(b₀+1)) Σ max(i, b₀−i) → 3b₀/4`.
 
 use strat_core::{cluster, GlobalRanking};
-use strat_scenario::{CapacityModel, Scenario};
+use strat_scenario::{CapacityModel, Scenario, ScenarioError};
 
 use crate::experiments::common;
 use crate::runner::{ExperimentContext, ExperimentResult};
@@ -18,12 +18,14 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the MMO formula sweep on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the MMO kernel on an arbitrary base scenario.
-#[must_use]
-pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
+pub fn run_scenario(
+    _ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
     let mut result = ExperimentResult::new(
         "mmo",
         "Mean Max Offset of constant b0-matching: measured, closed form, 3b0/4 limit",
@@ -47,7 +49,7 @@ pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> Experiment
                 value: f64::from(b0),
             });
         let ranking = GlobalRanking::identity(n);
-        let m = variant.stable_matching(&mut rng).expect("valid scenario");
+        let m = variant.stable_matching(&mut rng)?;
         let measured = cluster::mean_max_offset(&ranking, &m);
         let exact = cluster::mmo_constant_exact(b0);
         let limit = cluster::mmo_constant_limit(b0);
@@ -71,7 +73,7 @@ pub fn run_scenario(_ctx: &ExperimentContext, scenario: &Scenario) -> Experiment
         (last[4] - 1.0).abs() < 0.02,
         format!("ratio at b0={} is {:.4}", last[0], last[4]),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! MMO `1.33, 2.10, 2.52, 3.21, 3.65, 4.31`.
 
 use strat_core::cluster;
-use strat_scenario::{CapacityModel, Scenario};
+use strat_scenario::{CapacityModel, Scenario, ScenarioError};
 
 use crate::experiments::common;
 use crate::runner::{ExperimentContext, ExperimentResult};
@@ -36,13 +36,15 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
 /// Runs the Table 1 reproduction on its preset.
 #[must_use]
 pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx))
+    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the Table 1 kernel on an arbitrary base scenario (the scenario's
 /// σ anchors the normal column).
-#[must_use]
-pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentResult {
+pub fn run_scenario(
+    ctx: &ExperimentContext,
+    scenario: &Scenario,
+) -> Result<ExperimentResult, ScenarioError> {
     let sigma = match scenario.capacity {
         CapacityModel::RoundedNormal { sigma, .. } => sigma,
         _ => 0.2,
@@ -77,9 +79,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
                     value: f64::from(b),
                 });
         let mut const_rng = common::rng(scenario.seed, 0x1000 + u64::from(b));
-        let m = const_scenario
-            .stable_matching(&mut const_rng)
-            .expect("valid scenario");
+        let m = const_scenario.stable_matching(&mut const_rng)?;
         let const_stats = cluster::cluster_stats(&const_scenario.build_ranking(&mut const_rng), &m);
 
         // Normal column: n must dwarf the expected cluster size.
@@ -106,9 +106,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
         let mut mmo_sum = 0.0;
         for rep in 0..repetitions {
             let mut rng = common::rng(scenario.seed, 0x1000 + (u64::from(b) << 8) + rep as u64);
-            let m = normal_scenario
-                .stable_matching(&mut rng)
-                .expect("valid scenario");
+            let m = normal_scenario.stable_matching(&mut rng)?;
             let stats = cluster::cluster_stats(&ranking, &m);
             cluster_sum += stats.mean_cluster_size;
             mmo_sum += stats.mmo;
@@ -174,7 +172,7 @@ pub fn run_scenario(ctx: &ExperimentContext, scenario: &Scenario) -> ExperimentR
          noisy in both."
             .to_string(),
     );
-    result
+    Ok(result)
 }
 
 #[cfg(test)]

@@ -10,8 +10,8 @@
 //!
 //! Every experiment is **scenario-driven**: its setting is a declarative
 //! `strat_scenario::Scenario` preset ([`runner::ExperimentEntry::preset`])
-//! and its kernel ([`runner::ExperimentEntry::run_scenario`]) measures an
-//! arbitrary scenario — `experiments --scenario file.json` reruns a figure
+//! and its kernel ([`runner::ExperimentEntry::try_run_scenario`]) measures
+//! an arbitrary scenario — `experiments --scenario file.json` reruns a figure
 //! from JSON bit-identically, and `experiments scenarios --dump` writes
 //! the named presets (canonical copies in `results/scenarios/`).
 //!

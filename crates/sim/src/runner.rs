@@ -1,9 +1,9 @@
 //! Experiment runner scaffolding: results, shape checks, registry.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Shared knobs for every experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ExperimentContext {
     /// Reduced sizes/realizations for CI-speed runs.
     pub quick: bool,
@@ -22,7 +22,7 @@ impl Default for ExperimentContext {
 
 /// A machine-checked "shape criterion": the qualitative property of a paper
 /// figure/table that the reproduction must exhibit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Check {
     /// Short name of the criterion.
     pub name: String,
@@ -45,7 +45,7 @@ impl Check {
 
 /// The output of one experiment: a column-labeled numeric table plus the
 /// shape checks and free-form notes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExperimentResult {
     /// Experiment id (`fig1`, `table1`, …) as used in DESIGN.md.
     pub id: String,
@@ -115,8 +115,12 @@ pub type ExperimentFn = fn(&ExperimentContext) -> ExperimentResult;
 /// The named declarative scenario of a paper figure.
 pub type PresetFn = fn(&ExperimentContext) -> strat_scenario::Scenario;
 
-/// A measurement kernel driven by an explicit scenario.
-pub type ScenarioRunFn = fn(&ExperimentContext, &strat_scenario::Scenario) -> ExperimentResult;
+/// A measurement kernel driven by an explicit scenario; a scenario the
+/// kernel cannot build is a typed error.
+pub type ScenarioRunFn = fn(
+    &ExperimentContext,
+    &strat_scenario::Scenario,
+) -> Result<ExperimentResult, strat_scenario::ScenarioError>;
 
 /// One registry entry.
 #[derive(Clone, Copy)]
@@ -130,7 +134,11 @@ pub struct ExperimentEntry {
     /// The figure's named scenario preset.
     pub preset: PresetFn,
     /// The measurement kernel for an arbitrary (e.g. file-loaded) scenario.
-    pub run_scenario: ScenarioRunFn,
+    pub try_run_scenario: ScenarioRunFn,
+    /// [`try_run_scenario`](Self::try_run_scenario) for a scenario known
+    /// to build (a preset, or a preset's JSON round trip); panics with
+    /// the build error otherwise.
+    pub run_scenario: fn(&ExperimentContext, &strat_scenario::Scenario) -> ExperimentResult,
 }
 
 macro_rules! entry {
@@ -140,7 +148,11 @@ macro_rules! entry {
             description: $description,
             run: crate::experiments::$module::run,
             preset: crate::experiments::$module::preset,
-            run_scenario: crate::experiments::$module::run_scenario,
+            try_run_scenario: crate::experiments::$module::run_scenario,
+            run_scenario: |ctx, scenario| {
+                crate::experiments::$module::run_scenario(ctx, scenario)
+                    .unwrap_or_else(|e| panic!("{} scenario: {e}", $id))
+            },
         }
     };
 }

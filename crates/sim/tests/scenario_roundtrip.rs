@@ -6,9 +6,11 @@
 //!    (dynamics / swarm fingerprints match the in-memory preset's);
 //! 3. the parsed preset *measures* identically: `run_scenario` on it
 //!    reproduces the exact rows of `run` (the `--scenario` CLI path's
-//!    guarantee).
+//!    guarantee);
+//! 4. a scenario that parses but that its kernel cannot build is a typed
+//!    error, not a panic.
 
-use strat_scenario::{stream_rng, Scenario, TopologyModel};
+use strat_scenario::{stream_rng, FaultPlan, Scenario, ScenarioError, TopologyModel};
 use strat_sim::runner::{self, ExperimentContext};
 
 fn ctx() -> ExperimentContext {
@@ -116,5 +118,88 @@ fn run_scenario_on_parsed_preset_reproduces_run() {
         assert_eq!(direct.columns, via_json.columns, "{} columns", entry.id);
         assert_eq!(direct.rows, via_json.rows, "{} rows", entry.id);
         assert_eq!(direct.checks, via_json.checks, "{} checks", entry.id);
+    }
+}
+
+/// The event engine does not run fault plans, so the `btevent` preset
+/// with a `swarm.faults` section is refused at build time, and
+/// `try_run_scenario` returns that error (the `--scenario` CLI prints it
+/// and exits 2).
+#[test]
+fn btevent_with_faults_is_a_typed_error() {
+    let ctx = ctx();
+    let entry = runner::find("btevent").expect("btevent is registered");
+    let mut scenario = (entry.preset)(&ctx);
+    scenario
+        .swarm
+        .as_mut()
+        .expect("btevent has a swarm section")
+        .faults = Some(FaultPlan::none());
+    let parsed = Scenario::from_json(&scenario.to_json()).expect("parses");
+    match (entry.try_run_scenario)(&ctx, &parsed) {
+        Err(ScenarioError::InvalidParameter { what, reason }) => {
+            assert_eq!(what, "swarm timing");
+            assert!(reason.contains("round-engine construct"), "{reason}");
+        }
+        other => panic!(
+            "expected a typed build error, got {:?}",
+            other.map(|r| r.id)
+        ),
+    }
+}
+
+/// Kernels refuse scenarios they cannot measure before simulating
+/// anything: every swarm kernel one without a swarm section, and the
+/// sweeps that scale the peer count down one with too few peers.
+#[test]
+fn scenarios_a_kernel_cannot_measure_are_typed_errors() {
+    let ctx = ctx();
+    for entry in runner::registry() {
+        let preset = (entry.preset)(&ctx);
+        let run = |scenario: &Scenario| (entry.try_run_scenario)(&ctx, scenario).map(|r| r.id);
+        if entry.id.starts_with("bt") {
+            let scenario = Scenario {
+                swarm: None,
+                ..preset
+            };
+            assert_eq!(
+                run(&scenario),
+                Err(ScenarioError::MissingSwarm),
+                "{}",
+                entry.id
+            );
+        } else if ["fig1", "fig2", "fig8", "fig9"].contains(&entry.id) {
+            match run(&preset.with_peers(0)) {
+                Err(ScenarioError::InvalidParameter { what: "peers", .. }) => {}
+                other => panic!("{}: expected a peers error, got {other:?}", entry.id),
+            }
+        }
+    }
+}
+
+/// The checked-in full-profile presets in `results/scenarios/` parse, and
+/// re-encode (pretty, plus the trailing newline the files carry) to their
+/// own bytes: a schema change that reads any of them differently fails
+/// here.
+#[test]
+fn checked_in_presets_reencode_to_their_own_bytes() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/scenarios");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("results/scenarios exists")
+        .map(|entry| entry.expect("readable entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 25, "one preset file per registry entry");
+    for path in files {
+        let text = std::fs::read_to_string(&path).expect("readable preset");
+        let scenario =
+            Scenario::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(
+            scenario.to_json_pretty() + "\n",
+            text,
+            "{} does not re-encode to its own bytes",
+            path.display()
+        );
     }
 }

@@ -1,15 +1,22 @@
 //! Offline stand-in for `serde`.
 //!
-//! This workspace only ever serializes (experiment results to JSON files);
-//! it never deserializes. So [`Serialize`] is a direct-to-JSON trait with
+//! JSON only, both ways. [`Serialize`] is a direct-to-JSON trait with
 //! impls for the primitives and containers the workspace uses, and
 //! `#[derive(Serialize)]` (from the sibling `serde_derive` shim) generates
-//! externally-tagged JSON exactly like real serde's defaults.
-//! `#[derive(Deserialize)]` is accepted and expands to nothing.
+//! externally-tagged JSON exactly like real serde's defaults. The input
+//! side parses text into the dynamic [`Value`] tree
+//! ([`from_str_value`]), and [`Deserialize`] reads typed values back
+//! from it; `#[derive(Deserialize)]` generates that reader from the same
+//! type walk, under upstream serde's default rules (see [`de`]).
 
 #![warn(clippy::all)]
 
+pub mod de;
+mod value;
+
+pub use de::{DeError, Deserialize};
 pub use serde_derive::{Deserialize, Serialize};
+pub use value::{from_str_value, ParseError, Value};
 
 /// Types that can render themselves as JSON.
 pub trait Serialize {

@@ -4,11 +4,14 @@
 //! No `syn`/`quote` are available offline, so this parses the derive input
 //! token stream directly. It supports exactly the shapes this workspace
 //! derives on: non-generic structs (named, tuple, unit) and non-generic
-//! enums (unit, tuple and struct variants). One-field tuple structs
-//! serialize transparently (matching the workspace's only uses of
-//! `#[serde(transparent)]`), other serde attributes are accepted and
-//! ignored. `Deserialize` expands to nothing — the workspace never
-//! deserializes.
+//! enums (unit, tuple and struct variants), externally tagged. One-field
+//! tuple structs serialize transparently (matching the workspace's only
+//! uses of `#[serde(transparent)]`), other serde attributes are accepted
+//! and ignored (so `#[serde(default)]` does not make a field optional;
+//! only an `Option` type does). Both derives walk the same parsed shape,
+//! so the reader `Deserialize` generates accepts everything `Serialize`
+//! writes, under upstream serde's default rules: unknown object keys are
+//! ignored and an absent `Option` field reads as `None`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -17,9 +20,9 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let body = match &item.shape {
-        Shape::NamedStruct(fields) => named_struct_body(fields),
-        Shape::TupleStruct(arity) => tuple_struct_body(*arity),
-        Shape::UnitStruct => "out.push_str(\"null\");".to_string(),
+        Shape::Struct(Fields::Named(fields)) => named_struct_body(fields),
+        Shape::Struct(Fields::Tuple(arity)) => tuple_struct_body(*arity),
+        Shape::Struct(Fields::Unit) => "out.push_str(\"null\");".to_string(),
         Shape::Enum(variants) => enum_body(&item.name, variants),
     };
     let impl_code = format!(
@@ -30,10 +33,20 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     impl_code.parse().expect("generated impl parses")
 }
 
-/// Accepts `#[derive(Deserialize)]` and expands to nothing.
+/// Derives `serde::Deserialize` (JSON, externally tagged enums).
 #[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
+pub fn derive_deserialize(input: TokenStream) -> TokenStream {
+    let item = parse_item(input);
+    let body = match &item.shape {
+        Shape::Struct(fields) => read_fields("Self", fields, "value"),
+        Shape::Enum(variants) => read_enum(&item.name, variants),
+    };
+    let impl_code = format!(
+        "impl ::serde::Deserialize for {} {{\n\
+         fn from_value(value: &::serde::Value) -> Result<Self, ::serde::DeError> {{\n{body}\n}}\n}}",
+        item.name
+    );
+    impl_code.parse().expect("generated impl parses")
 }
 
 struct Item {
@@ -42,21 +55,20 @@ struct Item {
 }
 
 enum Shape {
-    NamedStruct(Vec<String>),
-    TupleStruct(usize),
-    UnitStruct,
+    Struct(Fields),
     Enum(Vec<Variant>),
 }
 
 struct Variant {
     name: String,
-    kind: VariantKind,
+    fields: Fields,
 }
 
-enum VariantKind {
+/// The fields of a struct or an enum variant.
+enum Fields {
     Unit,
     Tuple(usize),
-    Struct(Vec<String>),
+    Named(Vec<String>),
 }
 
 fn parse_item(input: TokenStream) -> Item {
@@ -72,12 +84,12 @@ fn parse_item(input: TokenStream) -> Item {
     let shape = match keyword.as_str() {
         "struct" => match tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Shape::NamedStruct(parse_named_fields(g.stream()))
+                Shape::Struct(Fields::Named(parse_named_fields(g.stream())))
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Shape::TupleStruct(count_top_level_items(g.stream()))
+                Shape::Struct(Fields::Tuple(count_top_level_items(g.stream())))
             }
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Shape::UnitStruct,
+            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Shape::Struct(Fields::Unit),
             other => panic!("unexpected struct body for `{name}`: {other:?}"),
         },
         "enum" => match tokens.get(i) {
@@ -196,16 +208,16 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
             break;
         }
         let name = expect_ident(&tokens, &mut i);
-        let kind = match tokens.get(i) {
+        let fields = match tokens.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 i += 1;
-                VariantKind::Struct(parse_named_fields(g.stream()))
+                Fields::Named(parse_named_fields(g.stream()))
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 i += 1;
-                VariantKind::Tuple(count_top_level_items(g.stream()))
+                Fields::Tuple(count_top_level_items(g.stream()))
             }
-            _ => VariantKind::Unit,
+            _ => Fields::Unit,
         };
         // Skip to the next variant separator.
         while let Some(tok) = tokens.get(i) {
@@ -214,7 +226,7 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
                 break;
             }
         }
-        variants.push(Variant { name, kind });
+        variants.push(Variant { name, fields });
     }
     variants
 }
@@ -261,13 +273,13 @@ fn enum_body(name: &str, variants: &[Variant]) -> String {
     let mut code = String::from("match self {\n");
     for variant in variants {
         let vname = &variant.name;
-        match &variant.kind {
-            VariantKind::Unit => {
+        match &variant.fields {
+            Fields::Unit => {
                 code.push_str(&format!(
                     "{name}::{vname} => out.push_str(\"\\\"{vname}\\\"\"),\n"
                 ));
             }
-            VariantKind::Tuple(arity) => {
+            Fields::Tuple(arity) => {
                 let binders: Vec<String> = (0..*arity).map(|k| format!("__f{k}")).collect();
                 code.push_str(&format!("{name}::{vname}({}) => {{\n", binders.join(", ")));
                 push_literal(&mut code, &format!("{{\"{vname}\":"));
@@ -288,7 +300,7 @@ fn enum_body(name: &str, variants: &[Variant]) -> String {
                 push_literal(&mut code, "}");
                 code.push_str("}\n");
             }
-            VariantKind::Struct(fields) => {
+            Fields::Named(fields) => {
                 code.push_str(&format!(
                     "{name}::{vname} {{ {} }} => {{\n",
                     fields.join(", ")
@@ -307,5 +319,46 @@ fn enum_body(name: &str, variants: &[Variant]) -> String {
         }
     }
     code.push_str("}\n");
+    code
+}
+
+/// An expression reading `fields` of the struct or variant `path` from
+/// `src`: `null` for unit, the value itself for a newtype, an array for
+/// other tuples, an object for named fields.
+fn read_fields(path: &str, fields: &Fields, src: &str) -> String {
+    match fields {
+        Fields::Unit => format!("::serde::de::unit({src}).map(|()| {path})"),
+        Fields::Tuple(1) => format!("Ok({path}(::serde::Deserialize::from_value({src})?))"),
+        Fields::Tuple(arity) => {
+            let items: Vec<String> = (0..*arity)
+                .map(|k| format!("::serde::de::element(items, {k})?"))
+                .collect();
+            format!(
+                "{{\nlet items = ::serde::de::array({src}, {arity})?;\nOk({path}({}))\n}}",
+                items.join(", ")
+            )
+        }
+        Fields::Named(names) => {
+            let reads: String = names
+                .iter()
+                .map(|name| format!("{name}: ::serde::de::field(map, {name:?})?,\n"))
+                .collect();
+            format!("{{\nlet map = ::serde::de::object({src})?;\nOk({path} {{\n{reads}}})\n}}")
+        }
+    }
+}
+
+fn read_enum(name: &str, variants: &[Variant]) -> String {
+    let mut code =
+        format!("let (tag, body) = ::serde::de::variant(value, {name:?})?;\nmatch tag {{\n");
+    for Variant { name: tag, fields } in variants {
+        let arm = read_fields(&format!("Self::{tag}"), fields, "body");
+        code.push_str(&format!(
+            "{tag:?} => ::serde::de::within({tag:?}, || {arm}),\n"
+        ));
+    }
+    code.push_str(&format!(
+        "other => Err(::serde::de::unknown_variant({name:?}, other)),\n}}"
+    ));
     code
 }

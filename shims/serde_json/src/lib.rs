@@ -1,20 +1,19 @@
 //! Offline stand-in for `serde_json`.
 //!
 //! Output side: [`to_string`] / [`to_string_pretty`] / [`to_writer`] over
-//! the serde shim's direct-to-JSON [`Serialize`]. Input side: a full JSON
-//! parser into the dynamic [`Value`] tree ([`from_str_value`]); typed
-//! deserialization is hand-written by consumers walking the tree (the
-//! scenario layer in `strat-scenario` is the main client).
+//! the serde shim's direct-to-JSON [`Serialize`]. Input side: the serde
+//! shim's parser into the dynamic [`Value`] tree ([`from_str_value`]),
+//! re-exported here; typed values are read from the tree with
+//! `serde::Deserialize` (the scenario layer in `strat-scenario` is the
+//! main client).
 
 #![warn(clippy::all)]
-
-mod value;
 
 use std::io::Write;
 
 use serde::Serialize;
 
-pub use value::{from_str_value, ParseError, Value};
+pub use serde::{from_str_value, ParseError, Value};
 
 /// Compact JSON encoding of `value`.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, std::io::Error> {

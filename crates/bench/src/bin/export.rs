@@ -14,9 +14,11 @@
 use std::io::BufRead as _;
 
 use criterion::Criterion;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
-#[derive(Serialize)]
+/// One criterion-shim line, `{"group":"g","bench":"b","median_ns":123.4}`,
+/// and one `groups` row of the report.
+#[derive(Serialize, Deserialize)]
 struct Measurement {
     group: String,
     bench: String,
@@ -61,7 +63,7 @@ fn main() {
     let mut groups = Vec::new();
     for line in std::io::BufReader::new(file).lines() {
         let line = line.expect("readable line");
-        groups.push(parse_line(&line).unwrap_or_else(|| panic!("unparsable line: {line}")));
+        groups.push(parse_line(&line).unwrap_or_else(|e| panic!("unparsable line: {line}: {e}")));
     }
     let _ = std::fs::remove_file(&raw_path);
 
@@ -130,23 +132,26 @@ fn main() {
     }
 }
 
-/// Parses one `{"group":"g","bench":"b","median_ns":123.4}` line from the
-/// criterion shim (fixed field order, written by our own code).
-fn parse_line(line: &str) -> Option<Measurement> {
-    let group = extract_str(line, "\"group\":\"")?;
-    let bench = extract_str(line, "\"bench\":\"")?;
-    let median = line
-        .split("\"median_ns\":")
-        .nth(1)?
-        .trim_end_matches(['}', '\n']);
-    Some(Measurement {
-        group,
-        bench,
-        median_ns: median.parse().ok()?,
-    })
+/// Parses one criterion-shim line through the derived reader.
+fn parse_line(line: &str) -> Result<Measurement, String> {
+    let value = serde_json::from_str_value(line).map_err(|e| format!("{e:?}"))?;
+    Measurement::from_value(&value).map_err(|e| e.to_string())
 }
 
-fn extract_str(line: &str, key: &str) -> Option<String> {
-    let rest = line.split(key).nth(1)?;
-    Some(rest.split('"').next()?.to_string())
+#[cfg(test)]
+mod tests {
+    use super::parse_line;
+
+    #[test]
+    fn criterion_lines_parse_through_the_derived_reader() {
+        let m = parse_line(r#"{"group":"prefs","bench":"converge/500","median_ns":1234.5}"#)
+            .expect("well-formed line");
+        assert_eq!(
+            (m.group.as_str(), m.bench.as_str()),
+            ("prefs", "converge/500")
+        );
+        assert_eq!(m.median_ns, 1234.5);
+        assert!(parse_line(r#"{"group":"prefs","bench":"b"}"#).is_err());
+        assert!(parse_line("not json").is_err());
+    }
 }

@@ -31,7 +31,7 @@ use strat_bittorrent::{
     MembershipModel, NullObserver, PeerBehavior, PieceSet, Swarm, SwarmConfig, Universe,
     UniverseConfig,
 };
-use strat_core::prefs::{best_mate_dynamics, LatencyPrefs, PrefDynamicsOutcome};
+use strat_core::prefs::LatencyPrefs;
 use strat_core::{
     reference, stable_configuration, stable_configuration_complete, Capacities, Dynamics,
     GlobalRanking, InitiativeStrategy, PrefAcceptance, RankedAcceptance,
@@ -172,10 +172,10 @@ fn latency_instance(n: usize, seed: u64) -> (Graph, LatencyPrefs, Capacities) {
 /// Generalized-preference dynamics on the dirty-set engine, latency
 /// instances:
 ///
-/// * `converge_*` — full `best_mate_dynamics` from `C∅` to stability
-///   (includes key-table construction — now seeded by cached scalar sort
-///   keys instead of indirect preference comparisons; early sweeps are
-///   all-dirty, so the memo only trims the tail);
+/// * `converge_*` — [`PrefAcceptance::build`] plus [`Dynamics::settle`]
+///   from `C∅` to stability (key-table construction is seeded by cached
+///   scalar sort keys instead of indirect preference comparisons; early
+///   sweeps are all-dirty, so the memo only trims the tail);
 /// * `settled_sweep_*` — one round-robin sweep of a **converged** system
 ///   (the steady-state regime continuing dynamics live in): every peer is
 ///   provably clean and the sweep degenerates to n flag reads.
@@ -189,7 +189,13 @@ pub fn bench_prefs(c: &mut Criterion) {
             BenchmarkId::new("converge_latency_d20_b3", n),
             &n,
             |b, _| {
-                b.iter(|| black_box(best_mate_dynamics(&graph, &prefs, &caps)));
+                b.iter(|| {
+                    let keys = PrefAcceptance::build(&graph, &prefs);
+                    let mut dynamics =
+                        Dynamics::new(keys, caps.clone(), InitiativeStrategy::BestMate)
+                            .expect("sizes");
+                    black_box(dynamics.settle())
+                });
             },
         );
     }
@@ -237,8 +243,9 @@ pub fn bench_prefs_ref(c: &mut Criterion) {
     }
     let n = 2000usize;
     let (graph, prefs, caps) = latency_instance(n, 0x9e1);
-    let PrefDynamicsOutcome::Stable(mut matching) =
-        reference::best_mate_dynamics(&graph, &prefs, &caps)
+    let reference::RefPrefOutcome::Stable {
+        at: mut matching, ..
+    } = reference::best_mate_dynamics(&graph, &prefs, &caps)
     else {
         panic!("latency systems are cycle-free")
     };

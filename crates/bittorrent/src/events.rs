@@ -1189,12 +1189,6 @@ impl EventEngine {
     pub fn class_of(&self, p: PeerId) -> u32 {
         self.class[p]
     }
-
-    /// Unwraps the engine, returning the swarm.
-    #[must_use]
-    pub fn into_swarm(self) -> Swarm {
-        self.swarm
-    }
 }
 
 /// The event time in completed-round units: `ceil(tau)` with an FP

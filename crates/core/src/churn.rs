@@ -97,12 +97,6 @@ impl<K: PreferenceKeys> ChurnProcess<K> {
         &self.dynamics
     }
 
-    /// Mutable access to the wrapped dynamics.
-    #[must_use]
-    pub fn dynamics_mut(&mut self) -> &mut Dynamics<K> {
-        &mut self.dynamics
-    }
-
     /// Churn events triggered so far.
     #[must_use]
     pub fn event_count(&self) -> u64 {

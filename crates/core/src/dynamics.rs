@@ -357,9 +357,8 @@ impl<K: PreferenceKeys> Dynamics<K> {
 
     /// Has `p` take one **best-mate** initiative regardless of the
     /// configured strategy — the deterministic step the round-robin sweeps
-    /// of [`settle`](Self::settle) and
-    /// [`crate::prefs::best_mate_dynamics`] are built from. Counters update
-    /// as for [`initiative`](Self::initiative).
+    /// of [`settle`](Self::settle) are built from. Counters update as for
+    /// [`initiative`](Self::initiative).
     pub fn best_mate_initiative(&mut self, p: NodeId) -> InitiativeOutcome {
         if !self.present[p.index()] {
             return InitiativeOutcome::Inactive;
@@ -555,12 +554,18 @@ impl<K: PreferenceKeys> Dynamics<K> {
     /// Runs deterministic round-robin best-mate sweeps until stability,
     /// returning the number of active initiatives performed. From `C∅`
     /// this reaches the table's canonical stable configuration (the
-    /// generalized Figure 2 starting point).
+    /// generalized Figure 2 starting point). Cycle-free systems — a global
+    /// ranking, a symmetric utility such as latency, or a lexicographic
+    /// combination of them — always settle: a revisit would extract a
+    /// preference cycle (the argument of the paper's Theorem 1).
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::NoStableConfiguration`] on a configuration
-    /// revisit (odd preference cycle).
+    /// revisit (odd preference cycle). [`matching`](Self::matching) then
+    /// holds the revisited configuration, and
+    /// [`active_initiative_count`](Self::active_initiative_count) counts
+    /// the initiatives that led there.
     pub fn settle(&mut self) -> Result<u64, ModelError> {
         let fingerprint =
             |m: &Matching| edge_fingerprint((0..m.node_count()).map(|u| m.mates(NodeId::new(u))));

@@ -23,27 +23,46 @@
 //!   speed: rows sorted best-first by the owner's preference, with
 //!   reciprocal keys materialized per slot, the best-mate fixpoint as the
 //!   instant-stable baseline and a keyed disorder metric;
-//! * [`PrefMatching`] + [`best_mate_dynamics`] — blocking-pair dynamics
-//!   under arbitrary preferences, with oscillation detection. General
-//!   roommates instances may have **no** stable configuration (Tan's odd
-//!   preference cycles); [`best_mate_dynamics`] reports that instead of
-//!   spinning forever, and [`odd_cycle_instance`] constructs the classic
-//!   witness. `best_mate_dynamics` runs on the dirty-set path of
-//!   [`Dynamics`] (clean peers skip their scans); the historical
-//!   full-scan implementation survives as
-//!   [`crate::reference::best_mate_dynamics`] for differential testing
-//!   and benchmarking.
+//! * [`odd_cycle_instance`] — the classic witness that general roommates
+//!   instances may have **no** stable configuration (Tan's odd preference
+//!   cycles). [`Dynamics::settle`] on its key table reports
+//!   [`crate::ModelError::NoStableConfiguration`] instead of spinning
+//!   forever; the full-scan
+//!   [`crate::reference::best_mate_dynamics`] is its differential twin.
+//!
+//! Settling any system from the empty configuration goes through the one
+//! driver:
+//!
+//! ```
+//! use strat_core::prefs::{odd_cycle_instance, LatencyPrefs};
+//! use strat_core::{Capacities, Dynamics, InitiativeStrategy, ModelError, PrefAcceptance};
+//! use strat_graph::{generators, NodeId};
+//!
+//! let graph = generators::complete(4);
+//! let prefs = LatencyPrefs::new(vec![0.0, 1.0, 5.0, 6.0]);
+//! let caps = Capacities::constant(4, 1);
+//! let keys = PrefAcceptance::build(&graph, &prefs);
+//! let mut dynamics = Dynamics::new(keys, caps, InitiativeStrategy::BestMate)?;
+//! dynamics.settle()?;
+//! assert!(dynamics.matching().contains(NodeId::new(0), NodeId::new(1)));
+//!
+//! let (graph, prefs) = odd_cycle_instance();
+//! let keys = PrefAcceptance::build(&graph, &prefs);
+//! let caps = Capacities::constant(3, 1);
+//! let mut cycle = Dynamics::new(keys, caps, InitiativeStrategy::BestMate)?;
+//! assert_eq!(cycle.settle(), Err(ModelError::NoStableConfiguration));
+//! # Ok::<(), ModelError>(())
+//! ```
 
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
 use strat_graph::{Graph, NodeId};
 
 use crate::{
-    distance, Capacities, Dynamics, GlobalRanking, InitiativeOutcome, InitiativeStrategy, Matching,
-    PreferenceKeys, Rank,
+    distance, Capacities, Dynamics, GlobalRanking, InitiativeStrategy, Matching, PreferenceKeys,
+    Rank,
 };
 
 /// A per-peer preference order over potential mates.
@@ -276,101 +295,9 @@ impl PreferenceSystem for BandedRankPrefs {
     }
 }
 
-/// A b-matching configuration under arbitrary preferences (mate lists
-/// unsorted; worst-mate queries go through the preference system).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PrefMatching {
-    mates: Vec<Vec<NodeId>>,
-    edge_count: usize,
-}
-
-impl PrefMatching {
-    /// Empty configuration.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        Self {
-            mates: vec![Vec::new(); n],
-            edge_count: 0,
-        }
-    }
-
-    /// Number of peers.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.mates.len()
-    }
-
-    /// Number of collaborations.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.edge_count
-    }
-
-    /// Mates of `v` (unordered).
-    #[must_use]
-    pub fn mates(&self, v: NodeId) -> &[NodeId] {
-        &self.mates[v.index()]
-    }
-
-    /// Whether `u` and `v` are matched together.
-    #[must_use]
-    pub fn contains(&self, u: NodeId, v: NodeId) -> bool {
-        self.mates[u.index()].contains(&v)
-    }
-
-    pub(crate) fn connect(&mut self, u: NodeId, v: NodeId) {
-        debug_assert!(u != v && !self.contains(u, v));
-        self.mates[u.index()].push(v);
-        self.mates[v.index()].push(u);
-        self.edge_count += 1;
-    }
-
-    pub(crate) fn disconnect(&mut self, u: NodeId, v: NodeId) {
-        let pu = self.mates[u.index()]
-            .iter()
-            .position(|&w| w == v)
-            .expect("matched");
-        let pv = self.mates[v.index()]
-            .iter()
-            .position(|&w| w == u)
-            .expect("matched");
-        self.mates[u.index()].swap_remove(pu);
-        self.mates[v.index()].swap_remove(pv);
-        self.edge_count -= 1;
-    }
-
-    /// Whether `v` would welcome `candidate` under `prefs`.
-    #[must_use]
-    pub fn would_accept<P: PreferenceSystem>(
-        &self,
-        prefs: &P,
-        caps: &Capacities,
-        v: NodeId,
-        candidate: NodeId,
-    ) -> bool {
-        if v == candidate || caps.of(v) == 0 || self.contains(v, candidate) {
-            return false;
-        }
-        if self.mates[v.index()].len() < caps.of(v) as usize {
-            return true;
-        }
-        let worst = prefs
-            .worst_of(v, &self.mates[v.index()])
-            .expect("saturated peer has mates");
-        prefs.prefers(v, candidate, worst)
-    }
-
-    /// Order-insensitive fingerprint of the configuration (for cycle
-    /// detection in the dynamics).
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        edge_fingerprint(self.mates.iter().map(Vec::as_slice))
-    }
-}
-
 /// Order-insensitive fingerprint of a configuration given as its mate
 /// rows, row `u` holding the mates of peer `u` (revisit detection in
-/// [`best_mate_dynamics`] and [`Dynamics::settle`]).
+/// [`Dynamics::settle`] and [`crate::reference::best_mate_dynamics`]).
 pub(crate) fn edge_fingerprint<'a>(rows: impl Iterator<Item = &'a [NodeId]>) -> u64 {
     let mut edges: Vec<(u32, u32)> = Vec::new();
     for (u, mates) in rows.enumerate() {
@@ -384,95 +311,6 @@ pub(crate) fn edge_fingerprint<'a>(rows: impl Iterator<Item = &'a [NodeId]>) -> 
     let mut hasher = DefaultHasher::new();
     edges.hash(&mut hasher);
     hasher.finish()
-}
-
-/// Outcome of the generalized best-mate dynamics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PrefDynamicsOutcome {
-    /// A stable configuration was reached.
-    Stable(PrefMatching),
-    /// The dynamics revisited a configuration: a preference cycle exists on
-    /// this instance (Tan's condition fails) and no run of active
-    /// initiatives can settle from here.
-    Oscillating {
-        /// The configuration at which the revisit was detected.
-        at: PrefMatching,
-        /// Active initiatives performed before detection.
-        steps: u64,
-    },
-}
-
-/// Runs deterministic round-robin best-mate dynamics under arbitrary
-/// preferences until stability or a configuration revisit.
-///
-/// Each sweep gives every peer one initiative: find the best acceptable
-/// blocking mate and match with it (evicting worst mates as needed). For
-/// cycle-free systems — any [`GlobalPrefs`], [`LatencyPrefs`], or
-/// lexicographic combination of them — this terminates in a stable
-/// configuration (the argument of the paper's Theorem 1 applies verbatim:
-/// a revisit would extract a preference cycle).
-///
-/// Internally the sweeps run on the incremental [`Dynamics`] over a
-/// [`PrefAcceptance`] key table: a peer whose last scan found no blocking
-/// mate is *clean* and skips its scan entirely until an event in its
-/// neighborhood can re-create one (the driver's dirty-set memo). A clean
-/// peer's scan would have returned `None` anyway, so the sequence of
-/// active initiatives — and therefore every intermediate and final
-/// configuration, including the reported `steps` and oscillation point —
-/// is identical to the historical full-scan implementation retained as
-/// [`crate::reference::best_mate_dynamics`] (which differential tests
-/// assert).
-///
-/// # Panics
-///
-/// Panics if sizes of `graph`, `prefs` and `caps` disagree.
-pub fn best_mate_dynamics<P: PreferenceSystem>(
-    graph: &Graph,
-    prefs: &P,
-    caps: &Capacities,
-) -> PrefDynamicsOutcome {
-    let n = graph.node_count();
-    assert_eq!(prefs.n(), n, "preference system size mismatch");
-    caps.check_len(n).expect("capacity size mismatch");
-    let keys = PrefAcceptance::build(graph, prefs);
-    let mut dynamics = Dynamics::new(keys, caps.clone(), InitiativeStrategy::BestMate)
-        .expect("sizes checked above");
-    // The driver's arena matching caches preference keys; the public
-    // outcome keeps the historical `PrefMatching` representation, rebuilt
-    // by replaying the driver's own connect/evict events in order (cheap:
-    // O(b) per active initiative, off the scan hot path).
-    let mut shadow = PrefMatching::new(n);
-    let mut seen: HashSet<u64> = HashSet::new();
-    seen.insert(shadow.fingerprint());
-    let mut steps = 0u64;
-    loop {
-        let mut any_active = false;
-        for p in graph.nodes() {
-            if let InitiativeOutcome::Active {
-                peer,
-                mate,
-                dropped_by_peer,
-                dropped_by_mate,
-            } = dynamics.best_mate_initiative(p)
-            {
-                if let Some(w) = dropped_by_peer {
-                    shadow.disconnect(peer, w);
-                }
-                if let Some(w) = dropped_by_mate {
-                    shadow.disconnect(mate, w);
-                }
-                shadow.connect(peer, mate);
-                steps += 1;
-                any_active = true;
-            }
-        }
-        if !any_active {
-            return PrefDynamicsOutcome::Stable(shadow);
-        }
-        if !seen.insert(shadow.fingerprint()) {
-            return PrefDynamicsOutcome::Oscillating { at: shadow, steps };
-        }
-    }
 }
 
 /// Precomputed preference-key table over an acceptance graph: the
@@ -795,10 +633,14 @@ mod tests {
             let ranking = GlobalRanking::random(40, &mut rng);
             let caps = Capacities::constant(40, 2);
             let prefs = GlobalPrefs::new(ranking.clone());
-            let outcome = best_mate_dynamics(&graph, &prefs, &caps);
-            let PrefDynamicsOutcome::Stable(m) = outcome else {
-                panic!("global ranking oscillated");
-            };
+            let mut dynamics = Dynamics::new(
+                PrefAcceptance::build(&graph, &prefs),
+                caps.clone(),
+                InitiativeStrategy::BestMate,
+            )
+            .unwrap();
+            dynamics.settle().expect("global ranking is cycle-free");
+            let m = dynamics.matching();
             let acc = RankedAcceptance::new(graph, ranking).unwrap();
             let reference = stable_configuration(&acc, &caps).unwrap();
             // Same edge sets.
@@ -820,10 +662,16 @@ mod tests {
         let graph = generators::erdos_renyi_mean_degree(n_peers, 12.0, &mut rng);
         let prefs = LatencyPrefs::new(positions.clone());
         let caps = Capacities::constant(n_peers, 2);
-        let outcome = best_mate_dynamics(&graph, &prefs, &caps);
-        let PrefDynamicsOutcome::Stable(m) = outcome else {
-            panic!("symmetric utility oscillated");
-        };
+        let mut dynamics = Dynamics::new(
+            PrefAcceptance::build(&graph, &prefs),
+            caps,
+            InitiativeStrategy::BestMate,
+        )
+        .unwrap();
+        dynamics
+            .settle()
+            .expect("symmetric utilities are cycle-free");
+        let m = dynamics.matching();
         // Mates are nearby in latency on average: compare against random
         // acceptable pairs.
         let mut mate_dist = 0.0;
@@ -849,38 +697,11 @@ mod tests {
     }
 
     #[test]
-    fn odd_cycle_has_no_stable_matching() {
-        let (graph, prefs) = odd_cycle_instance();
-        let caps = Capacities::constant(3, 1);
-        match best_mate_dynamics(&graph, &prefs, &caps) {
-            PrefDynamicsOutcome::Oscillating { steps, .. } => {
-                assert!(steps > 0);
-            }
-            PrefDynamicsOutcome::Stable(m) => {
-                panic!("odd preference cycle produced a 'stable' matching: {m:?}")
-            }
-        }
-    }
-
-    #[test]
     fn explicit_prefs_unlisted_peers_rank_last() {
         let prefs = ExplicitPrefs::new(vec![vec![n(2)], vec![], vec![]]);
         assert!(prefs.prefers(n(0), n(2), n(1)));
         // Among unlisted peers, larger index is preferred (usize::MAX - id).
         assert!(prefs.prefers(n(0), n(2), n(1)));
-    }
-
-    #[test]
-    fn pref_matching_basics() {
-        let mut m = PrefMatching::new(3);
-        m.connect(n(0), n(2));
-        assert!(m.contains(n(2), n(0)));
-        assert_eq!(m.edge_count(), 1);
-        let f1 = m.fingerprint();
-        m.disconnect(n(0), n(2));
-        assert_eq!(m.edge_count(), 0);
-        m.connect(n(2), n(0));
-        assert_eq!(m.fingerprint(), f1, "fingerprint must be order-insensitive");
     }
 
     #[test]
@@ -988,12 +809,17 @@ mod tests {
         let steps = dynamics.settle().unwrap();
         assert!(dynamics.is_stable());
         assert_eq!(dynamics.disorder(), 0.0);
-        // Same sweeps as best_mate_dynamics: identical mate sets and steps.
-        let PrefDynamicsOutcome::Stable(reference) = best_mate_dynamics(&graph, &prefs, &caps)
+        // Same sweeps as the full-scan reference: identical mate sets and
+        // step counts.
+        let crate::reference::RefPrefOutcome::Stable {
+            at: reference,
+            steps: reference_steps,
+        } = crate::reference::best_mate_dynamics(&graph, &prefs, &caps)
         else {
             panic!("latency prefs oscillated")
         };
         assert!(steps > 0);
+        assert_eq!(steps, reference_steps);
         for v in 0..n_peers {
             let v = n(v);
             let mut a: Vec<NodeId> = dynamics.matching().mates(v).to_vec();

@@ -18,13 +18,19 @@
 //! order and quantity as [`crate::Dynamics`] (same peer draws, same probe
 //! draws), so both drivers stay in lockstep on a shared seed for their
 //! entire run.
+//!
+//! For general preference systems, [`best_mate_dynamics`] is the full-scan
+//! twin of [`crate::Dynamics::settle`] over a [`crate::PrefAcceptance`]:
+//! the same round-robin best-mate sweeps on an unsorted mate-list
+//! configuration ([`RefPrefMatching`]), with every comparison going
+//! through the live [`PreferenceSystem`].
 
 use std::collections::HashSet;
 
 use rand::Rng;
 use strat_graph::{Graph, NodeId};
 
-use crate::prefs::{PrefDynamicsOutcome, PrefMatching, PreferenceSystem};
+use crate::prefs::{edge_fingerprint, PreferenceSystem};
 use crate::{
     Capacities, GlobalRanking, InitiativeOutcome, InitiativeStrategy, ModelError, RankedAcceptance,
 };
@@ -505,15 +511,125 @@ impl RefDynamics {
     }
 }
 
-/// The historical full-scan implementation of
-/// [`crate::prefs::best_mate_dynamics`] (pre-engine-unification): every
-/// sweep re-scans every peer's entire neighborhood with live
+/// A b-matching configuration under arbitrary preferences: unsorted mate
+/// lists, worst-mate queries through the preference system.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RefPrefMatching {
+    mates: Vec<Vec<NodeId>>,
+    edge_count: usize,
+}
+
+impl RefPrefMatching {
+    /// Empty configuration.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        Self {
+            mates: vec![Vec::new(); n],
+            edge_count: 0,
+        }
+    }
+
+    /// Number of peers.
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.mates.len()
+    }
+
+    /// Number of collaborations.
+    #[must_use]
+    pub fn edge_count(&self) -> usize {
+        self.edge_count
+    }
+
+    /// Mates of `v` (unordered).
+    #[must_use]
+    pub fn mates(&self, v: NodeId) -> &[NodeId] {
+        &self.mates[v.index()]
+    }
+
+    /// Whether `u` and `v` are matched together.
+    #[must_use]
+    pub fn contains(&self, u: NodeId, v: NodeId) -> bool {
+        self.mates[u.index()].contains(&v)
+    }
+
+    fn connect(&mut self, u: NodeId, v: NodeId) {
+        debug_assert!(u != v && !self.contains(u, v));
+        self.mates[u.index()].push(v);
+        self.mates[v.index()].push(u);
+        self.edge_count += 1;
+    }
+
+    fn disconnect(&mut self, u: NodeId, v: NodeId) {
+        let pu = self.mates[u.index()]
+            .iter()
+            .position(|&w| w == v)
+            .expect("matched");
+        let pv = self.mates[v.index()]
+            .iter()
+            .position(|&w| w == u)
+            .expect("matched");
+        self.mates[u.index()].swap_remove(pu);
+        self.mates[v.index()].swap_remove(pv);
+        self.edge_count -= 1;
+    }
+
+    /// Whether `v` would welcome `candidate` under `prefs`.
+    fn would_accept<P: PreferenceSystem>(
+        &self,
+        prefs: &P,
+        caps: &Capacities,
+        v: NodeId,
+        candidate: NodeId,
+    ) -> bool {
+        if v == candidate || caps.of(v) == 0 || self.contains(v, candidate) {
+            return false;
+        }
+        if self.mates[v.index()].len() < caps.of(v) as usize {
+            return true;
+        }
+        let worst = prefs
+            .worst_of(v, &self.mates[v.index()])
+            .expect("saturated peer has mates");
+        prefs.prefers(v, candidate, worst)
+    }
+
+    /// Order-insensitive fingerprint (revisit detection).
+    fn fingerprint(&self) -> u64 {
+        edge_fingerprint(self.mates.iter().map(Vec::as_slice))
+    }
+}
+
+/// Outcome of the full-scan [`best_mate_dynamics`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RefPrefOutcome {
+    /// A stable configuration was reached.
+    Stable {
+        /// The stable configuration.
+        at: RefPrefMatching,
+        /// Active initiatives performed to reach it.
+        steps: u64,
+    },
+    /// The dynamics revisited a configuration: a preference cycle exists on
+    /// this instance and no run of active initiatives can settle from here.
+    Oscillating {
+        /// The configuration at which the revisit was detected.
+        at: RefPrefMatching,
+        /// Active initiatives performed before detection.
+        steps: u64,
+    },
+}
+
+/// Full-scan round-robin best-mate dynamics under arbitrary preferences,
+/// from `C∅` until stability or a configuration revisit: every sweep
+/// re-scans every peer's entire neighborhood with live
 /// [`PreferenceSystem`] comparisons and re-derives saturation and worst
 /// mates per probe — no thresholds, no clean/dirty memo.
 ///
-/// Retained as the differential reference and benchmark baseline for the
-/// dirty-set path: both must produce identical configurations, step counts
-/// and oscillation reports on every instance.
+/// The differential reference and benchmark baseline for
+/// [`crate::Dynamics::settle`] on a [`crate::PrefAcceptance`]: both must
+/// reach the same mate sets after the same number of active initiatives,
+/// and report a revisit at the same configuration.
 ///
 /// # Panics
 ///
@@ -522,11 +638,11 @@ pub fn best_mate_dynamics<P: PreferenceSystem>(
     graph: &Graph,
     prefs: &P,
     caps: &Capacities,
-) -> PrefDynamicsOutcome {
+) -> RefPrefOutcome {
     let n = graph.node_count();
     assert_eq!(prefs.n(), n, "preference system size mismatch");
     caps.check_len(n).expect("capacity size mismatch");
-    let mut matching = PrefMatching::new(n);
+    let mut matching = RefPrefMatching::new(n);
     let mut seen: HashSet<u64> = HashSet::new();
     seen.insert(matching.fingerprint());
     let mut steps = 0u64;
@@ -534,10 +650,13 @@ pub fn best_mate_dynamics<P: PreferenceSystem>(
         let active = best_mate_sweep(graph, prefs, caps, &mut matching);
         steps += active;
         if active == 0 {
-            return PrefDynamicsOutcome::Stable(matching);
+            return RefPrefOutcome::Stable {
+                at: matching,
+                steps,
+            };
         }
         if !seen.insert(matching.fingerprint()) {
-            return PrefDynamicsOutcome::Oscillating {
+            return RefPrefOutcome::Oscillating {
                 at: matching,
                 steps,
             };
@@ -555,7 +674,7 @@ pub fn best_mate_sweep<P: PreferenceSystem>(
     graph: &Graph,
     prefs: &P,
     caps: &Capacities,
-    matching: &mut PrefMatching,
+    matching: &mut RefPrefMatching,
 ) -> u64 {
     let mut active = 0u64;
     for p in graph.nodes() {
@@ -627,5 +746,19 @@ mod tests {
             }
         }
         assert_eq!(dynamics.matching(), &stable);
+    }
+
+    #[test]
+    fn pref_matching_basics() {
+        let n = NodeId::new;
+        let mut m = RefPrefMatching::new(3);
+        m.connect(n(0), n(2));
+        assert!(m.contains(n(2), n(0)));
+        assert_eq!(m.edge_count(), 1);
+        let f1 = m.fingerprint();
+        m.disconnect(n(0), n(2));
+        assert_eq!(m.edge_count(), 0);
+        m.connect(n(2), n(0));
+        assert_eq!(m.fingerprint(), f1, "fingerprint must be order-insensitive");
     }
 }

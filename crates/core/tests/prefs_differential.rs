@@ -1,19 +1,24 @@
-//! Differential properties of the generalized-preference path: the
-//! dirty-set driver behind `prefs::best_mate_dynamics` (and
-//! `Dynamics<PrefAcceptance>`) must be observationally identical to the
-//! retained full-scan implementation `reference::best_mate_dynamics` — same stable
-//! configurations (mate-set equality), same step counts, and the same
-//! acyclicity-failure (oscillation) reports — across latency, banded,
-//! lexicographic, gossip-estimated and explicit preference systems.
+//! Differential properties of the generalized-preference path:
+//! [`Dynamics::settle`] over a [`PrefAcceptance`] key table (the dirty-set
+//! driver) must be observationally identical to the retained full-scan
+//! implementation `reference::best_mate_dynamics` — the same mate set per
+//! peer, the same step count, and the same acyclicity-failure (revisit)
+//! configuration — across latency, banded, lexicographic,
+//! gossip-estimated and explicit preference systems.
 
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use strat_core::prefs::{
-    best_mate_dynamics, odd_cycle_instance, BandedRankPrefs, ExplicitPrefs, GlobalPrefs,
-    LatencyPrefs, LexicographicPrefs, PrefDynamicsOutcome, PrefMatching, PreferenceSystem,
+    odd_cycle_instance, BandedRankPrefs, ExplicitPrefs, GlobalPrefs, LatencyPrefs,
+    LexicographicPrefs, PreferenceSystem,
 };
-use strat_core::{gossip, reference, Capacities, GlobalRanking};
+use strat_core::reference::{self, RefPrefMatching, RefPrefOutcome};
+use strat_core::{
+    gossip, Capacities, Dynamics, GlobalRanking, InitiativeStrategy, Matching, ModelError,
+    PrefAcceptance,
+};
 use strat_graph::{Graph, NodeId};
 
 /// Raw instance material: `(n, edge list, positions, capacities)`.
@@ -42,36 +47,67 @@ fn build_graph(n: usize, raw_edges: &[(usize, usize)]) -> Graph {
     builder.build()
 }
 
+/// Settles `Dynamics` from `C∅`: the configuration it stops at (stable or
+/// revisited), the active-initiative count, and whether it settled.
+fn settle<P: PreferenceSystem>(
+    graph: &Graph,
+    prefs: &P,
+    caps: &Capacities,
+) -> (Matching, u64, bool) {
+    let mut dynamics = Dynamics::new(
+        PrefAcceptance::build(graph, prefs),
+        caps.clone(),
+        InitiativeStrategy::BestMate,
+    )
+    .expect("sizes agree");
+    let settled = match dynamics.settle() {
+        Ok(steps) => {
+            assert_eq!(steps, dynamics.active_initiative_count());
+            true
+        }
+        Err(e) => {
+            assert_eq!(e, ModelError::NoStableConfiguration);
+            false
+        }
+    };
+    let steps = dynamics.active_initiative_count();
+    (dynamics.matching().clone(), steps, settled)
+}
+
 /// Both implementations must agree outcome-for-outcome: stable vs
-/// oscillating, identical mate rows (the engine path replays its events
-/// into the same `PrefMatching` representation), identical step counts.
+/// oscillating, identical mate sets per peer at the stable or revisited
+/// configuration, identical step counts.
 fn assert_identical<P: PreferenceSystem>(graph: &Graph, prefs: &P, caps: &Capacities) {
-    let fast = best_mate_dynamics(graph, prefs, caps);
-    let slow = reference::best_mate_dynamics(graph, prefs, caps);
-    match (&fast, &slow) {
-        (PrefDynamicsOutcome::Stable(a), PrefDynamicsOutcome::Stable(b)) => {
-            assert_rows_equal(a, b);
+    let (fast, fast_steps, settled) = settle(graph, prefs, caps);
+    match reference::best_mate_dynamics(graph, prefs, caps) {
+        RefPrefOutcome::Stable { at, steps } => {
+            assert!(settled, "reference settled, Dynamics oscillated");
+            assert_eq!(fast_steps, steps, "settled after different step counts");
+            assert_mate_sets_equal(&fast, &at);
         }
-        (
-            PrefDynamicsOutcome::Oscillating { at: a, steps: sa },
-            PrefDynamicsOutcome::Oscillating { at: b, steps: sb },
-        ) => {
-            assert_eq!(sa, sb, "oscillation detected after different step counts");
-            assert_rows_equal(a, b);
+        RefPrefOutcome::Oscillating { at, steps } => {
+            assert!(!settled, "reference oscillated, Dynamics settled");
+            assert_eq!(
+                fast_steps, steps,
+                "oscillation detected after different step counts"
+            );
+            assert_mate_sets_equal(&fast, &at);
         }
-        _ => panic!("outcome kind diverged: {fast:?} vs {slow:?}"),
     }
 }
 
-/// Row-exact equality (not just set equality): the engine path rebuilds
-/// the reference's exact vector layout, which is what keeps downstream
-/// float accumulations (ext1 golden rows) bit-identical.
-fn assert_rows_equal(a: &PrefMatching, b: &PrefMatching) {
+/// Mate-set equality per peer (the two configurations store their rows in
+/// different orders).
+fn assert_mate_sets_equal(a: &Matching, b: &RefPrefMatching) {
     assert_eq!(a.node_count(), b.node_count());
     assert_eq!(a.edge_count(), b.edge_count());
     for v in 0..a.node_count() {
         let v = NodeId::new(v);
-        assert_eq!(a.mates(v), b.mates(v), "peer {v}");
+        let mut fast = a.mates(v).to_vec();
+        let mut slow = b.mates(v).to_vec();
+        fast.sort_unstable();
+        slow.sort_unstable();
+        assert_eq!(fast, slow, "peer {v}");
     }
 }
 
@@ -119,24 +155,22 @@ proptest! {
     fn explicit_systems_agree_including_oscillations(
         (n, edges, orders_seed, caps) in instance(16),
     ) {
-        // Explicit per-peer orders derived from hashing material: this is
-        // the class where odd preference cycles actually occur, so both
-        // the stable and the oscillating arm get exercised.
+        // Explicit per-peer orders, each an independent shuffle keyed by
+        // the peer's seed material, with capacities 1 or 2: this is the
+        // class where odd preference cycles actually occur, so both the
+        // stable and the oscillating arm get exercised (structured orders
+        // and zero capacities almost never form one).
         let graph = build_graph(n, &edges);
         let orders: Vec<Vec<NodeId>> = (0..n)
             .map(|p| {
                 let mut order: Vec<NodeId> = (0..n).filter(|&q| q != p).map(NodeId::new).collect();
-                let key = orders_seed[p % orders_seed.len()] as usize;
-                let len = order.len().max(1);
-                order.rotate_left(key % len);
-                if key % 2 == 1 {
-                    order.reverse();
-                }
+                let key = u64::from(orders_seed[p]) << 8 | p as u64;
+                order.shuffle(&mut ChaCha8Rng::seed_from_u64(key));
                 order
             })
             .collect();
         let prefs = ExplicitPrefs::new(orders);
-        let caps = Capacities::from_values(caps);
+        let caps = Capacities::from_values(caps.iter().map(|&c| 1 + c % 2).collect());
         assert_identical(&graph, &prefs, &caps);
     }
 }
@@ -145,14 +179,14 @@ proptest! {
 fn odd_cycle_oscillation_reports_agree() {
     let (graph, prefs) = odd_cycle_instance();
     let caps = Capacities::constant(3, 1);
-    let fast = best_mate_dynamics(&graph, &prefs, &caps);
-    let slow = reference::best_mate_dynamics(&graph, &prefs, &caps);
-    let PrefDynamicsOutcome::Oscillating { at: a, steps: sa } = fast else {
-        panic!("engine path missed the odd cycle");
-    };
-    let PrefDynamicsOutcome::Oscillating { at: b, steps: sb } = slow else {
+    let (fast, fast_steps, settled) = settle(&graph, &prefs, &caps);
+    assert!(!settled, "Dynamics::settle missed the odd cycle");
+    let RefPrefOutcome::Oscillating { at, steps } =
+        reference::best_mate_dynamics(&graph, &prefs, &caps)
+    else {
         panic!("reference path missed the odd cycle");
     };
-    assert_eq!(sa, sb);
-    assert_rows_equal(&a, &b);
+    assert!(steps > 0);
+    assert_eq!(fast_steps, steps);
+    assert_mate_sets_equal(&fast, &at);
 }

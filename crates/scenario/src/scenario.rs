@@ -293,13 +293,6 @@ impl Scenario {
         self
     }
 
-    /// Replaces the preset name (keeps the experiment binding).
-    #[must_use]
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
     /// Replaces the experiment binding.
     #[must_use]
     pub fn with_experiment(mut self, experiment: impl Into<String>) -> Self {

@@ -42,18 +42,28 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
         })
 }
 
-/// Runs the BT swarm validation on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
-}
-
 /// Runs the BT swarm validation kernel on an arbitrary base scenario.
+///
+/// # Errors
+///
+/// [`ScenarioError::InvalidParameter`] for fewer than 10 leechers (the
+/// share-ratio deciles would be empty), for piece-mode content (the swarm
+/// completes and its TFT pairs dissolve), or when no reciprocated TFT pair
+/// forms to measure; [`ScenarioError::MissingSwarm`] and build errors from
+/// the swarm section.
 pub fn run_scenario(
     ctx: &ExperimentContext,
     scenario: &Scenario,
 ) -> Result<ExperimentResult, ScenarioError> {
-    let leechers = scenario.peers;
+    let leechers = common::min_peers("bt1", scenario, 10)?;
+    if scenario.swarm.as_ref().is_some_and(|s| !s.fluid_content) {
+        return Err(ScenarioError::InvalidParameter {
+            what: "swarm.fluid_content",
+            reason: "bt1 measures a fluid-content swarm; piece-mode leechers complete \
+                     and their TFT pairs dissolve"
+                .to_string(),
+        });
+    }
     let rounds = if ctx.quick { 80u64 } else { 240 };
     let seeds = scenario.swarm.as_ref().map_or(2, |s| s.seeds);
 
@@ -90,8 +100,12 @@ pub fn run_scenario(
     }
 
     let late = metrics::stratification_snapshot(&swarm);
-    let early = early_offset.expect("early snapshot captured");
-    let late_off = late.mean_rank_offset.expect("pairs persist in fluid mode");
+    let (Some(early), Some(late_off)) = (early_offset, late.mean_rank_offset) else {
+        return Err(ScenarioError::InvalidParameter {
+            what: "swarm",
+            reason: "the swarm formed no reciprocated TFT pairs to measure".to_string(),
+        });
+    };
     result.check(
         "TFT partners stratify (rank offset shrinks)",
         late_off < 0.6 * early,
@@ -162,7 +176,7 @@ mod tests {
             quick: true,
             seed: 23,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
     }
 }

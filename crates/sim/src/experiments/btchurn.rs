@@ -139,12 +139,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
     cell_scenario(&base, lambda, gamma)
 }
 
-/// Runs the churn sweep on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
-}
-
 /// What one `(λ, γ)` cell measured.
 struct CellRun {
     /// Sampled trajectory rows, then the steady-state summary row.
@@ -362,7 +356,7 @@ mod tests {
             quick: true,
             seed: 23,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
     }
 }

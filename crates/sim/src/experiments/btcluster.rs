@@ -115,12 +115,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
     cell_scenario(&base, spreads(ctx.quick)[0])
 }
 
-/// Runs the clustering sweep on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
-}
-
 /// Runs the class-spread sweep derived from an arbitrary base scenario
 /// (which must carry a swarm section).
 ///
@@ -252,7 +246,7 @@ mod tests {
             quick: true,
             seed: 23,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
     }
 }

@@ -173,12 +173,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
     cell_scenario(&base, spread)
 }
 
-/// Runs the heterogeneity sweep on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
-}
-
 /// What one speed-spread cell measured.
 struct CellRun {
     /// One row per class.
@@ -408,7 +402,7 @@ mod tests {
             quick: true,
             seed: 23,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
     }
 }

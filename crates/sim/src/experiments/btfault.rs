@@ -166,12 +166,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
     cell_scenario(&base, combined, ctx.quick)
 }
 
-/// Runs the fault sweep on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
-}
-
 /// What one cell's simulation measured: its rows and the handful of
 /// scalars the sweep's checks read (never the finished session, so cells
 /// that finish together do not keep whole swarms alive).
@@ -469,7 +463,7 @@ mod tests {
             quick: true,
             seed: 23,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
     }
 

@@ -49,12 +49,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
         })
 }
 
-/// Runs the flash-crowd experiment on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
-}
-
 /// Runs the flash-crowd kernel on an arbitrary base scenario.
 ///
 /// Rounds execute through the parallel engine on all available workers;
@@ -182,7 +176,7 @@ mod tests {
             quick: true,
             seed: 23,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
     }
 

@@ -42,12 +42,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
         })
 }
 
-/// Runs the free-rider sweep on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
-}
-
 /// Runs the free-rider sweep derived from an arbitrary base scenario: each
 /// level rebuilds the scenario with `free_riders = level % · leechers`
 /// (riders occupy the top leecher indices — bandwidth-representative under
@@ -163,7 +157,7 @@ mod tests {
             quick: true,
             seed: 23,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
     }
 }

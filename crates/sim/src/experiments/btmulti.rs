@@ -377,12 +377,6 @@ fn run_cell(
     })
 }
 
-/// Runs the multi-swarm sweep on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
-}
-
 /// Runs the torrent-count × popularity-skew sweep derived from an
 /// arbitrary base scenario (which must carry `swarm.churn` and
 /// `swarm.universe`).
@@ -513,7 +507,7 @@ mod tests {
             quick: true,
             seed: 23,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
     }
 

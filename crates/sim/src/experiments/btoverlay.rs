@@ -112,12 +112,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
     cell_scenario(&base, caps(ctx.quick)[0])
 }
 
-/// Runs the peer-list-cap sweep on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
-}
-
 /// Counts the membership hooks a session fires: all the replay check
 /// reads, without buffering the run's unchoke and transfer events.
 #[derive(Default)]
@@ -298,7 +292,7 @@ mod tests {
             quick: true,
             seed: 23,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
     }
 }

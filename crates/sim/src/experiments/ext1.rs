@@ -13,10 +13,11 @@
 //!   tunable by the class width.
 
 use strat_core::prefs::{
-    best_mate_dynamics, BandedRankPrefs, GlobalPrefs, LatencyPrefs, LexicographicPrefs,
-    PrefDynamicsOutcome, PrefMatching, PreferenceSystem,
+    BandedRankPrefs, GlobalPrefs, LatencyPrefs, LexicographicPrefs, PreferenceSystem,
 };
-use strat_core::{Capacities, GlobalRanking};
+use strat_core::{
+    Capacities, Dynamics, GlobalRanking, InitiativeStrategy, Matching, PrefAcceptance,
+};
 use strat_graph::{Graph, NodeId};
 use strat_scenario::{CapacityModel, PreferenceModel, Scenario, ScenarioError, TopologyModel};
 
@@ -29,13 +30,20 @@ struct Measured {
     matched_edges: usize,
 }
 
-fn measure(matching: &PrefMatching, ranking: &GlobalRanking, latency: &LatencyPrefs) -> Measured {
+/// Mean rank offset and mean latency over every (peer, mate) pair. Each
+/// row is summed in ascending mate id, so the value depends only on the
+/// mate sets, not on how the configuration stores its rows.
+fn measure(matching: &Matching, ranking: &GlobalRanking, latency: &LatencyPrefs) -> Measured {
     let mut offset = 0.0f64;
     let mut dist = 0.0f64;
     let mut count = 0.0f64;
+    let mut row = Vec::new();
     for v in 0..matching.node_count() {
         let v_id = NodeId::new(v);
-        for &w in matching.mates(v_id) {
+        row.clear();
+        row.extend_from_slice(matching.mates(v_id));
+        row.sort_unstable();
+        for &w in &row {
             offset += ranking.offset(v_id, w) as f64;
             dist += latency.distance(v_id, w);
             count += 1.0;
@@ -48,13 +56,19 @@ fn measure(matching: &PrefMatching, ranking: &GlobalRanking, latency: &LatencyPr
     }
 }
 
-fn settle<P: PreferenceSystem>(graph: &Graph, prefs: &P, caps: &Capacities) -> PrefMatching {
-    match best_mate_dynamics(graph, prefs, caps) {
-        PrefDynamicsOutcome::Stable(m) => m,
-        PrefDynamicsOutcome::Oscillating { .. } => {
-            unreachable!("cycle-free utility classes cannot oscillate")
-        }
-    }
+/// The round-robin best-mate fixpoint from `C∅` under `prefs`.
+fn settle<P: PreferenceSystem>(
+    graph: &Graph,
+    prefs: &P,
+    caps: &Capacities,
+) -> Result<Matching, ScenarioError> {
+    let mut dynamics = Dynamics::new(
+        PrefAcceptance::build(graph, prefs),
+        caps.clone(),
+        InitiativeStrategy::BestMate,
+    )?;
+    dynamics.settle()?;
+    Ok(dynamics.into_parts().0)
 }
 
 /// The EXT1 scenario: the §7 combined utility — banded rank classes of
@@ -71,12 +85,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
             class_width: n / 20,
             span: 1000.0,
         })
-}
-
-/// Runs the combined-utilities trade-off on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
 }
 
 /// Runs the combined-utilities kernel on an arbitrary base scenario.
@@ -117,7 +125,7 @@ pub fn run_scenario(
 
     // Pure rank (class width 1 ≡ exact global ranking).
     let pure_rank = measure(
-        &settle(&graph, &GlobalPrefs::new(ranking.clone()), &caps),
+        &settle(&graph, &GlobalPrefs::new(ranking.clone()), &caps)?,
         &ranking,
         &latency,
     );
@@ -135,7 +143,7 @@ pub fn run_scenario(
             BandedRankPrefs::new(ranking.clone(), width.max(2)),
             latency.clone(),
         );
-        let measured = measure(&settle(&graph, &prefs, &caps), &ranking, &latency);
+        let measured = measure(&settle(&graph, &prefs, &caps)?, &ranking, &latency);
         result.push_row(vec![
             width as f64,
             measured.mean_rank_offset,
@@ -146,7 +154,7 @@ pub fn run_scenario(
     }
 
     // Pure latency (class width n ≡ one class; rank ignored).
-    let pure_latency = measure(&settle(&graph, &latency, &caps), &ranking, &latency);
+    let pure_latency = measure(&settle(&graph, &latency, &caps)?, &ranking, &latency);
     result.push_row(vec![
         n as f64,
         pure_latency.mean_rank_offset,
@@ -216,7 +224,7 @@ mod tests {
             quick: true,
             seed: 31,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
         assert_eq!(result.rows.len(), 6);
     }

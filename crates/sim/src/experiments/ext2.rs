@@ -25,12 +25,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
         .with_preference(PreferenceModel::GossipEstimated { sample_size: 10 })
 }
 
-/// Runs the gossip-rank-estimation experiment on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
-}
-
 /// Runs the gossip-rank-estimation kernel on an arbitrary base scenario;
 /// the scenario's gossip sample size anchors the sweep
 /// `k × {0.3, 1, 3, 10, 30}`.
@@ -151,7 +145,7 @@ mod tests {
             quick: true,
             seed: 37,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
     }
 }

@@ -22,12 +22,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
     common::one_matching_scenario("fig1", 1000, 50.0).with_seed(ctx.seed)
 }
 
-/// Runs the Figure 1 reproduction on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
-}
-
 /// Runs the Figure 1 kernel on an arbitrary base scenario.
 pub fn run_scenario(
     ctx: &ExperimentContext,
@@ -128,7 +122,7 @@ mod tests {
             quick: true,
             seed: 1,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert_eq!(result.rows.len(), 41);
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
         // Disorder starts near 1 (C_empty vs near-perfect matching).

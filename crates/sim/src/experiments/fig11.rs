@@ -24,12 +24,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
         .with_swarm(SwarmParams::default())
 }
 
-/// Runs the Figure 11 reproduction on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
-}
-
 /// Runs the Figure 11 kernel on an arbitrary base scenario (Saroiu
 /// capacities; `b₀` read from the swarm section's TFT slots).
 pub fn run_scenario(
@@ -139,7 +133,7 @@ mod tests {
             quick: true,
             seed: 19,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
         // x axis increasing.
         for w in result.rows.windows(2) {

@@ -22,12 +22,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
         .with_capacity(CapacityModel::Constant { value: 2.0 })
 }
 
-/// Runs the Figures 4–5 reproduction on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
-}
-
 /// Runs the Figures 4–5 kernel on an arbitrary base scenario.
 pub fn run_scenario(
     _ctx: &ExperimentContext,
@@ -117,7 +111,8 @@ mod tests {
 
     #[test]
     fn structure_matches_paper_drawings() {
-        let result = run(&ExperimentContext::default());
+        let ctx = ExperimentContext::default();
+        let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
         assert_eq!(result.rows.len(), 9);
     }

@@ -30,12 +30,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
         .with_topology(TopologyModel::ErdosRenyiEdgeProbability { p })
 }
 
-/// Runs the Figure 8 reproduction on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
-}
-
 /// Runs the Figure 8 kernel on an arbitrary base scenario.
 pub fn run_scenario(
     _ctx: &ExperimentContext,
@@ -157,7 +151,7 @@ mod tests {
             quick: true,
             seed: 13,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
     }
 }

@@ -31,12 +31,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
         .with_capacity(CapacityModel::Constant { value: 2.0 })
 }
 
-/// Runs the Figure 9 reproduction on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
-}
-
 /// Runs the Figure 9 kernel on an arbitrary base scenario.
 pub fn run_scenario(
     ctx: &ExperimentContext,
@@ -160,7 +154,7 @@ mod tests {
             quick: true,
             seed: 17,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
     }
 }

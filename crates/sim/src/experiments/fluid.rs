@@ -21,12 +21,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
         .with_topology(TopologyModel::ErdosRenyiMeanDegree { d: 50.0 })
 }
 
-/// Runs the fluid-limit validation on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
-}
-
 /// Runs the fluid-limit kernel on an arbitrary base scenario (its `n`
 /// and `d` cap the sweep).
 pub fn run_scenario(
@@ -99,7 +93,7 @@ mod tests {
             quick: true,
             seed: 29,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
     }
 }

@@ -80,12 +80,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
         .with_preference(PreferenceModel::Latency { span: 1000.0 })
 }
 
-/// Runs the latency-clustering comparison on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
-}
-
 /// Runs the latency-clustering kernel on an arbitrary base scenario. The
 /// scenario's preference model provides the latency arm (a ranked-only
 /// scenario falls back to the preset's `[0, 1000)` embedding); the ranked
@@ -276,7 +270,7 @@ mod tests {
             quick: true,
             seed: 43,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert_eq!(result.rows.len(), 25);
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
         // The two arms genuinely differ from the first base unit on.

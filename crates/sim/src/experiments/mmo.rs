@@ -15,12 +15,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
         .with_capacity(CapacityModel::Constant { value: 64.0 })
 }
 
-/// Runs the MMO formula sweep on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
-}
-
 /// Runs the MMO kernel on an arbitrary base scenario.
 pub fn run_scenario(
     _ctx: &ExperimentContext,
@@ -82,7 +76,8 @@ mod tests {
 
     #[test]
     fn formula_sweep_passes() {
-        let result = run(&ExperimentContext::default());
+        let ctx = ExperimentContext::default();
+        let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
     }
 }

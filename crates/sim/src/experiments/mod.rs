@@ -1,4 +1,4 @@
-//! One module per paper artifact. Each exposes three entry points wired
+//! One module per paper artifact. Each exposes two entry points wired
 //! into the [`runner`](crate::runner) registry:
 //!
 //! * `preset(&ExperimentContext) -> Scenario` — the named declarative
@@ -6,9 +6,10 @@
 //! * `run_scenario(&ExperimentContext, &Scenario) -> Result<ExperimentResult,
 //!   ScenarioError>` — the measurement kernel, driven entirely by the
 //!   scenario (sweeps are expressed as `with_*` variants of it); a
-//!   scenario the kernel cannot build or measure is a typed error;
-//! * `run(&ExperimentContext) -> ExperimentResult` — shorthand for
-//!   `run_scenario(ctx, &preset(ctx))`, whose preset always builds.
+//!   scenario the kernel cannot build or measure is a typed error.
+//!
+//! The registry's `run` field is `run_scenario(ctx, &preset(ctx))`, built
+//! by the `entry!` macro in `runner.rs`; a preset always builds.
 //!
 //! All simulation state is instantiated through the scenario layer
 //! (`strat-scenario`); experiment modules never construct `Dynamics` or

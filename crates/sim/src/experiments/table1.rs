@@ -33,12 +33,6 @@ pub fn preset(ctx: &ExperimentContext) -> Scenario {
         })
 }
 
-/// Runs the Table 1 reproduction on its preset.
-#[must_use]
-pub fn run(ctx: &ExperimentContext) -> ExperimentResult {
-    run_scenario(ctx, &preset(ctx)).expect("the preset is a valid scenario")
-}
-
 /// Runs the Table 1 kernel on an arbitrary base scenario (the scenario's
 /// σ anchors the normal column).
 pub fn run_scenario(
@@ -185,7 +179,7 @@ mod tests {
             quick: true,
             seed: 7,
         };
-        let result = run(&ctx);
+        let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert_eq!(result.rows.len(), 6);
         for check in &result.checks {
             if check.name.contains("constant") {

@@ -146,7 +146,13 @@ macro_rules! entry {
         ExperimentEntry {
             id: $id,
             description: $description,
-            run: crate::experiments::$module::run,
+            run: |ctx| {
+                crate::experiments::$module::run_scenario(
+                    ctx,
+                    &crate::experiments::$module::preset(ctx),
+                )
+                .unwrap_or_else(|e| panic!("{} preset: {e}", $id))
+            },
             preset: crate::experiments::$module::preset,
             try_run_scenario: crate::experiments::$module::run_scenario,
             run_scenario: |ctx, scenario| {

@@ -149,8 +149,10 @@ fn btevent_with_faults_is_a_typed_error() {
 }
 
 /// Kernels refuse scenarios they cannot measure before simulating
-/// anything: every swarm kernel one without a swarm section, and the
-/// sweeps that scale the peer count down one with too few peers.
+/// anything: every swarm kernel one without a swarm section, `bt1` one
+/// with fewer than 10 leechers (empty share-ratio deciles) or piece-mode
+/// content, and the sweeps that scale the peer count down one with too
+/// few peers.
 #[test]
 fn scenarios_a_kernel_cannot_measure_are_typed_errors() {
     let ctx = ctx();
@@ -160,7 +162,7 @@ fn scenarios_a_kernel_cannot_measure_are_typed_errors() {
         if entry.id.starts_with("bt") {
             let scenario = Scenario {
                 swarm: None,
-                ..preset
+                ..preset.clone()
             };
             assert_eq!(
                 run(&scenario),
@@ -168,6 +170,24 @@ fn scenarios_a_kernel_cannot_measure_are_typed_errors() {
                 "{}",
                 entry.id
             );
+        }
+        if entry.id == "bt1" {
+            let mut piece_mode = preset.clone();
+            piece_mode
+                .swarm
+                .as_mut()
+                .expect("bt1 preset has a swarm")
+                .fluid_content = false;
+            for (scenario, what) in [
+                (preset.clone().with_peers(5), "peers"),
+                (preset.clone().with_peers(0), "peers"),
+                (piece_mode, "swarm.fluid_content"),
+            ] {
+                match run(&scenario) {
+                    Err(ScenarioError::InvalidParameter { what: got, .. }) if got == what => {}
+                    other => panic!("bt1: expected a `{what}` error, got {other:?}"),
+                }
+            }
         } else if ["fig1", "fig2", "fig8", "fig9"].contains(&entry.id) {
             match run(&preset.with_peers(0)) {
                 Err(ScenarioError::InvalidParameter { what: "peers", .. }) => {}

@@ -9,17 +9,20 @@
 use rand::Rng;
 use rand::SeedableRng;
 use stratification::core::prefs::{
-    best_mate_dynamics, BandedRankPrefs, GlobalPrefs, LatencyPrefs, LexicographicPrefs,
-    PrefDynamicsOutcome, PrefMatching, PreferenceSystem,
+    BandedRankPrefs, GlobalPrefs, LatencyPrefs, LexicographicPrefs, PreferenceSystem,
 };
-use stratification::core::{gossip, Capacities, GlobalRanking};
-use stratification::graph::{generators, NodeId};
+use stratification::core::{
+    gossip, Capacities, Dynamics, GlobalRanking, InitiativeStrategy, Matching, PrefAcceptance,
+};
+use stratification::graph::{generators, Graph, NodeId};
 
-fn report(label: &str, matching: &PrefMatching, ranking: &GlobalRanking, latency: &LatencyPrefs) {
+fn report(label: &str, matching: &Matching, ranking: &GlobalRanking, latency: &LatencyPrefs) {
     let (mut offset, mut dist, mut count) = (0.0, 0.0, 0.0f64);
     for v in 0..matching.node_count() {
         let v_id = NodeId::new(v);
-        for &w in matching.mates(v_id) {
+        let mut mates = matching.mates(v_id).to_vec();
+        mates.sort_unstable();
+        for w in mates {
             offset += ranking.offset(v_id, w) as f64;
             dist += latency.distance(v_id, w);
             count += 1.0;
@@ -32,15 +35,16 @@ fn report(label: &str, matching: &PrefMatching, ranking: &GlobalRanking, latency
     );
 }
 
-fn settle<P: PreferenceSystem>(
-    graph: &stratification::graph::Graph,
-    prefs: &P,
-    caps: &Capacities,
-) -> PrefMatching {
-    match best_mate_dynamics(graph, prefs, caps) {
-        PrefDynamicsOutcome::Stable(m) => m,
-        PrefDynamicsOutcome::Oscillating { .. } => unreachable!("cycle-free utilities"),
-    }
+/// The round-robin best-mate fixpoint from the empty configuration.
+fn settle<P: PreferenceSystem>(graph: &Graph, prefs: &P, caps: &Capacities) -> Matching {
+    let mut dynamics = Dynamics::new(
+        PrefAcceptance::build(graph, prefs),
+        caps.clone(),
+        InitiativeStrategy::BestMate,
+    )
+    .expect("sizes agree");
+    dynamics.settle().expect("cycle-free utilities settle");
+    dynamics.into_parts().0
 }
 
 fn main() {

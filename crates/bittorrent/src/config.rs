@@ -55,6 +55,49 @@ impl SwarmConfig {
     pub fn builder() -> SwarmConfigBuilder {
         SwarmConfigBuilder::default()
     }
+
+    /// Checks the constraints the engine relies on — the single source of
+    /// truth [`SwarmConfigBuilder::build`] asserts and scenario builders
+    /// surface as typed errors.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated constraint: fewer than
+    /// two peers, no pieces, no unchoke slot, a non-positive piece size or
+    /// round length, a zero optimistic period, or an initial completion
+    /// outside `[0, 1]`.
+    pub fn validate(&self) -> Result<(), String> {
+        let peers = self.leechers + self.seeds;
+        if peers < 2 {
+            return Err(format!(
+                "need at least two peers (leechers + seeds), got {peers}"
+            ));
+        }
+        if self.piece_count == 0 {
+            return Err("need at least one piece".to_string());
+        }
+        if self.tft_slots + self.optimistic_slots == 0 {
+            return Err("need at least one TFT or optimistic slot".to_string());
+        }
+        for (name, value) in [
+            ("piece size", self.piece_size_kbit),
+            ("round length", self.round_seconds),
+        ] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(format!("{name} must be positive, got {value}"));
+            }
+        }
+        if self.optimistic_period == 0 {
+            return Err("optimistic period must be at least one round".to_string());
+        }
+        if !(0.0..=1.0).contains(&self.initial_completion) {
+            return Err(format!(
+                "initial completion must be in [0, 1], got {}",
+                self.initial_completion
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Builder for [`SwarmConfig`].
@@ -124,7 +167,7 @@ impl SwarmConfigBuilder {
 
     /// Sets the optimistic rotation period in rounds.
     pub fn optimistic_period(&mut self, rounds: u32) -> &mut Self {
-        self.config.optimistic_period = rounds.max(1);
+        self.config.optimistic_period = rounds;
         self
     }
 
@@ -136,7 +179,7 @@ impl SwarmConfigBuilder {
 
     /// Sets the post-flash-crowd initial completion fraction.
     pub fn initial_completion(&mut self, fraction: f64) -> &mut Self {
-        self.config.initial_completion = fraction.clamp(0.0, 1.0);
+        self.config.initial_completion = fraction;
         self
     }
 
@@ -163,22 +206,13 @@ impl SwarmConfigBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (no peers, no pieces, or
-    /// zero slots).
+    /// Panics if [`SwarmConfig::validate`] rejects it.
     #[must_use]
     pub fn build(&self) -> SwarmConfig {
-        let c = &self.config;
-        assert!(c.leechers + c.seeds >= 2, "need at least two peers");
-        assert!(c.piece_count >= 1, "need at least one piece");
-        assert!(
-            c.tft_slots + c.optimistic_slots >= 1,
-            "need at least one unchoke slot"
-        );
-        assert!(
-            c.piece_size_kbit > 0.0 && c.round_seconds > 0.0,
-            "positive sizes required"
-        );
-        c.clone()
+        if let Err(reason) = self.config.validate() {
+            panic!("invalid swarm configuration: {reason}");
+        }
+        self.config.clone()
     }
 }
 
@@ -212,9 +246,34 @@ mod tests {
     }
 
     #[test]
-    fn completion_clamped() {
-        let c = SwarmConfig::builder().initial_completion(1.7).build();
-        assert_eq!(c.initial_completion, 1.0);
+    #[should_panic(expected = "initial completion must be in [0, 1]")]
+    fn completion_out_of_range_rejected() {
+        let _ = SwarmConfig::builder().initial_completion(1.7).build();
+    }
+
+    #[test]
+    fn round_length_and_period_are_validated_not_clamped() {
+        let c = SwarmConfig {
+            round_seconds: 5.0,
+            ..SwarmConfig::builder().build()
+        };
+        assert_eq!(c.validate(), Ok(()));
+        for bad in [
+            SwarmConfig {
+                round_seconds: -1.0,
+                ..c.clone()
+            },
+            SwarmConfig {
+                round_seconds: f64::NAN,
+                ..c.clone()
+            },
+            SwarmConfig {
+                optimistic_period: 0,
+                ..c.clone()
+            },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -71,7 +71,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
@@ -80,22 +80,9 @@ use crate::behavior::PeerBehavior;
 use crate::observer::{NullObserver, RunObserver};
 use crate::piece::PieceSet;
 use crate::session::{ArrivalProcess, SessionConfig};
-use crate::swarm::{peer_round_rng, PeerId, Swarm};
+use crate::streams;
+use crate::swarm::{PeerId, Swarm};
 use crate::tracker;
-
-/// Domain separator for per-event ChaCha streams ("eventseq"): churn,
-/// announce, and arrival draws are keyed `(seed ^ SEP, stream = seq)` so
-/// they can never collide with the rechoke streams (`peer_round_rng`),
-/// the session streams, or the fault plane.
-const EVENT_SEQ_SEP: u64 = 0x6576_656e_7473_6571;
-
-/// Per-event RNG: one independent ChaCha stream per scheduled event,
-/// keyed by the engine seed and the event's global sequence number.
-pub(crate) fn event_seq_rng(seed: u64, seq: u64) -> ChaCha8Rng {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ EVENT_SEQ_SEP);
-    rng.set_stream(seq);
-    rng
-}
 
 /// Transfer completion: credit on an edge crossed one piece (kind 0).
 const K_TRANSFER: u8 = 0;
@@ -458,7 +445,7 @@ impl EventEngine {
             ArrivalProcess::Poisson { rate } => {
                 if *rate > 0.0 {
                     let sq = self.alloc_seq();
-                    let mut rng = event_seq_rng(seed, sq);
+                    let mut rng = streams::keyed(seed, streams::EVENT_SEQ, sq);
                     let gap = exp_gap(&mut rng, 1.0 / rate);
                     let idx = self.arrival_pushed();
                     self.push(gap, K_ARRIVAL, idx, 1, 0);
@@ -490,7 +477,7 @@ impl EventEngine {
             for p in 0..n {
                 if self.swarm.is_present(p) && !self.swarm.pieces_at(p).is_complete() {
                     let sq = self.alloc_seq();
-                    let mut rng = event_seq_rng(seed, sq);
+                    let mut rng = streams::keyed(seed, streams::EVENT_SEQ, sq);
                     let gap = round_prob_gap(&mut rng, ch.departure.abort_prob);
                     self.push(gap, K_DEPART, p as u64, 1, self.tag_of(p));
                 }
@@ -699,7 +686,11 @@ impl EventEngine {
         let config = self.swarm.config();
         let cfg_seed = config.seed;
         let rotate = tick.is_multiple_of(u64::from(config.optimistic_period));
-        let mut rng = peer_round_rng(cfg_seed, tick, self.swarm.stream_of(p));
+        let mut rng = streams::keyed(
+            cfg_seed,
+            streams::PEER_ROUND,
+            streams::round_stream(tick, self.swarm.stream_of(p) as u64),
+        );
         let mut targets = std::mem::take(&mut self.targets);
         targets.clear();
         targets.extend_from_slice(self.swarm.rechoke_peer(
@@ -846,7 +837,7 @@ impl EventEngine {
         }
         let gen = self.tag_of(q);
         let sq = self.alloc_seq();
-        let mut rng = event_seq_rng(seed, sq);
+        let mut rng = streams::keyed(seed, streams::EVENT_SEQ, sq);
         if leave_p > 0.0 && rng.gen_bool(leave_p) {
             self.push(tau, K_DEPART, q as u64, 0, gen);
         } else if linger_p > 0.0 {
@@ -981,7 +972,7 @@ impl EventEngine {
         obs: &O,
     ) {
         self.stats.arrivals += 1;
-        let mut rng = event_seq_rng(ch.session_seed, seq);
+        let mut rng = streams::keyed(ch.session_seed, streams::EVENT_SEQ, seq);
         let pieces = tracker::draw_pieces(
             self.swarm.config().piece_count,
             ch.arrival_completion,
@@ -1049,7 +1040,7 @@ impl EventEngine {
         let Some(ch) = self.churn.take() else {
             return;
         };
-        let mut rng = event_seq_rng(ch.session_seed, seq);
+        let mut rng = streams::keyed(ch.session_seed, streams::EVENT_SEQ, seq);
         self.wire(p, &ch, &mut rng, tau);
         self.churn = Some(ch);
         if let Some(ai) = self.announce_intervals {

@@ -17,8 +17,8 @@
 //! # Determinism contract
 //!
 //! Every fault decision draws from its own ChaCha8 stream keyed by
-//! `(fault_seed, round, fault_event)` via `fault_rng` under a domain
-//! separator distinct from the session and parallel-round families. No
+//! `(fault_seed, round, fault_event)` in the `streams::FAULTS` family,
+//! distinct from the session and parallel-round families. No
 //! fault stream is ever touched by the regular session or swarm passes,
 //! and a plan for which [`FaultPlan::is_inert`] holds consumes **zero**
 //! randomness — sessions carrying an inert plan are bit-identical to
@@ -30,14 +30,9 @@
 //! fault events), which makes loss schedules independent of worker
 //! partitioning in the parallel engine.
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-/// Domain separator of the fault-event stream family (`b"faults!_"`),
-/// distinct from the session (`b"session_"`) and parallel-round
-/// (`b"parallel"`) separators.
-const FAULT_STREAM_DOMAIN: u64 = 0x6661_756c_7473_215f;
+use crate::streams;
 
 /// Fault event id of the per-round crash pass.
 pub(crate) const CRASH_EVENT: u64 = 0;
@@ -48,23 +43,19 @@ pub(crate) const REPAIR_EVENT: u64 = 1;
 /// session-level event ids by construction.
 pub(crate) const LOSS_EVENT_BIT: u64 = 1 << 31;
 
-/// The deterministic ChaCha8 stream of one fault event: seeded from
-/// `fault_seed` under the fault domain separator, stream-indexed by
-/// `(round, event)`. Creating the generator is cheap and draws nothing.
-#[must_use]
-pub(crate) fn fault_rng(fault_seed: u64, round: u64, event: u64) -> ChaCha8Rng {
-    let mut rng = ChaCha8Rng::seed_from_u64(fault_seed ^ FAULT_STREAM_DOMAIN);
-    rng.set_stream((round << 32) | event);
-    rng
-}
-
 /// One deterministic loss draw for the delivery arriving at recipient-side
 /// edge slot `edge` in `round`. Used by both the serial and the parallel
 /// delivery paths, so loss schedules are thread-count independent.
 #[must_use]
 pub(crate) fn loss_drawn(fault_seed: u64, round: u64, edge: usize, prob: f64) -> bool {
     use rand::Rng;
-    fault_rng(fault_seed, round, LOSS_EVENT_BIT | edge as u64).gen_bool(prob)
+    let event = LOSS_EVENT_BIT | edge as u64;
+    streams::keyed(
+        fault_seed,
+        streams::FAULTS,
+        streams::round_stream(round, event),
+    )
+    .gen_bool(prob)
 }
 
 /// A half-open round window `[start, start + rounds)`.
@@ -205,7 +196,6 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::RngCore;
 
     #[test]
     fn none_is_inert_and_valid() {
@@ -261,20 +251,6 @@ mod tests {
         assert!(plan.outage_active(12) && !plan.outage_active(13));
         assert!(plan.partition_starts_at(20) && !plan.partition_starts_at(21));
         assert!(plan.partition_active(20) && !plan.partition_active(21));
-    }
-
-    #[test]
-    fn fault_streams_are_keyed_by_round_and_event() {
-        let mut a = fault_rng(7, 3, CRASH_EVENT);
-        let mut b = fault_rng(7, 3, CRASH_EVENT);
-        assert_eq!(a.next_u64(), b.next_u64(), "same key, same stream");
-        let mut c = fault_rng(7, 3, REPAIR_EVENT);
-        let mut d = fault_rng(7, 4, CRASH_EVENT);
-        let mut e = fault_rng(8, 3, CRASH_EVENT);
-        let base = fault_rng(7, 3, CRASH_EVENT).next_u64();
-        assert_ne!(base, c.next_u64(), "event separates streams");
-        assert_ne!(base, d.next_u64(), "round separates streams");
-        assert_ne!(base, e.next_u64(), "seed separates streams");
     }
 
     #[test]

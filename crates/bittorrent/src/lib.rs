@@ -56,6 +56,7 @@ pub mod overlay;
 mod piece;
 pub mod reference;
 pub mod session;
+mod streams;
 mod swarm;
 mod tracker;
 pub mod universe;

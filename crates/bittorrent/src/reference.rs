@@ -21,15 +21,15 @@
 //! (construction draws, per-seed shuffles, optimistic rotations), so both
 //! engines stay in lockstep on a shared seed for their entire run.
 //! [`RefSwarm::round_indexed`] instead derives one stream per
-//! `(round, peer)` pair — the parallel-round semantics — via the same
-//! `peer_round_rng` helper the optimized engine uses.
+//! `(round, peer)` pair — the parallel-round semantics — from the same
+//! `streams::PEER_ROUND` family the optimized engine draws from.
 
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use strat_graph::{generators, NodeId};
 
-use crate::swarm::peer_round_rng;
+use crate::streams;
 use crate::{PeerBehavior, PeerId, PieceSet, SwarmConfig};
 
 /// The historical one-scan rarest-first prefetch: the first `want` picks
@@ -546,7 +546,11 @@ impl RefSwarm {
                 self.peers[p].optimistic = None;
                 continue;
             }
-            let mut rng = peer_round_rng(self.config.seed, self.round, p);
+            let mut rng = streams::keyed(
+                self.config.seed,
+                streams::PEER_ROUND,
+                streams::round_stream(self.round, p as u64),
+            );
             let candidates: Vec<usize> = (0..self.neighbors[p].len())
                 .filter(|&k| interested(self.neighbors[p][k], p))
                 .collect();

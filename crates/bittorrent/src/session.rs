@@ -43,24 +43,15 @@
 //!   events execute serially between rounds and the rounds themselves
 //!   honour the `strat-par` contract.
 
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::faults::{fault_rng, FaultPlan, CRASH_EVENT, REPAIR_EVENT};
+use crate::faults::{FaultPlan, CRASH_EVENT, REPAIR_EVENT};
 use crate::observer::{NullObserver, RunObserver};
+use crate::streams;
 use crate::tracker;
 use crate::{PeerBehavior, PeerId, Population, Swarm};
-
-/// One independent ChaCha stream per `(round, event)` pair — the session
-/// analogue of the engine's `(seed, round, peer)` streams, under its own
-/// domain separator so the two families never collide. The stream id
-/// packs the round in the high 32 bits and the event index in the low 32.
-fn event_rng(seed: u64, round: u64, event: u64) -> ChaCha8Rng {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x7365_7373_696f_6e5f); // "session_"
-    rng.set_stream((round << 32) | event);
-    rng
-}
 
 /// Samples a Poisson count with mean `lambda` by Knuth's product method,
 /// chunked (Poisson additivity) so the per-chunk exponential never
@@ -892,13 +883,22 @@ impl Session {
     /// Fault event [`CRASH_EVENT`] of the round, plus partition cuts.
     /// Crashes hit every present non-publisher peer independently (the
     /// publisher squad pins the fluid oracle's `s0`, and crashing it
-    /// would conflate content death with overlay degradation); a crash
-    /// severs the peer's overlay row abruptly — no completion record, no
-    /// graceful-leave draws. A partition window starting this round cuts
-    /// every edge between the even and odd arena halves.
+    /// would conflate content death with overlay degradation). At the
+    /// arena level a crash is exactly a [`Swarm::depart`]: every edge is
+    /// severed with its rate/credit slots zeroed, the pieces leave the
+    /// availability index and the slot is free-listed, because a
+    /// half-removed peer would break the engine's structural invariants.
+    /// What makes it *abrupt* is what this pass skips: no completion
+    /// record, no graceful-leave draws, and no one exempted but the
+    /// victim itself. A partition window starting this round cuts every
+    /// edge between the even and odd arena halves.
     fn fault_pass<O: RunObserver>(&mut self, round: u64, obs: &O) {
         if self.faults.crash_prob > 0.0 {
-            let mut rng = fault_rng(self.faults.fault_seed, round, CRASH_EVENT);
+            let mut rng = streams::keyed(
+                self.faults.fault_seed,
+                streams::FAULTS,
+                streams::round_stream(round, CRASH_EVENT),
+            );
             let order = self.take_pass_order();
             for &p in &order {
                 let p = p as usize;
@@ -973,7 +973,11 @@ impl Session {
         if !self.faults.repair_enabled() || self.faults.outage_active(round) {
             return;
         }
-        let mut rng = fault_rng(self.faults.fault_seed, round, REPAIR_EVENT);
+        let mut rng = streams::keyed(
+            self.faults.fault_seed,
+            streams::FAULTS,
+            streams::round_stream(round, REPAIR_EVENT),
+        );
         let order = self.take_pass_order();
         for &p in &order {
             self.stats.repaired_edges += self.wire(p as usize, &mut rng, round) as u64;
@@ -987,7 +991,11 @@ impl Session {
         if rules.is_inert() {
             return;
         }
-        let mut rng = event_rng(self.config.session_seed, round, 0);
+        let mut rng = streams::keyed(
+            self.config.session_seed,
+            streams::SESSION,
+            streams::round_stream(round, 0),
+        );
         let exodus_now = rules.seed_exodus_round == Some(round);
         let order = self.take_pass_order();
         for &p in &order {
@@ -1022,12 +1030,20 @@ impl Session {
     /// produced (shifted by the backoff draws).
     fn arrival_pass<O: RunObserver>(&mut self, round: u64, obs: &O) {
         let count = {
-            let mut rng = event_rng(self.config.session_seed, round, 1);
+            let mut rng = streams::keyed(
+                self.config.session_seed,
+                streams::SESSION,
+                streams::round_stream(round, 1),
+            );
             self.config.arrival.count_at(round, &mut rng)
         };
         let outage = self.faults_active && self.faults.outage_active(round);
         for i in 0..count {
-            let mut rng = event_rng(self.config.session_seed, round, 2 + i);
+            let mut rng = streams::keyed(
+                self.config.session_seed,
+                streams::SESSION,
+                streams::round_stream(round, 2 + i),
+            );
             if outage {
                 let next_retry = round + backoff_delay(0, &mut rng);
                 self.pending.push(PendingAnnounce {
@@ -1119,10 +1135,7 @@ impl Session {
 
     /// Removes `p` and records the departure.
     fn depart<O: RunObserver>(&mut self, p: PeerId, reason: DepartReason, obs: &O) {
-        match reason {
-            DepartReason::Crashed => self.swarm.crash(p),
-            _ => self.swarm.depart(p),
-        }
+        self.swarm.depart(p);
         if O::ENABLED {
             let t = self.swarm.round_count() as f64;
             match reason {
@@ -1185,7 +1198,7 @@ mod tests {
 
     #[test]
     fn poisson_mean_is_about_lambda() {
-        let mut rng = event_rng(1, 0, 0);
+        let mut rng = streams::keyed(1, streams::SESSION, streams::round_stream(0, 0));
         for lambda in [0.5, 3.0, 25.0] {
             let draws = 4000;
             let total: u64 = (0..draws).map(|_| poisson(&mut rng, lambda)).sum();

@@ -40,12 +40,13 @@
 //!
 //! [`compact_threshold`]: crate::session::SessionConfig::compact_threshold
 
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::observer::{NullObserver, RunObserver, UNTRACKED_CLASS};
 use crate::session::{Session, SessionPeerId};
+use crate::streams;
 
 /// Derives the per-torrent seed of a keyed stream family: torrent 0 keeps
 /// the base seed exactly (the 1-torrent bit-identity anchor), and the
@@ -53,15 +54,6 @@ use crate::session::{Session, SessionPeerId};
 #[must_use]
 pub fn derive_seed(base: u64, torrent: u64) -> u64 {
     base ^ torrent.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
-/// One independent ChaCha stream per `(round, event)` pair under the
-/// universe's own domain separator, so universe draws can never collide
-/// with session, tracker, fault or swarm streams.
-fn universe_rng(seed: u64, round: u64, event: u64) -> ChaCha8Rng {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x756e_6976_6572_7365); // "universe"
-    rng.set_stream((round << 32) | event);
-    rng
 }
 
 /// Stream of a round's claim pass (adoption of session arrivals plus
@@ -371,7 +363,11 @@ impl Universe {
     /// capacities and extra memberships like round arrivals, drawing
     /// from the construction stream.
     fn claim_initial_populations(&mut self) {
-        let mut rng = universe_rng(self.config.universe_seed, 0, INIT_EVENT);
+        let mut rng = streams::keyed(
+            self.config.universe_seed,
+            streams::UNIVERSE,
+            streams::round_stream(0, INIT_EVENT),
+        );
         let obs = vec![NullObserver; self.sessions.len()];
         // Snapshot the pre-universe populations: cross-joins from earlier
         // torrents grow later arenas, and those newcomers are already
@@ -604,7 +600,11 @@ impl Universe {
     /// (round-robin) and extra memberships from the round's claim
     /// stream.
     fn claim_pass<O: RunObserver>(&mut self, obs: &[O]) {
-        let mut rng = universe_rng(self.config.universe_seed, self.round, CLAIM_EVENT);
+        let mut rng = streams::keyed(
+            self.config.universe_seed,
+            streams::UNIVERSE,
+            streams::round_stream(self.round, CLAIM_EVENT),
+        );
         for t in 0..self.sessions.len() {
             let fresh = self.sessions[t].drain_recent_arrivals();
             for id in fresh {

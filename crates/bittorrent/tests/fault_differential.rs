@@ -4,8 +4,8 @@
 //!   [`FaultPlan::none`] must be bit-identical to one built without a
 //!   plan, under real churn, serially and at 1/2/8 threads (the PR 5
 //!   golden-freeze guarantee: inert plans consume zero randomness).
-//! * **Crash-vs-graceful** — at the arena level a crash performs exactly
-//!   the depart surgery: join → crash round-trips restore overlay,
+//! * **Crash surgery** — at the arena level a crash is a
+//!   [`Swarm::depart`]: join → crash round-trips restore overlay,
 //!   availability and population exactly, and a mid-transfer crash
 //!   leaves no dangling credit/rate slots (checked by the slack-slot
 //!   invariants of [`Swarm::validate_consistency`]).
@@ -133,19 +133,6 @@ fn zero_fault_plan_is_bit_identical_under_churn() {
 }
 
 #[test]
-fn crash_and_graceful_depart_are_identical_arena_surgery() {
-    let mut crashed = build_swarm(15, 2, 31);
-    crashed.reserve_overlay_slack(4);
-    crashed.run_rounds(6);
-    let mut departed = crashed.clone();
-    crashed.crash(4);
-    departed.depart(4);
-    assert_eq!(full_state(&crashed), full_state(&departed));
-    assert_eq!(edge_set(&crashed), edge_set(&departed));
-    crashed.validate_consistency();
-}
-
-#[test]
 fn mid_transfer_crash_leaves_no_dangling_credit_or_rate() {
     // Large pieces: after a few rounds every live edge carries partial
     // credit and rate state — exactly what a crash must not leak.
@@ -162,7 +149,7 @@ fn mid_transfer_crash_leaves_no_dangling_credit_or_rate() {
     swarm.reserve_overlay_slack(4);
     swarm.run_rounds(5);
     for victim in [0usize, 3, 9] {
-        swarm.crash(victim);
+        swarm.depart(victim);
         // The slack-slot checks inside prove no stale credit/rate slot
         // survives anywhere in the arena.
         swarm.validate_consistency();
@@ -462,7 +449,7 @@ proptest! {
             slots.push(slot);
         }
         for &slot in slots.iter().rev() {
-            swarm.crash(slot);
+            swarm.depart(slot);
             swarm.check_invariants();
         }
         swarm.validate_consistency();

@@ -525,65 +525,44 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns [`ScenarioError::MissingSwarm`] without a swarm section,
-    /// [`ScenarioError::InvalidParameter`] for a degenerate section (fewer
-    /// than two peers, no pieces, a non-positive piece size or seed
-    /// upload, no unchoke slot, an initial completion outside `[0, 1]`);
-    /// otherwise propagates component failures.
+    /// [`ScenarioError::InvalidParameter`] for a non-positive seed upload
+    /// or a section [`SwarmConfig::validate`] rejects (fewer than two
+    /// peers, no pieces, no unchoke slot, a non-positive piece size or
+    /// round length, a zero optimistic period, an initial completion
+    /// outside `[0, 1]`); otherwise propagates component failures.
     pub fn build_swarm<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Swarm, ScenarioError> {
         let params = self.swarm.as_ref().ok_or(ScenarioError::MissingSwarm)?;
-        let total = self.peers + params.seeds;
-        // The swarm engine asserts these; malformed JSON must fail cleanly.
-        let degenerate = if !(params.seed_upload_kbps.is_finite() && params.seed_upload_kbps > 0.0)
-        {
-            Some((
-                "seed upload",
-                format!("must be positive kbps, got {}", params.seed_upload_kbps),
-            ))
-        } else if total < 2 {
-            Some((
-                "swarm peers",
-                format!("need at least two peers (leechers + seeds), got {total}"),
-            ))
-        } else if params.piece_count == 0 {
-            Some(("piece count", "need at least one piece".to_string()))
-        } else if !(params.piece_size_kbit.is_finite() && params.piece_size_kbit > 0.0) {
-            Some((
-                "piece size",
-                format!("must be positive kbit, got {}", params.piece_size_kbit),
-            ))
-        } else if params.tft_slots + params.optimistic_slots == 0 {
-            Some((
-                "unchoke slots",
-                "need at least one TFT or optimistic slot".to_string(),
-            ))
-        } else if !(0.0..=1.0).contains(&params.initial_completion) {
-            Some((
-                "initial completion",
-                format!("must be in [0, 1], got {}", params.initial_completion),
-            ))
-        } else {
-            None
-        };
-        if let Some((what, reason)) = degenerate {
-            return Err(ScenarioError::InvalidParameter { what, reason });
+        // The engine asserts these; malformed JSON must fail cleanly.
+        if !(params.seed_upload_kbps.is_finite() && params.seed_upload_kbps > 0.0) {
+            return Err(ScenarioError::InvalidParameter {
+                what: "seed upload",
+                reason: format!("must be positive kbps, got {}", params.seed_upload_kbps),
+            });
         }
+        let config = SwarmConfig {
+            leechers: self.peers,
+            seeds: params.seeds,
+            piece_count: params.piece_count,
+            piece_size_kbit: params.piece_size_kbit,
+            round_seconds: params.round_seconds,
+            tft_slots: params.tft_slots,
+            optimistic_slots: params.optimistic_slots,
+            optimistic_period: params.optimistic_period,
+            mean_neighbors: self.topology.mean_degree(self.peers + params.seeds),
+            initial_completion: params.initial_completion,
+            seed_after_completion: params.seed_after_completion,
+            fluid_content: params.fluid_content,
+            seed: params.swarm_seed,
+        };
+        config
+            .validate()
+            .map_err(|reason| ScenarioError::InvalidParameter {
+                what: "swarm",
+                reason,
+            })?;
         let mut uploads = self.capacity.upload_bandwidths(self.peers, rng)?;
         uploads.extend(std::iter::repeat_n(params.seed_upload_kbps, params.seeds));
         let behaviors = params.behavior.assign(self.peers, params.seeds)?;
-        let config: SwarmConfig = SwarmConfig::builder()
-            .leechers(self.peers)
-            .seeds(params.seeds)
-            .piece_count(params.piece_count)
-            .piece_size_kbit(params.piece_size_kbit)
-            .tft_slots(params.tft_slots)
-            .optimistic_slots(params.optimistic_slots)
-            .optimistic_period(params.optimistic_period)
-            .mean_neighbors(self.topology.mean_degree(total))
-            .initial_completion(params.initial_completion)
-            .seed_after_completion(params.seed_after_completion)
-            .fluid_content(params.fluid_content)
-            .seed(params.swarm_seed)
-            .build();
         Ok(Swarm::with_behaviors(config, &uploads, &behaviors))
     }
 
@@ -1266,7 +1245,7 @@ mod tests {
         let degenerate = [
             (
                 1,
-                "swarm peers",
+                "swarm",
                 SwarmParams {
                     seeds: 0,
                     ..SwarmParams::default()
@@ -1274,7 +1253,7 @@ mod tests {
             ),
             (
                 0,
-                "swarm peers",
+                "swarm",
                 SwarmParams {
                     seeds: 1,
                     ..SwarmParams::default()
@@ -1282,7 +1261,7 @@ mod tests {
             ),
             (
                 10,
-                "piece count",
+                "swarm",
                 SwarmParams {
                     piece_count: 0,
                     ..SwarmParams::default()
@@ -1290,7 +1269,7 @@ mod tests {
             ),
             (
                 10,
-                "piece size",
+                "swarm",
                 SwarmParams {
                     piece_size_kbit: 0.0,
                     ..SwarmParams::default()
@@ -1298,7 +1277,7 @@ mod tests {
             ),
             (
                 10,
-                "piece size",
+                "swarm",
                 SwarmParams {
                     piece_size_kbit: -5.0,
                     ..SwarmParams::default()
@@ -1306,7 +1285,7 @@ mod tests {
             ),
             (
                 10,
-                "unchoke slots",
+                "swarm",
                 SwarmParams {
                     tft_slots: 0,
                     optimistic_slots: 0,
@@ -1315,9 +1294,25 @@ mod tests {
             ),
             (
                 10,
-                "initial completion",
+                "swarm",
                 SwarmParams {
                     initial_completion: 1.5,
+                    ..SwarmParams::default()
+                },
+            ),
+            (
+                10,
+                "swarm",
+                SwarmParams {
+                    round_seconds: -1.0,
+                    ..SwarmParams::default()
+                },
+            ),
+            (
+                10,
+                "swarm",
+                SwarmParams {
+                    optimistic_period: 0,
                     ..SwarmParams::default()
                 },
             ),
@@ -1355,6 +1350,18 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn swarm_round_length_reaches_the_engine() {
+        let scenario = Scenario::new("t", 10)
+            .with_capacity(CapacityModel::Constant { value: 300.0 })
+            .with_swarm(SwarmParams {
+                round_seconds: 5.0,
+                ..SwarmParams::default()
+            });
+        let swarm = scenario.build_swarm(&mut rng(1)).unwrap();
+        assert_eq!(swarm.config().round_seconds, 5.0);
     }
 
     #[test]

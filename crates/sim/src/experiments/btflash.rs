@@ -68,7 +68,8 @@ fn run_scenario_with_threads(
     scenario: &Scenario,
     threads: usize,
 ) -> Result<ExperimentResult, ScenarioError> {
-    let leechers = scenario.peers;
+    // The fast-vs-slow check compares bandwidth quartiles.
+    let leechers = common::min_peers("btflash", scenario, 4)?;
     let rounds = if ctx.quick { 60u64 } else { 160 };
     let sample_every = 5u64;
     let seeds = scenario.swarm.as_ref().map_or(0, |s| s.seeds);

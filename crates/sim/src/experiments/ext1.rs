@@ -92,7 +92,8 @@ pub fn run_scenario(
     _ctx: &ExperimentContext,
     scenario: &Scenario,
 ) -> Result<ExperimentResult, ScenarioError> {
-    let n = scenario.peers;
+    // The narrowest swept class width, n/50, must hold a peer.
+    let n = common::min_peers("ext1", scenario, 50)?;
     let d = scenario.topology.mean_degree(n);
     let mut rng = common::rng(scenario.seed, 0xe1);
     // Scenario build order: topology, then preference (the latency

@@ -32,7 +32,8 @@ pub fn run_scenario(
     ctx: &ExperimentContext,
     scenario: &Scenario,
 ) -> Result<ExperimentResult, ScenarioError> {
-    let n = scenario.peers;
+    // A 1-matching needs a pair of peers.
+    let n = common::min_peers("ext2", scenario, 2)?;
     let d = scenario.topology.mean_degree(n);
     let anchor = match scenario.preference {
         PreferenceModel::GossipEstimated { sample_size } => sample_size,

@@ -11,6 +11,7 @@
 use strat_bandwidth::{efficiency_curve, mean_ratio_in_band, EfficiencyModel};
 use strat_scenario::{CapacityModel, Scenario, ScenarioError, SwarmParams, TopologyModel};
 
+use crate::experiments::common;
 use crate::runner::{ExperimentContext, ExperimentResult};
 
 /// The Figure 11 scenario: Saroiu-marked peers, `d = 20` overlay, and the
@@ -30,11 +31,13 @@ pub fn run_scenario(
     _ctx: &ExperimentContext,
     scenario: &Scenario,
 ) -> Result<ExperimentResult, ScenarioError> {
+    // The first check averages the top 1% of peers.
+    let n = common::min_peers("fig11", scenario, 100)?;
     let b0 = scenario.swarm.as_ref().map_or(3, |s| s.tft_slots as u32);
     let model = EfficiencyModel {
         b0,
-        d: scenario.topology.mean_degree(scenario.peers),
-        n: scenario.peers,
+        d: scenario.topology.mean_degree(n),
+        n,
     };
     let cdf = scenario
         .capacity

@@ -27,11 +27,12 @@ pub fn run_scenario(
     _ctx: &ExperimentContext,
     scenario: &Scenario,
 ) -> Result<ExperimentResult, ScenarioError> {
-    let n = scenario.peers; // 3k+3 peers as in the paper's drawing
     let b0 = match scenario.capacity {
         CapacityModel::Constant { value } => value as u32,
         _ => 2,
     };
+    // 3k+3 peers as in the paper's drawing; one (b0+1)-clique at least.
+    let n = common::min_peers("fig45", scenario, b0 as usize + 1)?;
     let ranking = GlobalRanking::identity(n);
 
     let mut result = ExperimentResult::new(

@@ -8,6 +8,7 @@
 use strat_analytic::fluid;
 use strat_scenario::{Scenario, ScenarioError, TopologyModel};
 
+use crate::experiments::common;
 use crate::runner::{ExperimentContext, ExperimentResult};
 
 /// The fluid-limit scenario: the largest 1-matching system of the sweep
@@ -27,14 +28,17 @@ pub fn run_scenario(
     _ctx: &ExperimentContext,
     scenario: &Scenario,
 ) -> Result<ExperimentResult, ScenarioError> {
-    let d_max = scenario.topology.mean_degree(scenario.peers);
+    // "Error shrinks with n" compares the two smallest sizes, 500 and
+    // 2000.
+    let n_max = common::min_peers("fluid", scenario, 2000)?;
+    let d_max = scenario.topology.mean_degree(n_max);
     let ds: Vec<f64> = [5.0f64, 10.0, 20.0, 50.0]
         .into_iter()
         .filter(|&d| d <= d_max)
         .collect();
     let ns: Vec<usize> = [500usize, 2000, 8000]
         .into_iter()
-        .filter(|&n| n <= scenario.peers)
+        .filter(|&n| n <= n_max)
         .collect();
     let beta_max = 0.5;
 

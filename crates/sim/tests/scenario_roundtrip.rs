@@ -189,9 +189,21 @@ fn scenarios_a_kernel_cannot_measure_are_typed_errors() {
                 }
             }
         } else if ["fig1", "fig2", "fig8", "fig9"].contains(&entry.id) {
-            match run(&preset.with_peers(0)) {
+            match run(&preset.clone().with_peers(0)) {
                 Err(ScenarioError::InvalidParameter { what: "peers", .. }) => {}
                 other => panic!("{}: expected a peers error, got {other:?}", entry.id),
+            }
+        }
+        // Undersized populations: a kernel either refuses the scenario
+        // with a typed error or measures finite rows; it never panics.
+        for peers in [0, 5] {
+            match (entry.try_run_scenario)(&ctx, &preset.clone().with_peers(peers)) {
+                Err(_) => {}
+                Ok(result) => assert!(
+                    result.rows.iter().flatten().all(|v| v.is_finite()),
+                    "{} at {peers} peers wrote non-finite rows",
+                    entry.id
+                ),
             }
         }
     }

@@ -584,9 +584,11 @@ pub fn bench_faults(c: &mut Criterion) {
 ///   bit-identical trajectory on the indexed round engine, so the
 ///   speedup row is the queue's measured overhead for event-sequencing
 ///   a round;
-/// * `run_for_60s_churn_hetero_n500` — one minute of simulated time in
-///   the fully continuous regime: three speed classes, a 5 s transfer
-///   quantum, announce-driven rewiring, stationary Poisson churn.
+/// * `run_for_60s_churn_hetero_n500` — one minute of simulated time
+///   off the tick grid: three speed classes, a 5 s transfer quantum,
+///   announce-driven rewiring, stationary Poisson churn;
+/// * `run_for_60s_continuous_hetero_n500` — the same minute with exact
+///   (unquantized) crossings, the regime `btevent` runs in.
 pub fn bench_events(c: &mut Criterion) {
     let mut group = c.benchmark_group("events");
     group.warm_up_time(Duration::from_millis(400));
@@ -607,32 +609,40 @@ pub fn bench_events(c: &mut Criterion) {
         });
     });
 
-    let (config, uploads) = swarm_inputs(500, false, 0xe7e);
-    let mut swarm = Swarm::new(config, &uploads);
-    swarm.reserve_overlay_slack(24);
-    let mut engine = EventEngine::new(
-        swarm,
-        EventTiming {
-            rechoke_interval: 10.0,
-            transfer_quantum: Some(5.0),
-            announce_interval: Some(30.0),
-            speed_multipliers: vec![0.5, 1.0, 2.0],
-        },
-        Some(SessionConfig {
-            arrival: ArrivalProcess::Poisson { rate: 3.0 },
-            departure: DepartureRules {
-                leave_on_completion: 0.6,
-                seed_leave_prob: 0.2,
-                ..DepartureRules::none()
+    let churned = |transfer_quantum: Option<f64>| {
+        let (config, uploads) = swarm_inputs(500, false, 0xe7e);
+        let mut swarm = Swarm::new(config, &uploads);
+        swarm.reserve_overlay_slack(24);
+        let mut engine = EventEngine::new(
+            swarm,
+            EventTiming {
+                rechoke_interval: 10.0,
+                transfer_quantum,
+                announce_interval: Some(30.0),
+                speed_multipliers: vec![0.5, 1.0, 2.0],
             },
-            arrival_upload_kbps: 400.0,
-            target_degree: 20,
-            session_seed: 0xe7e,
-            ..SessionConfig::default()
-        }),
-    );
-    engine.run_for(600.0); // reach stationary turnover
+            Some(SessionConfig {
+                arrival: ArrivalProcess::Poisson { rate: 3.0 },
+                departure: DepartureRules {
+                    leave_on_completion: 0.6,
+                    seed_leave_prob: 0.2,
+                    ..DepartureRules::none()
+                },
+                arrival_upload_kbps: 400.0,
+                target_degree: 20,
+                session_seed: 0xe7e,
+                ..SessionConfig::default()
+            }),
+        );
+        engine.run_for(600.0); // reach stationary turnover
+        engine
+    };
+    let mut engine = churned(Some(5.0));
     group.bench_function("run_for_60s_churn_hetero_n500", |b| {
+        b.iter(|| engine.run_for(60.0));
+    });
+    let mut engine = churned(None);
+    group.bench_function("run_for_60s_continuous_hetero_n500", |b| {
         b.iter(|| engine.run_for(60.0));
     });
     group.finish();

@@ -64,8 +64,8 @@ impl SwarmConfig {
     ///
     /// Returns a description of the first violated constraint: fewer than
     /// two peers, no pieces, no unchoke slot, a non-positive piece size or
-    /// round length, a zero optimistic period, or an initial completion
-    /// outside `[0, 1]`.
+    /// round length, a zero optimistic period, a negative or non-finite
+    /// mean neighbour count, or an initial completion outside `[0, 1]`.
     pub fn validate(&self) -> Result<(), String> {
         let peers = self.leechers + self.seeds;
         if peers < 2 {
@@ -89,6 +89,12 @@ impl SwarmConfig {
         }
         if self.optimistic_period == 0 {
             return Err("optimistic period must be at least one round".to_string());
+        }
+        if !(self.mean_neighbors.is_finite() && self.mean_neighbors >= 0.0) {
+            return Err(format!(
+                "mean neighbours must be finite and non-negative, got {}",
+                self.mean_neighbors
+            ));
         }
         if !(0.0..=1.0).contains(&self.initial_completion) {
             return Err(format!(
@@ -269,6 +275,14 @@ mod tests {
             },
             SwarmConfig {
                 optimistic_period: 0,
+                ..c.clone()
+            },
+            SwarmConfig {
+                mean_neighbors: -5.0,
+                ..c.clone()
+            },
+            SwarmConfig {
+                mean_neighbors: f64::INFINITY,
                 ..c.clone()
             },
         ] {

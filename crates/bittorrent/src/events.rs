@@ -9,19 +9,19 @@
 //! multi-class fluid model prices per-bandwidth-class completion times
 //! that only a heterogeneous-speed engine can be checked against. This
 //! module provides that engine: [`EventEngine`] runs the existing swarm
-//! arena under a binary-heap event loop in which rechoke ticks, piece
-//! transfers, tracker announces, and session arrivals / departures are
-//! timestamped events.
+//! arena under an event loop in which rechoke ticks, piece transfers,
+//! tracker announces, and session arrivals / departures are timestamped
+//! events.
 //!
 //! # Event model
 //!
-//! Five event kinds share one priority queue, ordered by
+//! Five event kinds are dispatched in one total order,
 //! `(time, kind, a, b, seq)` with `total_cmp` on time — ties are broken
 //! deterministically, never by heap insertion accident:
 //!
 //! | kind | order | payload |
 //! |---|---|---|
-//! | transfer | 0 | recipient slot `a`, global edge slot `b`, plan id `tag` |
+//! | transfer | 0 | recipient slot `a`, global edge slot `b` |
 //! | departure | 1 | peer slot `a`, abort-only flag `b`, generation `tag` |
 //! | arrival | 2 | arrival index `a`, chain flag `b` |
 //! | rechoke | 3 | peer slot `a`, tick `b`, generation `tag` |
@@ -34,16 +34,28 @@
 //! arrival into the slot bumps, so events queued for a departed occupant
 //! die at fire time. Tags are equality guards only: never order, never keys.
 //!
+//! Transfers live in their own indexed queue (`queue::EdgeQueue`) holding
+//! at most one crossing per edge slot; departures, arrivals, rechokes and
+//! announces share a binary heap. The loop takes the transfer head
+//! whenever its time is at most the heap head's, which is the kind-0-first
+//! order above. An edge's slot identifies its crossing, so `(time, a, b)`
+//! already orders transfers totally and they carry no `seq`.
+//!
 //! # Flows, credit, and re-planning
 //!
 //! Each unchoke plans a constant-rate flow on the recipient-side edge
 //! slot (`upload · multiplier · interval / targets`, in kbit per rechoke
-//! interval). A transfer event is scheduled for the moment the edge's
-//! credit crosses one piece (`duration = piece_size / allocated rate`);
-//! whenever a rechoke re-plans the rate, the stale event is invalidated
-//! by a fresh *plan id* and the crossing is re-predicted. Fired transfers
-//! re-check the settled credit, so an early prediction is a harmless
-//! no-op. All internal timestamps are kept in **rechoke-interval units**
+//! interval). The edge's crossing is queued for the moment its credit
+//! crosses one piece (`duration = piece_size / allocated rate`). Whenever
+//! a rechoke re-plans the rate, or a swap-remove moves the edge to
+//! another slot, the crossing is re-predicted and re-keyed in place; a
+//! choked or detached edge leaves the queue. No queued crossing is ever
+//! stale, so every transfer dispatch fires. Fired transfers re-check the
+//! settled credit, so an early prediction is a harmless no-op. The
+//! per-edge state the settle and re-plan paths touch together (flow,
+//! credit, pending deposits, last settle time) is one record per slot;
+//! the receipt window stays a column because rechokes rank by a row of
+//! it. All internal timestamps are kept in **rechoke-interval units**
 //! (tick `k` is exactly the float `k`), which makes interval-boundary
 //! arithmetic exact and is the backbone of the synchronous-limit
 //! guarantee below.
@@ -54,7 +66,9 @@
 //! rechokes reuse the round engine's `(seed, tick, peer)` streams, and
 //! churn / announce / arrival draws use per-event streams keyed
 //! `(session_seed, event_seq)` where `event_seq` is the global event
-//! sequence number assigned at scheduling time. Replays are bit-identical
+//! sequence number assigned at scheduling time. Every scheduled transfer
+//! crossing still consumes one sequence number, so the streams do not
+//! depend on how the queue stores crossings. Replays are bit-identical
 //! regardless of wall-clock or platform.
 //!
 //! # Synchronous limit
@@ -67,6 +81,8 @@
 //! order of `par_delivery`, and piece conversions against the same
 //! start-of-round availability / piece snapshots. The differential suite
 //! in `tests/` pins this equivalence on full swarm state.
+
+mod queue;
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -83,9 +99,8 @@ use crate::session::{ArrivalProcess, SessionConfig};
 use crate::streams;
 use crate::swarm::{PeerId, Swarm};
 use crate::tracker;
+use queue::{key_time, time_key, EdgeQueue};
 
-/// Transfer completion: credit on an edge crossed one piece (kind 0).
-const K_TRANSFER: u8 = 0;
 /// Peer departure — churn leave, abort, or seed exodus (kind 1).
 const K_DEPART: u8 = 1;
 /// Peer arrival via the tracker (kind 2).
@@ -96,46 +111,73 @@ const K_RECHOKE: u8 = 3;
 /// (kind 4).
 const K_ANNOUNCE: u8 = 4;
 
-/// One scheduled event. Ordering is total and deterministic:
-/// `(time, kind, a, b, seq)` with `f64::total_cmp` on the timestamp.
-#[derive(Debug, Clone, Copy)]
+/// One scheduled non-transfer event. The derived order compares the
+/// fields in declaration order, which is `(time, kind, a, b, seq)` with
+/// `f64::total_cmp` on the timestamp; `seq` is unique, so `tag` never
+/// decides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Ev {
-    /// Timestamp in rechoke-interval units.
-    time: f64,
-    kind: u8,
-    a: u64,
+    /// Timestamp in rechoke-interval units, as a `queue::time_key`.
+    time: u64,
+    /// `kind << KIND_SHIFT | a`.
+    kind_a: u64,
     b: u64,
-    /// Guard token: plan id for transfers, the peer's arena generation
-    /// tag for departure / rechoke / announce events. Stale events
-    /// (token mismatch at fire time) are dropped.
-    tag: u64,
     /// Global sequence number, assigned at scheduling time; final
     /// tie-breaker and the per-event RNG stream key.
     seq: u64,
+    /// Guard token: the peer's arena generation tag for departure /
+    /// rechoke / announce events. Stale events (token mismatch at fire
+    /// time) are dropped.
+    tag: u64,
 }
 
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
+/// Bit offset of the kind in [`Ev::kind_a`]; `a` (a peer slot or an
+/// arrival index) fits below it.
+const KIND_SHIFT: u32 = 56;
+
+impl Ev {
+    fn time(&self) -> f64 {
+        key_time(self.time)
+    }
+
+    fn kind(&self) -> u8 {
+        (self.kind_a >> KIND_SHIFT) as u8
+    }
+
+    fn a(&self) -> u64 {
+        self.kind_a & ((1 << KIND_SHIFT) - 1)
     }
 }
 
-impl Eq for Ev {}
-
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// Engine state of one recipient-side edge slot (the slot in the
+/// downloader's row pointing back at the sender, so `edge_target` of the
+/// slot is the sender).
+#[derive(Debug, Clone, Copy, Default)]
+struct EdgeState {
+    /// Planned rate in kbit per rechoke interval (0 = choked).
+    flow: f64,
+    /// Settled kbit toward the next piece conversion.
+    credit: f64,
+    /// Settled download kbit awaiting deposit into the recipient's
+    /// totals (flushed one add per edge at the recipient's tick, so the
+    /// accumulation order matches the round engine's delivery pass).
+    pend_down: f64,
+    /// TFT share of `pend_down`.
+    pend_tft: f64,
+    /// Time (interval units) up to which the edge has been settled; read
+    /// only while the edge flows (an unchoke settles the edge first).
+    last_settle: f64,
+    /// Whether the planned flow fills a TFT slot (vs optimistic).
+    ftft: bool,
 }
 
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then_with(|| self.kind.cmp(&other.kind))
-            .then_with(|| self.a.cmp(&other.a))
-            .then_with(|| self.b.cmp(&other.b))
-            .then_with(|| self.seq.cmp(&other.seq))
+impl EdgeState {
+    /// A fresh, choked edge settled up to `tau`.
+    fn settled_at(tau: f64) -> Self {
+        EdgeState {
+            last_settle: tau,
+            ..EdgeState::default()
+        }
     }
 }
 
@@ -257,14 +299,16 @@ pub struct EventStats {
     pub arrivals: u64,
     /// Peers removed by departure events (leaves, aborts, exodus).
     pub departures: u64,
-    /// Piece-transfer crossings fired (stale plans dispatch but are
-    /// dropped uncounted).
+    /// Piece-transfer crossings fired. Every queued crossing is live, so
+    /// every transfer dispatch counts here.
     pub transfers: u64,
     /// Rechoke ticks fired.
     pub rechokes: u64,
     /// Tracker announces fired.
     pub announces: u64,
-    /// Total events dispatched.
+    /// Total events dispatched: every transfer, plus departure, arrival,
+    /// rechoke and announce events, including timers of a departed peer
+    /// that dispatch but fire uncounted.
     pub events: u64,
 }
 
@@ -289,41 +333,26 @@ pub struct EventEngine {
     quantum_intervals: Option<f64>,
     /// Announce interval in rechoke-interval units.
     announce_intervals: Option<f64>,
+    /// Queued transfer crossings, at most one per edge slot.
+    transfers: EdgeQueue,
+    /// Every other event: departures, arrivals, rechokes, announces.
     heap: BinaryHeap<Reverse<Ev>>,
     /// Current time in rechoke-interval units.
     clock: f64,
     /// Next global event sequence number.
     seq: u64,
-    /// Next transfer plan id (0 is reserved for "no plan").
-    next_plan_id: u64,
     /// Tick-aligned rounds driven so far by `run_sync_rounds`.
     rounds_run: u64,
     /// Whether `run_for` has been used (excludes `run_sync_rounds`).
     continuous: bool,
 
     // Per-edge state, indexed by global edge slot on the *recipient*
-    // side (the slot in the downloader's row pointing back at the
-    // sender, so `edge_target` of the slot is the sender).
-    /// Planned rate in kbit per rechoke interval (0 = choked).
-    flow: Vec<f64>,
-    /// Whether the planned flow fills a TFT slot (vs optimistic).
-    ftft: Vec<bool>,
-    /// Settled kbit toward the next piece conversion.
-    credit: Vec<f64>,
+    // side.
+    /// Flow, credit and pending deposits of each edge slot.
+    edges: Vec<EdgeState>,
     /// Settled kbit received over the current interval — the rate signal
     /// the next rechoke ranks by (the event-clock `received_prev`).
     window: Vec<f64>,
-    /// Settled download kbit awaiting deposit into the recipient's
-    /// totals (flushed one add per edge at the recipient's tick, so the
-    /// accumulation order matches the round engine's delivery pass).
-    pend_down: Vec<f64>,
-    /// TFT share of `pend_down`.
-    pend_tft: Vec<f64>,
-    /// Time (interval units) up to which the edge has been settled.
-    last_settle: Vec<f64>,
-    /// Live plan id (0 = none); transfer events carry the id they were
-    /// scheduled under and fire only if it still matches.
-    plan_id: Vec<u64>,
 
     // Per-peer state, indexed by arena slot.
     /// Speed class (round-robin over `timing.speed_multipliers`).
@@ -391,20 +420,14 @@ impl EventEngine {
             churn,
             quantum_intervals,
             announce_intervals,
+            transfers: EdgeQueue::with_slots(m),
             heap: BinaryHeap::new(),
             clock: 0.0,
             seq: 0,
-            next_plan_id: 0,
             rounds_run: 0,
             continuous: false,
-            flow: vec![0.0; m],
-            ftft: vec![false; m],
-            credit: vec![0.0; m],
+            edges: vec![EdgeState::default(); m],
             window: vec![0.0; m],
-            pend_down: vec![0.0; m],
-            pend_tft: vec![0.0; m],
-            last_settle: vec![0.0; m],
-            plan_id: vec![0; m],
             class: vec![0; n],
             plan_pieces,
             arrival_time: vec![0.0; n],
@@ -532,6 +555,7 @@ impl EventEngine {
         self.pump(tau_end, false, obs);
         self.flush_all(tau_end, obs);
         self.clock = tau_end;
+        self.transfers.debug_validate();
     }
 
     /// Advances the engine by `seconds` of simulated time (any horizon,
@@ -564,6 +588,7 @@ impl EventEngine {
         self.pump(tau_end, true, obs);
         self.flush_all(tau_end, obs);
         self.clock = tau_end;
+        self.transfers.debug_validate();
     }
 
     /// Pops and dispatches events up to `tau_end`. With
@@ -571,32 +596,51 @@ impl EventEngine {
     /// queued (they belong to the next round); transfers at the horizon
     /// fire, because they deliver the closing interval's flows.
     fn pump<O: RunObserver>(&mut self, tau_end: f64, inclusive: bool, obs: &O) {
-        while let Some(&Reverse(head)) = self.heap.peek() {
-            if head.time > tau_end {
-                break;
-            }
-            if !inclusive && head.time == tau_end && head.kind != K_TRANSFER {
-                break;
-            }
-            let Reverse(ev) = self.heap.pop().expect("peeked event");
-            if ev.time > self.clock {
-                if self.snapshot_dirty {
-                    self.snapshot.clone_from(self.swarm.avail_index());
-                    self.snapshot_dirty = false;
+        loop {
+            let head = self.heap.peek().map(|&Reverse(ev)| ev);
+            // Transfers are kind 0: at an equal timestamp they go first.
+            if let Some((time, q, e)) = self.transfers.peek() {
+                if head.is_none_or(|ev| time_key(time) <= ev.time) {
+                    if time > tau_end {
+                        break;
+                    }
+                    self.advance_clock(time);
+                    self.stats.events += 1;
+                    self.fire_transfer(q, e, time, obs);
+                    continue;
                 }
-                self.clock = ev.time;
             }
+            let Some(head) = head else {
+                break;
+            };
+            let time = head.time();
+            if time > tau_end || (!inclusive && time == tau_end) {
+                break;
+            }
+            self.heap.pop();
+            self.advance_clock(time);
             self.stats.events += 1;
-            match ev.kind {
-                K_TRANSFER => {
-                    self.fire_transfer(ev.a as usize, ev.b as usize, ev.tag, ev.time, obs);
-                }
-                K_DEPART => self.fire_departure(ev.a as usize, ev.tag, ev.b == 1, ev.time, obs),
-                K_ARRIVAL => self.fire_arrival(ev.b == 1, ev.seq, ev.time, obs),
-                K_RECHOKE => self.fire_rechoke(ev.a as usize, ev.b, ev.tag, ev.time, obs),
-                K_ANNOUNCE => self.fire_announce(ev.a as usize, ev.tag, ev.seq, ev.time, obs),
+            let (a, tag, seq) = (head.a() as usize, head.tag, head.seq);
+            match head.kind() {
+                K_DEPART => self.fire_departure(a, tag, head.b == 1, time, obs),
+                K_ARRIVAL => self.fire_arrival(head.b == 1, seq, time, obs),
+                K_RECHOKE => self.fire_rechoke(a, head.b, tag, time, obs),
+                K_ANNOUNCE => self.fire_announce(a, tag, seq, time, obs),
                 other => unreachable!("unknown event kind {other}"),
             }
+        }
+    }
+
+    /// Moves the clock to an event at `time`; the first event at a new
+    /// timestamp refreshes the availability snapshot if a rechoke or
+    /// arrival dirtied it.
+    fn advance_clock(&mut self, time: f64) {
+        if time > self.clock {
+            if self.snapshot_dirty {
+                self.snapshot.clone_from(self.swarm.avail_index());
+                self.snapshot_dirty = false;
+            }
+            self.clock = time;
         }
     }
 
@@ -611,24 +655,25 @@ impl EventEngine {
     /// matter; recipient-side deposits are deferred to `deposit_row` to
     /// preserve the round engine's accumulation order).
     fn settle_edge<O: RunObserver>(&mut self, e: usize, tau: f64, obs: &O) {
-        let f = self.flow[e];
+        let s = &mut self.edges[e];
+        let f = s.flow;
         if f == 0.0 {
-            self.last_settle[e] = tau;
+            s.last_settle = tau;
             return;
         }
-        let dt = tau - self.last_settle[e];
-        self.last_settle[e] = tau;
+        let dt = tau - s.last_settle;
+        s.last_settle = tau;
         if dt <= 0.0 {
             return;
         }
         let delta = f * dt;
-        self.credit[e] += delta;
-        self.window[e] += delta;
-        self.pend_down[e] += delta;
-        let is_tft = self.ftft[e];
+        s.credit += delta;
+        s.pend_down += delta;
+        let is_tft = s.ftft;
         if is_tft {
-            self.pend_tft[e] += delta;
+            s.pend_tft += delta;
         }
+        self.window[e] += delta;
         let sender = self.swarm.edge_target(e);
         self.swarm.event_deposit_up(sender, delta, is_tft);
         if O::ENABLED {
@@ -646,15 +691,21 @@ impl EventEngine {
         let (base, end) = self.swarm.row_bounds(q);
         for e in base..end {
             self.settle_edge(e, tau, obs);
-            let pd = self.pend_down[e];
-            if pd == 0.0 {
-                continue;
-            }
-            let pt = self.pend_tft[e];
-            self.pend_down[e] = 0.0;
-            self.pend_tft[e] = 0.0;
-            self.swarm.event_deposit_down(q, pd, pt);
+            self.flush_pending(e, q);
         }
+    }
+
+    /// Deposits edge `e`'s pending download kbit into `owner`'s totals.
+    fn flush_pending(&mut self, e: usize, owner: PeerId) {
+        let s = &mut self.edges[e];
+        let pd = s.pend_down;
+        if pd == 0.0 {
+            return;
+        }
+        let pt = s.pend_tft;
+        s.pend_down = 0.0;
+        s.pend_tft = 0.0;
+        self.swarm.event_deposit_down(owner, pd, pt);
     }
 
     /// Settles and flushes every present peer's row at `tau` (horizon
@@ -701,36 +752,38 @@ impl EventEngine {
             tau,
             obs,
         ));
-        // Reset this sender's previous plan: settle each outgoing edge
-        // before overwriting its rate (settle-before-replan keeps
-        // same-timestamp rechoke order immaterial), then invalidate any
-        // scheduled crossings.
+        // Re-plan this sender's outgoing edges: settle each before
+        // overwriting its rate (settle-before-replan keeps same-timestamp
+        // rechoke order immaterial), then re-key an unchoked edge's
+        // crossing in place and drop a newly choked edge's. An edge that
+        // stays choked has nothing to settle and no crossing queued.
         let (base, end) = self.swarm.row_bounds(p);
-        for e in base..end {
+        let mult = self.timing.speed_multipliers[self.class[p] as usize];
+        let share = self.swarm.peer(p).upload_kbps() * mult * self.timing.rechoke_interval
+            / targets.len().max(1) as f64;
+        for (k, e) in (base..end).enumerate() {
             let er = self.swarm.edge_rev(e);
-            self.settle_edge(er, tau, obs);
-            self.flow[er] = 0.0;
-            self.ftft[er] = false;
-            self.plan_id[er] = 0;
+            match targets.iter().find(|t| t.0 as usize == k) {
+                Some(&(_, is_tft)) => {
+                    self.settle_edge(er, tau, obs);
+                    let s = &mut self.edges[er];
+                    s.flow = share;
+                    s.ftft = is_tft;
+                    self.schedule_crossing(self.swarm.edge_target(e), er, tau);
+                }
+                None if self.edges[er].flow == 0.0 => {}
+                None => {
+                    self.settle_edge(er, tau, obs);
+                    let s = &mut self.edges[er];
+                    s.flow = 0.0;
+                    s.ftft = false;
+                    self.transfers.remove(er);
+                }
+            }
         }
         // The receipt window rolls over at the tick, after ranking.
         for e in base..end {
             self.window[e] = 0.0;
-        }
-        if !targets.is_empty() {
-            let mult = self.timing.speed_multipliers[self.class[p] as usize];
-            let share = self.swarm.peer(p).upload_kbps() * mult * self.timing.rechoke_interval
-                / targets.len() as f64;
-            for &(k, is_tft) in &targets {
-                let e = base + k as usize;
-                let er = self.swarm.edge_rev(e);
-                let q = self.swarm.edge_target(e);
-                self.flow[er] = share;
-                self.ftft[er] = is_tft;
-                self.next_plan_id += 1;
-                self.plan_id[er] = self.next_plan_id;
-                self.schedule_crossing(q, er, tau);
-            }
         }
         self.targets = targets;
         self.plan_pieces[p].clone_from(self.swarm.pieces_at(p));
@@ -738,14 +791,12 @@ impl EventEngine {
         self.push((tick + 1) as f64, K_RECHOKE, p as u64, tick + 1, gen);
     }
 
-    /// Transfer event on edge `e` into recipient `q`: settle, convert
-    /// every whole piece of credit into rarest-first picks against the
-    /// availability / sender snapshots, and re-predict the next
-    /// crossing. Stale plans (tag mismatch) are dropped unfired.
-    fn fire_transfer<O: RunObserver>(&mut self, q: PeerId, e: usize, tag: u64, tau: f64, obs: &O) {
-        if tag == 0 || self.plan_id[e] != tag {
-            return;
-        }
+    /// Transfer event on edge `e` into recipient `q` (the queue head,
+    /// still queued): settle, convert every whole piece of credit into
+    /// rarest-first picks against the availability / sender snapshots,
+    /// and re-key the edge to its next crossing, or drop it from the
+    /// queue when none is due.
+    fn fire_transfer<O: RunObserver>(&mut self, q: PeerId, e: usize, tau: f64, obs: &O) {
         self.stats.transfers += 1;
         self.settle_edge(e, tau, obs);
         let piece_size = self.swarm.config().piece_size_kbit;
@@ -763,7 +814,7 @@ impl EventEngine {
         let stamp = round_equiv(tau);
         if self.swarm.land_event_pieces(
             q,
-            &mut self.credit[e],
+            &mut self.edges[e].credit,
             threshold,
             &self.snapshot,
             &self.plan_pieces[sender],
@@ -774,23 +825,29 @@ impl EventEngine {
         ) {
             self.on_completion(q, tau, stamp, obs);
         }
-        if self.flow[e] > 0.0 && self.credit[e] < threshold {
+        let s = &self.edges[e];
+        if s.flow > 0.0 && s.credit < threshold {
             self.schedule_crossing(q, e, tau);
+        } else {
+            self.transfers.remove(e);
         }
     }
 
     /// Predicts when edge `e`'s credit crosses one piece under its
-    /// current flow and queues the transfer event — at the exact
-    /// continuous crossing, or snapped up to the next transfer-quantum
-    /// multiple. A fired event re-checks the settled credit, so an
-    /// early (FP-pessimistic) prediction self-corrects.
+    /// current flow and queues (or re-keys) the edge's crossing — at the
+    /// exact continuous crossing, or snapped up to the next
+    /// transfer-quantum multiple. A fired event re-checks the settled
+    /// credit, so an early (FP-pessimistic) prediction self-corrects. A
+    /// choked edge leaves the queue.
     fn schedule_crossing(&mut self, q: PeerId, e: usize, tau: f64) {
-        let f = self.flow[e];
+        let s = &self.edges[e];
+        let f = s.flow;
         if f <= 0.0 {
+            self.transfers.remove(e);
             return;
         }
         let piece_size = self.swarm.config().piece_size_kbit;
-        let need = (piece_size - self.credit[e]).max(0.0);
+        let need = (piece_size - s.credit).max(0.0);
         let raw = tau + need / f;
         let time = match self.quantum_intervals {
             Some(qu) => {
@@ -805,8 +862,11 @@ impl EventEngine {
             }
             None => raw.max(tau),
         };
-        let tag = self.plan_id[e];
-        self.push(time, K_TRANSFER, q as u64, e as u64, tag);
+        // A crossing carries no sequence number, but the counter still
+        // advances once per crossing: it keys the per-event churn,
+        // announce and arrival streams.
+        self.alloc_seq();
+        self.transfers.set(time, q, e);
     }
 
     /// Completion bookkeeping: record the event, then draw the churn
@@ -880,9 +940,8 @@ impl EventEngine {
     /// [`Swarm::remove_edge_at`]'s q-side-then-p-side swap-moves on the
     /// engine's per-edge arrays. Both directions are settled and their
     /// pending deposits flushed first (the endpoints keep what was
-    /// already transferred); displaced flowing edges get a fresh plan id
-    /// and a rescheduled crossing, since their queued events point at
-    /// the old slots.
+    /// already transferred); displaced flowing edges get a rescheduled
+    /// crossing under their new slot.
     fn detach_edge<O: RunObserver>(&mut self, p: PeerId, k: usize, tau: f64, obs: &O) {
         let (p_base, p_end) = self.swarm.row_bounds(p);
         let e = p_base + k;
@@ -890,62 +949,42 @@ impl EventEngine {
         let er = self.swarm.edge_rev(e);
         let (_, q_end) = self.swarm.row_bounds(q);
         // Settle and flush the dying edge in both directions.
-        for slot in [e, er] {
+        for (slot, owner) in [(e, p), (er, q)] {
             self.settle_edge(slot, tau, obs);
-            let pd = self.pend_down[slot];
-            if pd != 0.0 {
-                let pt = self.pend_tft[slot];
-                self.pend_down[slot] = 0.0;
-                self.pend_tft[slot] = 0.0;
-                let owner = if slot == e { p } else { q };
-                self.swarm.event_deposit_down(owner, pd, pt);
-            }
+            self.flush_pending(slot, owner);
         }
         // Mirror the q-side swap-move (q's last live edge into `er`).
         let q_last = q_end - 1;
         if er != q_last {
             self.move_edge_slot(q_last, er, q, tau);
         }
-        self.clear_engine_slot(q_last);
+        self.clear_engine_slot(q_last, tau);
         // Mirror the p-side swap-move (p's last live edge into `e`).
         let p_last = p_end - 1;
         if e != p_last {
             self.move_edge_slot(p_last, e, p, tau);
         }
-        self.clear_engine_slot(p_last);
+        self.clear_engine_slot(p_last, tau);
         self.swarm.remove_edge_at(p, k);
     }
 
     /// Moves per-edge engine state from `src` to `dst` (both in
-    /// `owner`'s row) during a swap-remove. A flowing moved edge gets a
-    /// fresh plan id and a rescheduled crossing: its queued transfer
-    /// events carry the old slot index and must die.
+    /// `owner`'s row) during a swap-remove. `src`'s crossing leaves the
+    /// queue; `dst` takes a crossing re-predicted from the moved state,
+    /// or none if the moved edge is choked.
     fn move_edge_slot(&mut self, src: usize, dst: usize, owner: PeerId, tau: f64) {
-        self.flow[dst] = self.flow[src];
-        self.ftft[dst] = self.ftft[src];
-        self.credit[dst] = self.credit[src];
+        self.edges[dst] = self.edges[src];
         self.window[dst] = self.window[src];
-        self.pend_down[dst] = self.pend_down[src];
-        self.pend_tft[dst] = self.pend_tft[src];
-        self.last_settle[dst] = self.last_settle[src];
-        if self.flow[dst] > 0.0 {
-            self.next_plan_id += 1;
-            self.plan_id[dst] = self.next_plan_id;
-            self.schedule_crossing(owner, dst, tau);
-        } else {
-            self.plan_id[dst] = 0;
-        }
+        self.transfers.remove(src);
+        self.schedule_crossing(owner, dst, tau);
     }
 
-    /// Zeroes all engine state of a vacated edge slot.
-    fn clear_engine_slot(&mut self, e: usize) {
-        self.flow[e] = 0.0;
-        self.ftft[e] = false;
-        self.credit[e] = 0.0;
+    /// Zeroes all engine state of a vacated edge slot and drops its
+    /// crossing.
+    fn clear_engine_slot(&mut self, e: usize, tau: f64) {
+        self.edges[e] = EdgeState::settled_at(tau);
         self.window[e] = 0.0;
-        self.pend_down[e] = 0.0;
-        self.pend_tft[e] = 0.0;
-        self.plan_id[e] = 0;
+        self.transfers.remove(e);
     }
 
     /// Arrival event: draw the newcomer's initial pieces from its
@@ -1066,8 +1105,7 @@ impl EventEngine {
         );
         for e in old_end..self.swarm.row_bounds(slot).1 {
             for s in [e, self.swarm.edge_rev(e)] {
-                self.clear_engine_slot(s);
-                self.last_settle[s] = tau;
+                self.clear_engine_slot(s, tau);
             }
         }
     }
@@ -1084,15 +1122,10 @@ impl EventEngine {
             self.plan_pieces
                 .resize_with(n, || PieceSet::new(piece_count));
         }
-        if self.flow.len() < m {
-            self.flow.resize(m, 0.0);
-            self.ftft.resize(m, false);
-            self.credit.resize(m, 0.0);
+        if self.edges.len() < m {
+            self.edges.resize(m, EdgeState::settled_at(tau));
             self.window.resize(m, 0.0);
-            self.pend_down.resize(m, 0.0);
-            self.pend_tft.resize(m, 0.0);
-            self.last_settle.resize(m, tau);
-            self.plan_id.resize(m, 0);
+            self.transfers.grow(m);
         }
     }
 
@@ -1106,16 +1139,20 @@ impl EventEngine {
         u64::from(self.swarm.generation_of(p))
     }
 
-    /// Queues an event, assigning the next global sequence number.
+    /// Queues a non-transfer event, assigning the next global sequence
+    /// number.
     fn push(&mut self, time: f64, kind: u8, a: u64, b: u64, tag: u64) {
+        assert!(
+            a >> KIND_SHIFT == 0,
+            "event payload {a} overflows its field"
+        );
         let seq = self.alloc_seq();
         self.heap.push(Reverse(Ev {
-            time,
-            kind,
-            a,
+            time: time_key(time),
+            kind_a: u64::from(kind) << KIND_SHIFT | a,
             b,
-            tag,
             seq,
+            tag,
         }));
     }
 

@@ -322,8 +322,14 @@ pub(super) fn land_pieces<O: RunObserver>(
     if *credit < threshold {
         return false;
     }
-    // The bound covers every iteration the credit loop can run.
-    let want = (*credit / piece_size) as usize + 2;
+    // Exactly the iterations the credit loop below runs: the same
+    // subtractions on a copy of the credit.
+    let mut want = 0;
+    let mut left = *credit;
+    while left >= threshold {
+        left -= piece_size;
+        want += 1;
+    }
     avail.order().batch_picks(recipient, sender, want, picks);
     let mut completed = false;
     for &packed in picks.iter() {

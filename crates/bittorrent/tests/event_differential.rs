@@ -11,6 +11,10 @@
 //!   events share exact timestamps) the queue's total order
 //!   `(time, kind, a, b, seq)` must still yield one reproducible
 //!   history: two identically-seeded engines agree event for event.
+//! * **Continuous regime** — a churned three-class engine with exact
+//!   (unquantized) crossings, the regime `btevent` runs in, reproduces
+//!   pinned counters, completion records and per-peer totals, and never
+//!   dispatches a transfer that does not fire.
 
 #![allow(clippy::needless_range_loop)]
 
@@ -90,6 +94,95 @@ fn capped_tracker_engine_keeps_arena_invariants() {
     let stats = engine.stats();
     assert!(stats.arrivals > 0 && stats.departures > 0 && stats.announces > 0);
     assert!(stats.transfers > 0);
+}
+
+/// FNV-1a over the little-endian bytes of `x`.
+fn fnv(h: &mut u64, x: u64) {
+    for b in x.to_le_bytes() {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// The continuous regime pinned: Poisson churn with completion leaves,
+/// seed lingering and aborts, periodic announces and three speed
+/// classes, with every crossing at its exact continuous time. The pins
+/// were captured from the engine that queued a fresh transfer event per
+/// re-plan and dropped the stale one at fire time; the indexed transfer
+/// queue must reproduce them exactly.
+#[test]
+fn continuous_churned_engine_matches_pinned_history() {
+    let timing = EventTiming {
+        rechoke_interval: 10.0,
+        transfer_quantum: None,
+        announce_interval: Some(30.0),
+        speed_multipliers: vec![0.5, 1.0, 2.0],
+    };
+    let churn = SessionConfig {
+        arrival: ArrivalProcess::Poisson { rate: 2.5 },
+        departure: DepartureRules {
+            leave_on_completion: 0.3,
+            seed_leave_prob: 0.1,
+            seed_exodus_round: None,
+            abort_prob: 0.01,
+        },
+        target_degree: 8,
+        session_seed: 0xc0de,
+        ..SessionConfig::default()
+    };
+    let mut engine = EventEngine::new(build(30, 2, 48, 0.35, 29), timing, Some(churn));
+    engine.run_for(800.0);
+    engine.swarm().check_invariants();
+
+    let s = *engine.stats();
+    assert_eq!(
+        (
+            s.arrivals,
+            s.departures,
+            s.transfers,
+            s.rechokes,
+            s.announces
+        ),
+        (197, 209, 11_185, 1_770, 478),
+        "per-kind counters"
+    );
+    // Every transfer dispatch fires, so the dispatches beyond the fired
+    // transfers are exactly the departure, arrival, rechoke and announce
+    // events the queue popped (stale-generation timers included).
+    assert_eq!(s.events - s.transfers, 3_145, "non-transfer dispatches");
+
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for r in engine.completions() {
+        fnv(&mut h, u64::from(r.slot));
+        fnv(&mut h, u64::from(r.class));
+        fnv(&mut h, r.arrival_time.to_bits());
+        fnv(&mut h, r.completion_time.to_bits());
+        fnv(&mut h, r.completion_round);
+    }
+    assert_eq!(
+        (engine.completions().len(), h),
+        (219, 0xb7cd_3578_3858_f0ea),
+        "completion records"
+    );
+
+    let swarm = engine.swarm();
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for p in 0..swarm.peer_count() {
+        let peer = swarm.peer(p);
+        for x in [
+            peer.total_uploaded(),
+            peer.total_downloaded(),
+            peer.tft_uploaded(),
+            peer.tft_downloaded(),
+        ] {
+            fnv(&mut h, x.to_bits());
+        }
+    }
+    assert_eq!(
+        (swarm.peer_count(), engine.present_count(), h),
+        (37, 20, 0x7710_be5c_ea0e_7696),
+        "per-peer transfer totals"
+    );
 }
 
 proptest! {

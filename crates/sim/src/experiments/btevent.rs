@@ -243,9 +243,9 @@ fn run_cell(
         measured,
         fluid_rounds,
         turnover: counts.iter().all(|&n| n > 0) && stats.arrivals > 0 && stats.departures > 0,
-        // Stale-plan transfers and stale-generation timers dispatch
-        // without firing their per-kind counter, so the total dominates
-        // the sum; every kind must actually occur.
+        // Stale-generation timers dispatch without firing their
+        // per-kind counter, so the total dominates the sum; every kind
+        // must actually occur.
         accounting: stats.events
             >= stats.arrivals
                 + stats.departures

@@ -209,6 +209,54 @@ fn scenarios_a_kernel_cannot_measure_are_typed_errors() {
     }
 }
 
+/// A swarm kernel whose topology yields a negative expected degree is
+/// refused by `SwarmConfig::validate` before the overlay generator can
+/// assert on it: the `--scenario` CLI prints the error and exits 2.
+fn negative_mean_degree_is_a_typed_error(id: &str) {
+    let ctx = ctx();
+    let entry = runner::find(id).expect("kernel is registered");
+    let scenario =
+        (entry.preset)(&ctx).with_topology(TopologyModel::ErdosRenyiMeanDegree { d: -5.0 });
+    let parsed = Scenario::from_json(&scenario.to_json()).expect("parses");
+    match (entry.try_run_scenario)(&ctx, &parsed) {
+        Err(ScenarioError::InvalidParameter {
+            what: "swarm",
+            reason,
+        }) => {
+            assert!(reason.contains("mean neighbours"), "{id}: {reason}");
+        }
+        other => panic!(
+            "{id}: expected a swarm error, got {:?}",
+            other.map(|r| r.id)
+        ),
+    }
+}
+
+#[test]
+fn btfree_refuses_a_negative_mean_degree() {
+    negative_mean_degree_is_a_typed_error("btfree");
+}
+
+#[test]
+fn bt1_refuses_a_negative_mean_degree() {
+    negative_mean_degree_is_a_typed_error("bt1");
+}
+
+#[test]
+fn btchurn_refuses_a_negative_mean_degree() {
+    negative_mean_degree_is_a_typed_error("btchurn");
+}
+
+#[test]
+fn btevent_refuses_a_negative_mean_degree() {
+    negative_mean_degree_is_a_typed_error("btevent");
+}
+
+#[test]
+fn btmulti_refuses_a_negative_mean_degree() {
+    negative_mean_degree_is_a_typed_error("btmulti");
+}
+
 /// The checked-in full-profile presets in `results/scenarios/` parse, and
 /// re-encode (pretty, plus the trailing newline the files carry) to their
 /// own bytes: a schema change that reads any of them differently fails

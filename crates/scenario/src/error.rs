@@ -93,6 +93,20 @@ impl core::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
+/// `Ok` when `ok` holds, else `what`'s [`ScenarioError::InvalidParameter`]
+/// with the reason `reason` renders.
+pub(crate) fn ensure(
+    ok: bool,
+    what: &'static str,
+    reason: impl FnOnce() -> String,
+) -> Result<(), ScenarioError> {
+    ok.then_some(())
+        .ok_or_else(|| ScenarioError::InvalidParameter {
+            what,
+            reason: reason(),
+        })
+}
+
 impl From<GraphError> for ScenarioError {
     fn from(e: GraphError) -> Self {
         ScenarioError::Graph(e)

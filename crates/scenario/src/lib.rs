@@ -69,7 +69,8 @@ mod scenario;
 
 pub use error::ScenarioError;
 pub use model::{
-    BehaviorMix, BuiltPreferences, CapacityModel, ChurnModel, PreferenceModel, TopologyModel,
+    BehaviorMix, BuiltPreferences, CapacityModel, ChurnModel, MarkUnit, PreferenceModel,
+    TopologyModel,
 };
 pub use scenario::{Scenario, ScenarioKeys, SwarmParams, UniverseParams};
 // The swarm-churn section types come from the engine crate verbatim: the

@@ -10,6 +10,7 @@ use strat_core::prefs::{
 use strat_core::{gossip, standard_normal, Capacities, CapacityDistribution, GlobalRanking};
 use strat_graph::{generators, Graph, NodeId};
 
+use crate::error::ensure;
 use crate::ScenarioError;
 
 /// The per-peer mark `S(p)` — the quantity peers rank each other by.
@@ -62,113 +63,134 @@ pub enum CapacityModel {
     },
 }
 
+/// The unit a [`CapacityModel`] is read in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MarkUnit {
+    /// Collaboration slots `b(p)` (the matching dynamics).
+    Slots,
+    /// Upload bandwidth in kbps (the swarm).
+    Bandwidth,
+}
+
 impl CapacityModel {
+    /// Checks this model for `n` peers read in `unit` (the rules are listed
+    /// in `docs/SCENARIO_SCHEMA.md`, "Validation").
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::InvalidParameter`],
+    /// [`ScenarioError::SizeMismatch`] or [`ScenarioError::CapacityUnit`]
+    /// for the first violation.
+    pub fn validate(&self, n: usize, unit: MarkUnit) -> Result<(), ScenarioError> {
+        let mark = |v: f64| match unit {
+            MarkUnit::Slots => ensure(
+                v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v <= f64::from(u32::MAX),
+                "slot capacity",
+                || format!("must be a non-negative integer, got {v}"),
+            ),
+            MarkUnit::Bandwidth => ensure(v.is_finite() && v > 0.0, "bandwidth", || {
+                format!("must be positive kbps, got {v}")
+            }),
+        };
+        match self {
+            CapacityModel::Constant { value } => mark(*value),
+            CapacityModel::RoundedNormal { mean, sigma } => ensure(
+                mean.is_finite() && sigma.is_finite() && *sigma >= 0.0,
+                "normal capacity",
+                || format!("need finite mean and sigma >= 0, got N({mean}, {sigma}^2)"),
+            ),
+            CapacityModel::Uniform { lo, hi } => {
+                ensure(
+                    lo.is_finite() && hi.is_finite() && lo < hi,
+                    "uniform capacity",
+                    || format!("need lo < hi, got [{lo}, {hi})"),
+                )?;
+                match unit {
+                    MarkUnit::Slots => Ok(()),
+                    MarkUnit::Bandwidth => mark(*lo),
+                }
+            }
+            CapacityModel::SaroiuByRank | CapacityModel::SaroiuShuffled { .. } => match unit {
+                MarkUnit::Slots => Err(ScenarioError::CapacityUnit {
+                    model: format!("{self:?}"),
+                    wanted: "collaboration slots",
+                }),
+                MarkUnit::Bandwidth => Ok(()),
+            },
+            CapacityModel::Explicit { values } => {
+                if values.len() != n {
+                    return Err(ScenarioError::SizeMismatch {
+                        expected: n,
+                        actual: values.len(),
+                    });
+                }
+                values.iter().try_for_each(|&v| mark(v))
+            }
+        }
+    }
+
     /// Samples collaboration-slot capacities for `n` peers.
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError`] for bandwidth-only models, malformed
-    /// parameters, or an explicit list of the wrong length.
+    /// Returns what [`validate`](Self::validate) returns for
+    /// [`MarkUnit::Slots`].
     pub fn slot_capacities<R: Rng + ?Sized>(
         &self,
         n: usize,
         rng: &mut R,
     ) -> Result<Capacities, ScenarioError> {
-        match self {
-            CapacityModel::Constant { value } => {
-                let b0 = checked_slot(*value)?;
-                Ok(Capacities::constant(n, b0))
-            }
-            CapacityModel::RoundedNormal { mean, sigma } => {
-                check_normal(*mean, *sigma)?;
-                Ok(Capacities::sample(
-                    n,
-                    &CapacityDistribution::RoundedNormal {
-                        mean: *mean,
-                        sigma: *sigma,
-                    },
-                    rng,
-                ))
-            }
-            CapacityModel::Uniform { lo, hi } => {
-                check_uniform(*lo, *hi)?;
-                Ok(Capacities::from_values(
-                    (0..n)
-                        .map(|_| (rng.gen_range(*lo..*hi).round().max(1.0)) as u32)
-                        .collect(),
-                ))
+        self.validate(n, MarkUnit::Slots)?;
+        Ok(match self {
+            CapacityModel::Constant { value } => Capacities::constant(n, *value as u32),
+            CapacityModel::RoundedNormal { mean, sigma } => Capacities::sample(
+                n,
+                &CapacityDistribution::RoundedNormal {
+                    mean: *mean,
+                    sigma: *sigma,
+                },
+                rng,
+            ),
+            CapacityModel::Uniform { lo, hi } => Capacities::from_values(
+                (0..n)
+                    .map(|_| (rng.gen_range(*lo..*hi).round().max(1.0)) as u32)
+                    .collect(),
+            ),
+            CapacityModel::Explicit { values } => {
+                Capacities::from_values(values.iter().map(|&v| v as u32).collect())
             }
             CapacityModel::SaroiuByRank | CapacityModel::SaroiuShuffled { .. } => {
-                Err(ScenarioError::CapacityUnit {
-                    model: format!("{self:?}"),
-                    wanted: "collaboration slots",
-                })
+                unreachable!("validate refuses bandwidth-only models as slots")
             }
-            CapacityModel::Explicit { values } => {
-                check_len(n, values.len())?;
-                let mut slots = Vec::with_capacity(n);
-                for &v in values {
-                    slots.push(checked_slot(v)?);
-                }
-                Ok(Capacities::from_values(slots))
-            }
-        }
+        })
     }
 
     /// Samples per-peer upload bandwidths (kbps) for `n` peers.
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError`] on malformed parameters or an explicit
-    /// list of the wrong length.
+    /// Returns what [`validate`](Self::validate) returns for
+    /// [`MarkUnit::Bandwidth`].
     pub fn upload_bandwidths<R: Rng + ?Sized>(
         &self,
         n: usize,
         rng: &mut R,
     ) -> Result<Vec<f64>, ScenarioError> {
-        match self {
-            CapacityModel::Constant { value } => {
-                if !(value.is_finite() && *value > 0.0) {
-                    return Err(ScenarioError::InvalidParameter {
-                        what: "constant bandwidth",
-                        reason: format!("must be positive, got {value}"),
-                    });
-                }
-                Ok(vec![*value; n])
-            }
-            CapacityModel::RoundedNormal { mean, sigma } => {
-                check_normal(*mean, *sigma)?;
-                Ok((0..n)
-                    .map(|_| (mean + sigma * standard_normal(rng)).max(1.0))
-                    .collect())
-            }
-            CapacityModel::Uniform { lo, hi } => {
-                check_uniform(*lo, *hi)?;
-                if *lo <= 0.0 {
-                    return Err(ScenarioError::InvalidParameter {
-                        what: "uniform bandwidth",
-                        reason: format!("lower bound must be positive, got {lo}"),
-                    });
-                }
-                Ok((0..n).map(|_| rng.gen_range(*lo..*hi)).collect())
-            }
+        self.validate(n, MarkUnit::Bandwidth)?;
+        Ok(match self {
+            CapacityModel::Constant { value } => vec![*value; n],
+            CapacityModel::RoundedNormal { mean, sigma } => (0..n)
+                .map(|_| (mean + sigma * standard_normal(rng)).max(1.0))
+                .collect(),
+            CapacityModel::Uniform { lo, hi } => (0..n).map(|_| rng.gen_range(*lo..*hi)).collect(),
             CapacityModel::SaroiuByRank => {
-                Ok(BandwidthCdf::saroiu_gnutella_upstream().assign_by_rank(n))
+                BandwidthCdf::saroiu_gnutella_upstream().assign_by_rank(n)
             }
             CapacityModel::SaroiuShuffled { shuffle_seed } => {
-                Ok(BandwidthCdf::saroiu_gnutella_upstream().assign_shuffled(n, *shuffle_seed))
+                BandwidthCdf::saroiu_gnutella_upstream().assign_shuffled(n, *shuffle_seed)
             }
-            CapacityModel::Explicit { values } => {
-                check_len(n, values.len())?;
-                if let Some(bad) = values.iter().find(|v| !(v.is_finite() && **v > 0.0)) {
-                    return Err(ScenarioError::InvalidParameter {
-                        what: "explicit bandwidth",
-                        reason: format!("must be positive, got {bad}"),
-                    });
-                }
-                Ok(values.clone())
-            }
-        }
+            CapacityModel::Explicit { values } => values.clone(),
+        })
     }
 
     /// The bandwidth CDF behind Saroiu-style models (the Figure 11
@@ -181,58 +203,6 @@ impl CapacityModel {
             }
             _ => None,
         }
-    }
-}
-
-fn checked_slot(value: f64) -> Result<u32, ScenarioError> {
-    if value.is_finite() && value >= 0.0 && value.fract() == 0.0 && value <= f64::from(u32::MAX) {
-        Ok(value as u32)
-    } else {
-        Err(ScenarioError::InvalidParameter {
-            what: "slot capacity",
-            reason: format!("must be a non-negative integer, got {value}"),
-        })
-    }
-}
-
-fn check_normal(mean: f64, sigma: f64) -> Result<(), ScenarioError> {
-    if mean.is_finite() && sigma.is_finite() && sigma >= 0.0 {
-        Ok(())
-    } else {
-        Err(ScenarioError::InvalidParameter {
-            what: "normal capacity",
-            reason: format!("need finite mean and sigma >= 0, got N({mean}, {sigma}^2)"),
-        })
-    }
-}
-
-fn check_span(span: f64) -> Result<(), ScenarioError> {
-    if span.is_finite() && span > 0.0 {
-        Ok(())
-    } else {
-        Err(ScenarioError::InvalidParameter {
-            what: "latency span",
-            reason: format!("must be positive and finite, got {span}"),
-        })
-    }
-}
-
-fn check_uniform(lo: f64, hi: f64) -> Result<(), ScenarioError> {
-    if lo.is_finite() && hi.is_finite() && lo < hi {
-        Ok(())
-    } else {
-        Err(ScenarioError::InvalidParameter {
-            what: "uniform capacity",
-            reason: format!("need lo < hi, got [{lo}, {hi})"),
-        })
-    }
-}
-
-fn check_len(expected: usize, actual: usize) -> Result<(), ScenarioError> {
-    if expected == actual {
-        Ok(())
-    } else {
-        Err(ScenarioError::SizeMismatch { expected, actual })
     }
 }
 
@@ -264,42 +234,57 @@ pub enum TopologyModel {
 }
 
 impl TopologyModel {
+    /// Checks this model on `n` nodes: a finite `d ≥ 0`, a finite
+    /// `p ∈ [0, 1]`, explicit edges between two distinct nodes below `n`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::InvalidParameter`] for the first violation.
+    pub fn validate(&self, n: usize) -> Result<(), ScenarioError> {
+        match self {
+            TopologyModel::Complete => Ok(()),
+            TopologyModel::ErdosRenyiMeanDegree { d } => {
+                ensure(d.is_finite() && *d >= 0.0, "mean degree", || {
+                    format!("must be non-negative, got {d}")
+                })
+            }
+            TopologyModel::ErdosRenyiEdgeProbability { p } => {
+                ensure((0.0..=1.0).contains(p), "edge probability", || {
+                    format!("must be in [0, 1], got {p}")
+                })
+            }
+            TopologyModel::Explicit { edges } => {
+                let bad = edges.iter().find(|&&(u, v)| u == v || u.max(v) >= n);
+                ensure(bad.is_none(), "explicit edge", || {
+                    let (u, v) = bad.copied().unwrap_or_default();
+                    format!("({u}, {v}) is a self-loop or names a node outside 0..{n}")
+                })
+            }
+        }
+    }
+
     /// Materializes the graph on `n` nodes.
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError`] for malformed parameters or explicit
-    /// edges out of range.
+    /// Returns what [`validate`](Self::validate) returns.
     pub fn build_graph<R: Rng + ?Sized>(
         &self,
         n: usize,
         rng: &mut R,
     ) -> Result<Graph, ScenarioError> {
-        match self {
-            TopologyModel::Complete => Ok(generators::complete(n)),
+        self.validate(n)?;
+        Ok(match self {
+            TopologyModel::Complete => generators::complete(n),
             TopologyModel::ErdosRenyiMeanDegree { d } => {
-                if !(d.is_finite() && *d >= 0.0) {
-                    return Err(ScenarioError::InvalidParameter {
-                        what: "mean degree",
-                        reason: format!("must be non-negative, got {d}"),
-                    });
-                }
-                Ok(generators::erdos_renyi_mean_degree(n, *d, rng))
+                generators::erdos_renyi_mean_degree(n, *d, rng)
             }
-            TopologyModel::ErdosRenyiEdgeProbability { p } => {
-                if !(p.is_finite() && (0.0..=1.0).contains(p)) {
-                    return Err(ScenarioError::InvalidParameter {
-                        what: "edge probability",
-                        reason: format!("must be in [0, 1], got {p}"),
-                    });
-                }
-                Ok(generators::erdos_renyi(n, *p, rng))
-            }
-            TopologyModel::Explicit { edges } => Ok(Graph::from_edges(
+            TopologyModel::ErdosRenyiEdgeProbability { p } => generators::erdos_renyi(n, *p, rng),
+            TopologyModel::Explicit { edges } => Graph::from_edges(
                 n,
                 edges.iter().map(|&(u, v)| (NodeId::new(u), NodeId::new(v))),
-            )?),
-        }
+            )?,
+        })
     }
 
     /// Expected mean degree on `n` nodes (analytic kernels key on this).
@@ -412,6 +397,31 @@ impl PreferenceSystem for BuiltPreferences {
 }
 
 impl PreferenceModel {
+    /// Checks this model: a gossip sample size, a rank class width and a
+    /// finite latency span must all be positive.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::InvalidParameter`] for the first violation.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        match *self {
+            PreferenceModel::GlobalRank => Ok(()),
+            PreferenceModel::GossipEstimated { sample_size } => {
+                ensure(sample_size > 0, "gossip sample size", || {
+                    "must be positive".to_string()
+                })
+            }
+            PreferenceModel::Latency { span } | PreferenceModel::BandedRankLatency { span, .. } => {
+                ensure(span.is_finite() && span > 0.0, "latency span", || {
+                    format!("must be positive and finite, got {span}")
+                })?;
+                ensure(self.class_width() != Some(0), "rank class width", || {
+                    "must be positive".to_string()
+                })
+            }
+        }
+    }
+
     /// The global ranking this model induces for the ranked-dynamics path.
     ///
     /// `GlobalRank` and the latency-flavoured models use the identity
@@ -420,9 +430,8 @@ impl PreferenceModel {
     ///
     /// # Panics
     ///
-    /// Panics on a zero gossip sample size with peers present; the
-    /// fallible `build_*` entry points reject it as
-    /// [`ScenarioError::InvalidParameter`] instead.
+    /// Panics on a zero gossip sample size with peers present, which
+    /// [`validate`](Self::validate) refuses.
     pub fn build_ranking<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> GlobalRanking {
         match self {
             PreferenceModel::GossipEstimated { sample_size } if n > 0 => {
@@ -430,27 +439,6 @@ impl PreferenceModel {
             }
             _ => GlobalRanking::identity(n),
         }
-    }
-
-    /// [`build_ranking`](Self::build_ranking) behind this model's
-    /// parameter check, for the fallible `build_*` entry points.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError::InvalidParameter`] for a zero gossip
-    /// sample size.
-    pub(crate) fn checked_ranking<R: Rng + ?Sized>(
-        &self,
-        n: usize,
-        rng: &mut R,
-    ) -> Result<GlobalRanking, ScenarioError> {
-        if let PreferenceModel::GossipEstimated { sample_size: 0 } = self {
-            return Err(ScenarioError::InvalidParameter {
-                what: "gossip sample size",
-                reason: "must be positive".to_string(),
-            });
-        }
-        Ok(self.build_ranking(n, rng))
     }
 
     /// Whether this model is a global-ranking utility, i.e. runs on the
@@ -472,41 +460,25 @@ impl PreferenceModel {
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::InvalidParameter`] for a zero gossip
-    /// sample size, a non-positive latency span or a zero class width.
+    /// Returns what [`validate`](Self::validate) returns.
     pub fn build_preferences<R: Rng + ?Sized>(
         &self,
         n: usize,
         rng: &mut R,
     ) -> Result<BuiltPreferences, ScenarioError> {
-        match self {
-            PreferenceModel::GlobalRank | PreferenceModel::GossipEstimated { .. } => Ok(
-                BuiltPreferences::Global(GlobalPrefs::new(self.checked_ranking(n, rng)?)),
-            ),
-            PreferenceModel::Latency { span } => {
-                check_span(*span)?;
-                let positions = self
-                    .latency_positions(n, rng)
-                    .expect("latency model has positions");
-                Ok(BuiltPreferences::Latency(LatencyPrefs::new(positions)))
-            }
-            PreferenceModel::BandedRankLatency { class_width, span } => {
-                check_span(*span)?;
-                if *class_width == 0 {
-                    return Err(ScenarioError::InvalidParameter {
-                        what: "rank class width",
-                        reason: "must be positive".to_string(),
-                    });
-                }
-                let positions = self
-                    .latency_positions(n, rng)
-                    .expect("banded model has positions");
-                Ok(BuiltPreferences::BandedLatency(LexicographicPrefs::new(
+        self.validate()?;
+        // Latency-flavoured models draw positions; rank-shaped ones a ranking.
+        let positions = self.latency_positions(n, rng);
+        Ok(match (self, positions) {
+            (PreferenceModel::BandedRankLatency { class_width, .. }, Some(positions)) => {
+                BuiltPreferences::BandedLatency(LexicographicPrefs::new(
                     BandedRankPrefs::new(GlobalRanking::identity(n), *class_width),
                     LatencyPrefs::new(positions),
-                )))
+                ))
             }
-        }
+            (_, Some(positions)) => BuiltPreferences::Latency(LatencyPrefs::new(positions)),
+            (_, None) => BuiltPreferences::Global(GlobalPrefs::new(self.build_ranking(n, rng))),
+        })
     }
 
     /// Latency positions for the models that embed peers in a latency
@@ -552,32 +524,37 @@ pub enum ChurnModel {
 }
 
 impl ChurnModel {
+    /// Checks that the per-initiative-step event rate on an `n`-peer
+    /// system lands in `[0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::InvalidParameter`] otherwise.
+    pub fn validate(&self, n: usize) -> Result<(), ScenarioError> {
+        let rate = self.per_step(n);
+        ensure((0.0..=1.0).contains(&rate), "churn rate", || {
+            format!("per-step rate must be in [0, 1], got {rate}")
+        })
+    }
+
     /// The per-initiative-step event rate on an `n`-peer system.
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError`] when the resulting rate leaves `[0, 1]`.
+    /// Returns what [`validate`](Self::validate) returns.
     pub fn rate_per_step(&self, n: usize) -> Result<f64, ScenarioError> {
-        let rate = match self {
+        self.validate(n)?;
+        Ok(self.per_step(n))
+    }
+
+    fn per_step(&self, n: usize) -> f64 {
+        match self {
             ChurnModel::None => 0.0,
             ChurnModel::Rate { rate } => *rate,
+            ChurnModel::PoissonPerBaseUnit { .. } if n == 0 => 0.0,
             ChurnModel::PoissonPerBaseUnit {
                 events_per_base_unit,
-            } => {
-                if n == 0 {
-                    0.0
-                } else {
-                    events_per_base_unit / n as f64
-                }
-            }
-        };
-        if rate.is_finite() && (0.0..=1.0).contains(&rate) {
-            Ok(rate)
-        } else {
-            Err(ScenarioError::InvalidParameter {
-                what: "churn rate",
-                reason: format!("per-step rate must be in [0, 1], got {rate}"),
-            })
+            } => events_per_base_unit / n as f64,
         }
     }
 }
@@ -607,26 +584,29 @@ impl BehaviorMix {
         }
     }
 
+    /// Checks that the deviant counts fit in `leechers`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::InvalidParameter`] otherwise.
+    pub fn validate(&self, leechers: usize) -> Result<(), ScenarioError> {
+        let (free, alt) = (self.free_riders, self.altruists);
+        ensure(free.saturating_add(alt) <= leechers, "behavior mix", || {
+            format!("{free} free riders + {alt} altruists exceed {leechers} leechers")
+        })
+    }
+
     /// Expands the mix into one behavior per peer (`leechers + seeds`).
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError`] when the deviant counts exceed the
-    /// leecher population.
+    /// Returns what [`validate`](Self::validate) returns.
     pub fn assign(
         &self,
         leechers: usize,
         seeds: usize,
     ) -> Result<Vec<PeerBehavior>, ScenarioError> {
-        if self.free_riders + self.altruists > leechers {
-            return Err(ScenarioError::InvalidParameter {
-                what: "behavior mix",
-                reason: format!(
-                    "{} free riders + {} altruists exceed {leechers} leechers",
-                    self.free_riders, self.altruists
-                ),
-            });
-        }
+        self.validate(leechers)?;
         let mut behaviors = vec![PeerBehavior::Compliant; leechers + seeds];
         for b in behaviors.iter_mut().take(self.altruists) {
             *b = PeerBehavior::Altruistic;

@@ -14,9 +14,10 @@ use strat_core::{
 };
 use strat_graph::{Graph, NodeId};
 
+use crate::error::ensure;
 use crate::{
-    BehaviorMix, BuiltPreferences, CapacityModel, ChurnModel, PreferenceModel, ScenarioError,
-    TopologyModel,
+    BehaviorMix, BuiltPreferences, CapacityModel, ChurnModel, MarkUnit, PreferenceModel,
+    ScenarioError, TopologyModel,
 };
 
 /// The key table a scenario's preference axis selects for its
@@ -184,6 +185,33 @@ impl UniverseParams {
             .map(|t| ((t + 1) as f64).powf(-self.popularity_skew))
             .collect()
     }
+
+    /// Checks the section: a finite non-negative popularity skew, then
+    /// [`UniverseConfig::validate`] on the config it describes.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation.
+    pub fn validate(&self) -> Result<(), String> {
+        let skew = self.popularity_skew;
+        if !(skew.is_finite() && skew >= 0.0) {
+            return Err(format!(
+                "popularity skew must be a finite non-negative exponent, got {skew}"
+            ));
+        }
+        self.config().validate(self.torrents)
+    }
+
+    /// The engine config this section describes.
+    fn config(&self) -> UniverseConfig {
+        UniverseConfig {
+            membership: self.membership,
+            split: self.split,
+            class_upload_kbps: self.class_upload_kbps.clone(),
+            popularity: self.popularity_weights(),
+            universe_seed: self.universe_seed,
+        }
+    }
 }
 
 impl Default for SwarmParams {
@@ -229,9 +257,9 @@ impl Default for SwarmParams {
 ///   [`build_capacities`](Self::build_capacities) — the individual pieces,
 ///   for kernels that recombine them.
 ///
-/// All entry points consume the caller's RNG in a fixed documented order
-/// (topology → preference → capacities), so a scenario plus an RNG stream
-/// is a reproducible instance.
+/// All entry points start with [`validate`](Self::validate) and consume
+/// the caller's RNG in a fixed documented order (topology → preference →
+/// capacities), so a scenario plus an RNG stream is a reproducible instance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Preset name (`fig3`, `bt1-freeriders`, …).
@@ -342,34 +370,123 @@ impl Scenario {
         self
     }
 
+    /// Checks every section once, drawing no randomness, in the order
+    /// `docs/SCENARIO_SCHEMA.md` ("Validation") lists the rules. Every
+    /// `build_*` and `stable_matching*` method starts here, and so does
+    /// every registered experiment kernel.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation: [`ScenarioError::InvalidParameter`]
+    /// naming the parameter or section, or [`ScenarioError::SizeMismatch`]
+    /// for an explicit capacity list of the wrong length.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        // A swarm reads the marks as bandwidth, and so does a
+        // bandwidth-only model (Figure 10); everything else reads slots.
+        let unit = if self.swarm.is_some() || self.capacity.bandwidth_cdf().is_some() {
+            MarkUnit::Bandwidth
+        } else {
+            MarkUnit::Slots
+        };
+        self.capacity.validate(self.peers, unit)?;
+        self.topology.validate(self.peers)?;
+        self.preference.validate()?;
+        self.churn.validate(self.peers)?;
+        let Some(params) = &self.swarm else {
+            return Ok(());
+        };
+        let upload = params.seed_upload_kbps;
+        ensure(upload.is_finite() && upload > 0.0, "seed upload", || {
+            format!("must be positive kbps, got {upload}")
+        })?;
+        let explicit = matches!(self.topology, TopologyModel::Explicit { .. });
+        ensure(!explicit, "topology", || {
+            "a swarm draws its own overlay of the topology's mean degree".to_string()
+        })?;
+        let (churn, faults) = (&params.churn, &params.faults);
+        let (timing, universe) = (&params.timing, &params.universe);
+        let config = self.swarm_config(params, params.swarm_seed);
+        let sections = [
+            ("swarm", Some(config.validate())),
+            ("swarm churn", churn.as_ref().map(|c| c.validate())),
+            ("swarm faults", faults.as_ref().map(|f| f.validate())),
+            ("swarm timing", timing.as_ref().map(|t| t.validate())),
+            ("swarm universe", universe.as_ref().map(|u| u.validate())),
+        ];
+        for (what, verdict) in sections {
+            if let Some(Err(reason)) = verdict {
+                return Err(ScenarioError::InvalidParameter { what, reason });
+            }
+        }
+        params.behavior.validate(self.peers)?;
+        // Fluid content never completes, and every layer above the closed
+        // swarm needs completions.
+        let layers = [
+            (universe.is_some(), "swarm universe", "shared membership"),
+            (timing.is_some(), "swarm timing", "event engine"),
+            (churn.is_some(), "swarm churn", "open membership"),
+        ];
+        if let Some((_, what, layer)) = layers.into_iter().find(|&(on, ..)| on) {
+            ensure(!params.fluid_content, what, || {
+                format!("{layer} requires piece mode (fluid content never completes)")
+            })?;
+        }
+        let timed_faults = timing.is_some() && faults.is_some();
+        ensure(!timed_faults, "swarm timing", || {
+            "fault plans are a round-engine construct; remove `swarm.faults` or `swarm.timing`"
+                .into()
+        })?;
+        // A universe shares its peers across sessions; these each assume
+        // one session (compaction would invalidate cross-swarm handles).
+        let compacts = churn.iter().any(|c| c.compact_threshold.is_some());
+        let shared = universe.is_some();
+        let single_session = [
+            (shared && faults.is_some(), "`swarm.faults`"),
+            (shared && timing.is_some(), "`swarm.timing`"),
+            (shared && compacts, "`swarm.churn.compact_threshold`"),
+        ];
+        let conflict = single_session.into_iter().find(|&(on, _)| on);
+        ensure(conflict.is_none(), "swarm universe", || {
+            let key = conflict.map_or("", |(_, key)| key);
+            format!("{key} is a single-session construct; remove it or `swarm.universe`")
+        })
+    }
+
     /// Materializes the topology on this scenario's peer count.
     ///
     /// # Errors
     ///
-    /// Propagates [`TopologyModel::build_graph`] failures.
+    /// Returns what [`validate`](Self::validate) returns.
     pub fn build_graph<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Graph, ScenarioError> {
+        self.validate()?;
         self.topology.build_graph(self.peers, rng)
     }
 
     /// The global ranking the preference model induces (identity, or a
     /// gossip estimate drawn from `rng`).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// See [`PreferenceModel::build_ranking`].
-    pub fn build_ranking<R: Rng + ?Sized>(&self, rng: &mut R) -> GlobalRanking {
-        self.preference.build_ranking(self.peers, rng)
+    /// Returns what [`validate`](Self::validate) returns.
+    pub fn build_ranking<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+    ) -> Result<GlobalRanking, ScenarioError> {
+        self.validate()?;
+        Ok(self.preference.build_ranking(self.peers, rng))
     }
 
     /// Slot capacities for the dynamics backend.
     ///
     /// # Errors
     ///
-    /// Propagates [`CapacityModel::slot_capacities`] failures.
+    /// Returns what [`validate`](Self::validate) returns, or
+    /// [`ScenarioError::CapacityUnit`] for a bandwidth-only model.
     pub fn build_capacities<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
     ) -> Result<Capacities, ScenarioError> {
+        self.validate()?;
         self.capacity.slot_capacities(self.peers, rng)
     }
 
@@ -378,13 +495,14 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Propagates component failures.
+    /// Returns what [`validate`](Self::validate) returns.
     pub fn build_acceptance<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
     ) -> Result<RankedAcceptance, ScenarioError> {
-        let graph = self.build_graph(rng)?;
-        let ranking = self.preference.checked_ranking(self.peers, rng)?;
+        self.validate()?;
+        let graph = self.topology.build_graph(self.peers, rng)?;
+        let ranking = self.preference.build_ranking(self.peers, rng);
         Ok(RankedAcceptance::new(graph, ranking)?)
     }
 
@@ -394,11 +512,12 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Propagates component failures.
+    /// Returns what [`validate`](Self::validate) returns.
     pub fn build_preferences<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
     ) -> Result<BuiltPreferences, ScenarioError> {
+        self.validate()?;
         self.preference.build_preferences(self.peers, rng)
     }
 
@@ -411,19 +530,22 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Propagates component failures.
+    /// Returns what [`validate`](Self::validate) returns, or
+    /// [`ScenarioError::CapacityUnit`] for a bandwidth-only capacity
+    /// model.
     pub fn build_dynamics<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
     ) -> Result<Dynamics<ScenarioKeys>, ScenarioError> {
+        self.validate()?;
         let keys = if self.preference.is_ranked() {
             ScenarioKeys::Ranked(self.build_acceptance(rng)?)
         } else {
-            let graph = self.build_graph(rng)?;
-            let prefs = self.build_preferences(rng)?;
+            let graph = self.topology.build_graph(self.peers, rng)?;
+            let prefs = self.preference.build_preferences(self.peers, rng)?;
             ScenarioKeys::General(PrefAcceptance::build(&graph, &prefs))
         };
-        let caps = self.build_capacities(rng)?;
+        let caps = self.capacity.slot_capacities(self.peers, rng)?;
         Ok(Dynamics::new(keys, caps, self.strategy)?)
     }
 
@@ -438,17 +560,18 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Propagates component failures; general-table preference systems
-    /// with odd preference cycles surface as
+    /// As [`build_dynamics`](Self::build_dynamics); general-table
+    /// preference systems with odd preference cycles surface as
     /// [`strat_core::ModelError::NoStableConfiguration`] (none of the
     /// scenario preference models can produce one).
     pub fn build_dynamics_at_stable<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
     ) -> Result<Dynamics<ScenarioKeys>, ScenarioError> {
+        self.validate()?;
         if self.preference.is_ranked() {
             let acc = self.build_acceptance(rng)?;
-            let caps = self.build_capacities(rng)?;
+            let caps = self.capacity.slot_capacities(self.peers, rng)?;
             let stable = stable_configuration(&acc, &caps)?;
             Ok(Dynamics::with_configuration(
                 ScenarioKeys::Ranked(acc),
@@ -471,11 +594,12 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Propagates component failures.
+    /// As [`build_dynamics`](Self::build_dynamics).
     pub fn build_churn<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
     ) -> Result<ChurnProcess<ScenarioKeys>, ScenarioError> {
+        self.validate()?;
         let rate = self.churn.rate_per_step(self.peers)?;
         Ok(ChurnProcess::new(self.build_dynamics(rng)?, rate))
     }
@@ -488,15 +612,16 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Propagates component failures.
+    /// As [`build_dynamics`](Self::build_dynamics).
     pub fn stable_matching<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Matching, ScenarioError> {
+        self.validate()?;
         if matches!(self.topology, TopologyModel::Complete) {
-            let ranking = self.preference.checked_ranking(self.peers, rng)?;
-            let caps = self.build_capacities(rng)?;
+            let ranking = self.preference.build_ranking(self.peers, rng);
+            let caps = self.capacity.slot_capacities(self.peers, rng)?;
             Ok(stable_configuration_complete(&ranking, &caps)?)
         } else {
             let acc = self.build_acceptance(rng)?;
-            let caps = self.build_capacities(rng)?;
+            let caps = self.capacity.slot_capacities(self.peers, rng)?;
             Ok(stable_configuration(&acc, &caps)?)
         }
     }
@@ -506,14 +631,15 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Propagates component failures.
+    /// As [`build_dynamics`](Self::build_dynamics).
     pub fn stable_matching_masked<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         present: impl Fn(strat_graph::NodeId) -> bool,
     ) -> Result<Matching, ScenarioError> {
+        self.validate()?;
         let acc = self.build_acceptance(rng)?;
-        let caps = self.build_capacities(rng)?;
+        let caps = self.capacity.slot_capacities(self.peers, rng)?;
         Ok(stable_configuration_masked(&acc, &caps, present)?)
     }
 
@@ -524,92 +650,31 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::MissingSwarm`] without a swarm section,
-    /// [`ScenarioError::InvalidParameter`] for a non-positive seed upload
-    /// or a section [`SwarmConfig::validate`] rejects (fewer than two
-    /// peers, no pieces, no unchoke slot, a non-positive piece size or
-    /// round length, a zero optimistic period, an initial completion
-    /// outside `[0, 1]`); otherwise propagates component failures.
+    /// Returns what [`validate`](Self::validate) returns, then
+    /// [`ScenarioError::MissingSwarm`] without a swarm section.
     pub fn build_swarm<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Swarm, ScenarioError> {
+        self.validate()?;
         let params = self.swarm.as_ref().ok_or(ScenarioError::MissingSwarm)?;
-        // The engine asserts these; malformed JSON must fail cleanly.
-        if !(params.seed_upload_kbps.is_finite() && params.seed_upload_kbps > 0.0) {
-            return Err(ScenarioError::InvalidParameter {
-                what: "seed upload",
-                reason: format!("must be positive kbps, got {}", params.seed_upload_kbps),
-            });
-        }
-        let config = SwarmConfig {
-            leechers: self.peers,
-            seeds: params.seeds,
-            piece_count: params.piece_count,
-            piece_size_kbit: params.piece_size_kbit,
-            round_seconds: params.round_seconds,
-            tft_slots: params.tft_slots,
-            optimistic_slots: params.optimistic_slots,
-            optimistic_period: params.optimistic_period,
-            mean_neighbors: self.topology.mean_degree(self.peers + params.seeds),
-            initial_completion: params.initial_completion,
-            seed_after_completion: params.seed_after_completion,
-            fluid_content: params.fluid_content,
-            seed: params.swarm_seed,
-        };
-        config
-            .validate()
-            .map_err(|reason| ScenarioError::InvalidParameter {
-                what: "swarm",
-                reason,
-            })?;
-        let mut uploads = self.capacity.upload_bandwidths(self.peers, rng)?;
-        uploads.extend(std::iter::repeat_n(params.seed_upload_kbps, params.seeds));
-        let behaviors = params.behavior.assign(self.peers, params.seeds)?;
-        Ok(Swarm::with_behaviors(config, &uploads, &behaviors))
+        self.swarm_with_seed(params, params.swarm_seed, rng)
     }
 
     /// The open-membership session: the swarm of
     /// [`build_swarm`](Self::build_swarm) (identical RNG consumption)
-    /// wrapped in the `swarm.churn` section's arrival/departure processes.
+    /// wrapped in the `swarm.churn` section's arrival/departure processes
+    /// and the `swarm.faults` plan (absent: the inert plan, a
+    /// bit-identical build).
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::MissingSwarm`] /
-    /// [`ScenarioError::MissingChurn`] without the respective sections,
-    /// [`ScenarioError::InvalidParameter`] for a fluid-content swarm (open
-    /// membership needs completions), an out-of-range probability or
-    /// arrival rate, a non-positive arrival capacity or a zero target
-    /// degree; otherwise propagates component failures.
+    /// Returns what [`validate`](Self::validate) returns, then
+    /// [`ScenarioError::MissingSwarm`] / [`ScenarioError::MissingChurn`]
+    /// without the respective sections.
     pub fn build_session<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Session, ScenarioError> {
+        self.validate()?;
         let params = self.swarm.as_ref().ok_or(ScenarioError::MissingSwarm)?;
         let churn = params.churn.as_ref().ok_or(ScenarioError::MissingChurn)?;
-        if params.fluid_content {
-            return Err(ScenarioError::InvalidParameter {
-                what: "swarm churn",
-                reason: "open membership requires piece mode (fluid content never completes)"
-                    .to_string(),
-            });
-        }
-        // The engine's own constraint set ([`SessionConfig::validate`], the
-        // single source of truth `Session::new` asserts), surfaced as a
-        // [`ScenarioError`] so malformed JSON fails cleanly instead of
-        // panicking.
-        churn
-            .validate()
-            .map_err(|reason| ScenarioError::InvalidParameter {
-                what: "swarm churn",
-                reason,
-            })?;
-        // Same pattern for the fault plan: surface
-        // [`FaultPlan::validate`]'s constraint set as an error instead of
-        // letting [`Session::with_faults`] panic on malformed JSON. An
-        // absent section is the inert plan (bit-identical build).
         let faults = params.faults.clone().unwrap_or_else(FaultPlan::none);
-        faults
-            .validate()
-            .map_err(|reason| ScenarioError::InvalidParameter {
-                what: "swarm faults",
-                reason,
-            })?;
-        let swarm = self.build_swarm(rng)?;
+        let swarm = self.swarm_with_seed(params, params.swarm_seed, rng)?;
         Ok(Session::with_faults(swarm, churn.clone(), faults))
     }
 
@@ -621,49 +686,17 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::MissingSwarm`] /
-    /// [`ScenarioError::MissingTiming`] without the respective sections,
-    /// [`ScenarioError::InvalidParameter`] for a fluid-content swarm, a
-    /// malformed timing or churn sub-section, or a swarm section that
-    /// combines `timing` with a fault plan (the fault plane is a
-    /// round-engine construct; the event engine does not consume it);
-    /// otherwise propagates component failures.
+    /// Returns what [`validate`](Self::validate) returns, then
+    /// [`ScenarioError::MissingSwarm`] / [`ScenarioError::MissingTiming`]
+    /// without the respective sections.
     pub fn build_event_engine<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
     ) -> Result<EventEngine, ScenarioError> {
+        self.validate()?;
         let params = self.swarm.as_ref().ok_or(ScenarioError::MissingSwarm)?;
         let timing = params.timing.clone().ok_or(ScenarioError::MissingTiming)?;
-        if params.fluid_content {
-            return Err(ScenarioError::InvalidParameter {
-                what: "swarm timing",
-                reason: "event engine requires piece mode (fluid content never completes)"
-                    .to_string(),
-            });
-        }
-        if params.faults.is_some() {
-            return Err(ScenarioError::InvalidParameter {
-                what: "swarm timing",
-                reason: "fault plans are a round-engine construct; \
-                         remove `swarm.faults` or `swarm.timing`"
-                    .to_string(),
-            });
-        }
-        timing
-            .validate()
-            .map_err(|reason| ScenarioError::InvalidParameter {
-                what: "swarm timing",
-                reason,
-            })?;
-        if let Some(churn) = &params.churn {
-            churn
-                .validate()
-                .map_err(|reason| ScenarioError::InvalidParameter {
-                    what: "swarm churn",
-                    reason,
-                })?;
-        }
-        let swarm = self.build_swarm(rng)?;
+        let swarm = self.swarm_with_seed(params, params.swarm_seed, rng)?;
         Ok(EventEngine::new(swarm, timing, params.churn.clone()))
     }
 
@@ -682,90 +715,23 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::MissingSwarm`] /
-    /// [`ScenarioError::MissingUniverse`] / [`ScenarioError::MissingChurn`]
-    /// without the respective sections, and
-    /// [`ScenarioError::InvalidParameter`] for a fluid-content swarm, a
-    /// malformed churn or universe sub-section, a compacting churn
-    /// section (compaction invalidates the universe's cross-swarm peer
-    /// handles), or a swarm section combining `universe` with `faults` or
-    /// `timing` (both are single-session constructs); otherwise
-    /// propagates component failures.
+    /// Returns what [`validate`](Self::validate) returns, then
+    /// [`ScenarioError::MissingSwarm`] / [`ScenarioError::MissingUniverse`]
+    /// / [`ScenarioError::MissingChurn`] without the respective sections.
     pub fn build_universe<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Universe, ScenarioError> {
+        self.validate()?;
         let params = self.swarm.as_ref().ok_or(ScenarioError::MissingSwarm)?;
         let universe = params
             .universe
             .as_ref()
             .ok_or(ScenarioError::MissingUniverse)?;
         let churn = params.churn.as_ref().ok_or(ScenarioError::MissingChurn)?;
-        if params.fluid_content {
-            return Err(ScenarioError::InvalidParameter {
-                what: "swarm universe",
-                reason: "shared membership requires piece mode (fluid content never completes)"
-                    .to_string(),
-            });
-        }
-        if params.faults.is_some() {
-            return Err(ScenarioError::InvalidParameter {
-                what: "swarm universe",
-                reason: "fault plans are a single-session construct; \
-                         remove `swarm.faults` or `swarm.universe`"
-                    .to_string(),
-            });
-        }
-        if params.timing.is_some() {
-            return Err(ScenarioError::InvalidParameter {
-                what: "swarm universe",
-                reason: "the event clock is a single-session construct; \
-                         remove `swarm.timing` or `swarm.universe`"
-                    .to_string(),
-            });
-        }
-        if churn.compact_threshold.is_some() {
-            return Err(ScenarioError::InvalidParameter {
-                what: "swarm universe",
-                reason: "universe sessions must not compact \
-                         (compaction invalidates cross-swarm peer handles)"
-                    .to_string(),
-            });
-        }
-        churn
-            .validate()
-            .map_err(|reason| ScenarioError::InvalidParameter {
-                what: "swarm churn",
-                reason,
-            })?;
-        if !(universe.popularity_skew.is_finite() && universe.popularity_skew >= 0.0) {
-            return Err(ScenarioError::InvalidParameter {
-                what: "swarm universe",
-                reason: format!(
-                    "popularity skew must be a finite non-negative exponent, got {}",
-                    universe.popularity_skew
-                ),
-            });
-        }
-        let weights = universe.popularity_weights();
-        let config = UniverseConfig {
-            membership: universe.membership,
-            split: universe.split,
-            class_upload_kbps: universe.class_upload_kbps.clone(),
-            popularity: weights.clone(),
-            universe_seed: universe.universe_seed,
-        };
-        config
-            .validate(universe.torrents)
-            .map_err(|reason| ScenarioError::InvalidParameter {
-                what: "swarm universe",
-                reason,
-            })?;
-        let total_weight: f64 = weights.iter().sum();
+        let config = universe.config();
+        let total_weight: f64 = config.popularity.iter().sum();
         let mut sessions = Vec::with_capacity(universe.torrents);
-        for (t, weight) in weights.iter().enumerate() {
-            let mut per_torrent = self.clone();
-            let mut swarm_params = params.clone();
-            swarm_params.swarm_seed = derive_seed(params.swarm_seed, t as u64);
-            per_torrent.swarm = Some(swarm_params);
-            let swarm = per_torrent.build_swarm(rng)?;
+        for (t, weight) in config.popularity.iter().enumerate() {
+            let swarm =
+                self.swarm_with_seed(params, derive_seed(params.swarm_seed, t as u64), rng)?;
             let mut session_config = churn.clone();
             session_config.session_seed = derive_seed(churn.session_seed, t as u64);
             if let ArrivalProcess::Poisson { rate } = session_config.arrival {
@@ -776,6 +742,42 @@ impl Scenario {
             sessions.push(Session::new(swarm, session_config));
         }
         Ok(Universe::new(sessions, config))
+    }
+
+    /// The engine config of the swarm section `params`, its internal RNG
+    /// seeded by `seed`: what [`validate`](Self::validate) checks and
+    /// [`build_swarm`](Self::build_swarm) builds.
+    fn swarm_config(&self, params: &SwarmParams, seed: u64) -> SwarmConfig {
+        SwarmConfig {
+            leechers: self.peers,
+            seeds: params.seeds,
+            piece_count: params.piece_count,
+            piece_size_kbit: params.piece_size_kbit,
+            round_seconds: params.round_seconds,
+            tft_slots: params.tft_slots,
+            optimistic_slots: params.optimistic_slots,
+            optimistic_period: params.optimistic_period,
+            mean_neighbors: self.topology.mean_degree(self.peers + params.seeds),
+            initial_completion: params.initial_completion,
+            seed_after_completion: params.seed_after_completion,
+            fluid_content: params.fluid_content,
+            seed,
+        }
+    }
+
+    /// The swarm of a validated scenario's section `params`, with its
+    /// internal RNG seeded by `swarm_seed`.
+    fn swarm_with_seed<R: Rng + ?Sized>(
+        &self,
+        params: &SwarmParams,
+        swarm_seed: u64,
+        rng: &mut R,
+    ) -> Result<Swarm, ScenarioError> {
+        let config = self.swarm_config(params, swarm_seed);
+        let mut uploads = self.capacity.upload_bandwidths(self.peers, rng)?;
+        uploads.extend(std::iter::repeat_n(params.seed_upload_kbps, params.seeds));
+        let behaviors = params.behavior.assign(self.peers, params.seeds)?;
+        Ok(Swarm::with_behaviors(config, &uploads, &behaviors))
     }
 }
 
@@ -1349,6 +1351,38 @@ mod tests {
                     "{what}: {built:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn swarm_sections_refuse_an_explicit_topology() {
+        let explicit = TopologyModel::Explicit {
+            edges: vec![(0, 1), (1, 2)],
+        };
+        // The dynamics read the edge list as given.
+        let dynamics = Scenario::new("t", 10).with_topology(explicit.clone());
+        assert!(dynamics.build_dynamics(&mut rng(1)).is_ok());
+        // A swarm would replace it by an overlay of its mean degree.
+        let scenario = dynamics
+            .with_capacity(CapacityModel::Constant { value: 300.0 })
+            .with_swarm(SwarmParams {
+                churn: Some(SessionConfig::default()),
+                ..SwarmParams::default()
+            });
+        for built in [
+            scenario.build_swarm(&mut rng(1)).err(),
+            scenario.build_session(&mut rng(1)).err(),
+        ] {
+            assert!(
+                matches!(
+                    built,
+                    Some(ScenarioError::InvalidParameter {
+                        what: "topology",
+                        ..
+                    })
+                ),
+                "{built:?}"
+            );
         }
     }
 

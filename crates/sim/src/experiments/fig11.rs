@@ -34,11 +34,21 @@ pub fn run_scenario(
     // The first check averages the top 1% of peers.
     let n = common::min_peers("fig11", scenario, 100)?;
     let b0 = scenario.swarm.as_ref().map_or(3, |s| s.tft_slots as u32);
-    let model = EfficiencyModel {
-        b0,
-        d: scenario.topology.mean_degree(n),
-        n,
-    };
+    let d = scenario.topology.mean_degree(n);
+    // The efficiency model prices TFT slots over an overlay with edges.
+    if b0 == 0 {
+        return Err(ScenarioError::InvalidParameter {
+            what: "swarm.tft_slots",
+            reason: "fig11 prices TFT slots and needs at least one, got 0".to_string(),
+        });
+    }
+    if d <= 0.0 {
+        return Err(ScenarioError::InvalidParameter {
+            what: "topology",
+            reason: format!("fig11 needs a positive mean degree, got {d}"),
+        });
+    }
+    let model = EfficiencyModel { b0, d, n };
     let cdf = scenario
         .capacity
         .bandwidth_cdf()
@@ -142,5 +152,34 @@ mod tests {
         for w in result.rows.windows(2) {
             assert!(w[1][0] >= w[0][0]);
         }
+    }
+
+    /// Scenarios that validate but leave the efficiency model nothing to
+    /// price are typed errors, not assertion failures.
+    fn refused(scenario: &Scenario) -> &'static str {
+        scenario.validate().expect("the scenario validates");
+        match run_scenario(&ExperimentContext::default(), scenario) {
+            Err(ScenarioError::InvalidParameter { what, .. }) => what,
+            other => panic!("expected a typed error, got {:?}", other.map(|r| r.id)),
+        }
+    }
+
+    #[test]
+    fn zero_mean_degree_is_a_typed_error() {
+        let ctx = ExperimentContext::default();
+        let scenario = preset(&ctx).with_topology(TopologyModel::ErdosRenyiMeanDegree { d: 0.0 });
+        assert_eq!(refused(&scenario), "topology");
+    }
+
+    #[test]
+    fn zero_tft_slots_is_a_typed_error() {
+        let ctx = ExperimentContext::default();
+        let mut scenario = preset(&ctx);
+        scenario
+            .swarm
+            .as_mut()
+            .expect("fig11 has a swarm")
+            .tft_slots = 0;
+        assert_eq!(refused(&scenario), "swarm.tft_slots");
     }
 }

@@ -53,7 +53,7 @@ pub fn run_scenario(
         ],
     );
 
-    let ranking = scenario.build_ranking(&mut common::rng(scenario.seed, 0x06));
+    let ranking = scenario.build_ranking(&mut common::rng(scenario.seed, 0x06))?;
     for (ci, &sigma) in sigmas.iter().enumerate() {
         let variant = scenario
             .clone()

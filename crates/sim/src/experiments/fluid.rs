@@ -36,6 +36,14 @@ pub fn run_scenario(
         .into_iter()
         .filter(|&d| d <= d_max)
         .collect();
+    if ds.is_empty() {
+        return Err(ScenarioError::InvalidParameter {
+            what: "topology",
+            reason: format!(
+                "fluid sweeps d in {{5, 10, 20, 50}} up to the mean degree, got {d_max}"
+            ),
+        });
+    }
     let ns: Vec<usize> = [500usize, 2000, 8000]
         .into_iter()
         .filter(|&n| n <= n_max)
@@ -99,5 +107,23 @@ mod tests {
         };
         let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
+    }
+
+    /// A degree below the whole sweep leaves nothing to measure: a typed
+    /// error, not a run whose checks pass vacuously.
+    #[test]
+    fn empty_degree_sweep_is_a_typed_error() {
+        let ctx = ExperimentContext {
+            quick: true,
+            seed: 29,
+        };
+        let scenario = preset(&ctx).with_topology(TopologyModel::ErdosRenyiMeanDegree { d: 2.0 });
+        assert!(matches!(
+            run_scenario(&ctx, &scenario),
+            Err(ScenarioError::InvalidParameter {
+                what: "topology",
+                ..
+            })
+        ));
     }
 }

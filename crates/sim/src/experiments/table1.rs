@@ -74,7 +74,8 @@ pub fn run_scenario(
                 });
         let mut const_rng = common::rng(scenario.seed, 0x1000 + u64::from(b));
         let m = const_scenario.stable_matching(&mut const_rng)?;
-        let const_stats = cluster::cluster_stats(&const_scenario.build_ranking(&mut const_rng), &m);
+        let const_stats =
+            cluster::cluster_stats(&const_scenario.build_ranking(&mut const_rng)?, &m);
 
         // Normal column: n must dwarf the expected cluster size.
         // Clusters must dwarf neither n (boundary clipping) nor the sample
@@ -95,7 +96,7 @@ pub fn run_scenario(
                     mean: f64::from(b),
                     sigma,
                 });
-        let ranking = normal_scenario.build_ranking(&mut const_rng);
+        let ranking = normal_scenario.build_ranking(&mut const_rng)?;
         let mut cluster_sum = 0.0;
         let mut mmo_sum = 0.0;
         for rep in 0..repetitions {

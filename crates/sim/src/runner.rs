@@ -122,7 +122,9 @@ pub type ScenarioRunFn = fn(
     &strat_scenario::Scenario,
 ) -> Result<ExperimentResult, strat_scenario::ScenarioError>;
 
-/// One registry entry.
+/// One registry entry. Every entry point validates its scenario
+/// ([`Scenario::validate`](strat_scenario::Scenario::validate)) before the
+/// kernel runs, so no kernel reads an unchecked parameter.
 #[derive(Clone, Copy)]
 pub struct ExperimentEntry {
     /// Experiment id.
@@ -141,22 +143,35 @@ pub struct ExperimentEntry {
     pub run_scenario: fn(&ExperimentContext, &strat_scenario::Scenario) -> ExperimentResult,
 }
 
+/// Runs `kernel` on `scenario` once the scenario validates.
+fn validated(
+    ctx: &ExperimentContext,
+    scenario: &strat_scenario::Scenario,
+    kernel: ScenarioRunFn,
+) -> Result<ExperimentResult, strat_scenario::ScenarioError> {
+    scenario.validate()?;
+    kernel(ctx, scenario)
+}
+
 macro_rules! entry {
     ($id:literal, $module:ident, $description:literal) => {
         ExperimentEntry {
             id: $id,
             description: $description,
             run: |ctx| {
-                crate::experiments::$module::run_scenario(
+                validated(
                     ctx,
                     &crate::experiments::$module::preset(ctx),
+                    crate::experiments::$module::run_scenario,
                 )
                 .unwrap_or_else(|e| panic!("{} preset: {e}", $id))
             },
             preset: crate::experiments::$module::preset,
-            try_run_scenario: crate::experiments::$module::run_scenario,
+            try_run_scenario: |ctx, scenario| {
+                validated(ctx, scenario, crate::experiments::$module::run_scenario)
+            },
             run_scenario: |ctx, scenario| {
-                crate::experiments::$module::run_scenario(ctx, scenario)
+                validated(ctx, scenario, crate::experiments::$module::run_scenario)
                     .unwrap_or_else(|e| panic!("{} scenario: {e}", $id))
             },
         }

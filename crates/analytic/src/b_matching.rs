@@ -1,23 +1,30 @@
-//! Algorithm 3: the independent `b₀`-matching per-choice mate distribution
-//! (§5.4).
+//! Algorithms 2 and 3: the independent mate distributions (§5.1–5.4).
 //!
 //! For `b₀`-matching the quantity of interest is `D_c(i, j)`: the
 //! probability that the `c`-th best mate (*choice* `c`, `1 ≤ c ≤ b₀`) of
-//! peer `i` is peer `j`. Under the independence assumption (Assumption 2)
-//! the joint quantity `D^{c_j}_{c_i}(i, j)` — choice `c_i` of `i` is `j`
-//! *and* choice `c_j` of `j` is `i` — factorizes as
+//! peer `i` is peer `j` (indices are ranks, best first). Under the
+//! independence assumption (Assumption 2) the joint quantity
+//! `D^{c_j}_{c_i}(i, j)` — choice `c_i` of `i` is `j` *and* choice `c_j` of
+//! `j` is `i` — factorizes as
 //!
 //! ```text
 //! D^{c_j}_{c_i}(i,j) = p · [Σ_{k<j} D_{c_i−1}(i,k) − D_{c_i}(i,k)]
 //!                        · [Σ_{k<i} D_{c_j−1}(j,k) − D_{c_j}(j,k)]   (Eq. 4)
 //! ```
 //!
-//! with the convention that the `c = 0` prefix sum is identically 1. As for
-//! [Algorithm 2](crate::one_matching), we stream the computation with
-//! `O(b₀·n)` running prefix sums instead of the paper's
-//! `O(b₀²·n²)` arrays, keeping `n = 5000` (Figure 9) cheap.
-
-use std::collections::BTreeMap;
+//! with the convention that the `c = 0` prefix sum is identically 1. At
+//! `b₀ = 1` this is Algorithm 2's recurrence for 1-matching,
+//! `D(i, j) = p · (1 − Σ_{k<j} D(i, k)) · (1 − Σ_{k<i} D(j, k))` (Eq. 2),
+//! so [`solve`]`(n, p, 1, ..)` *is* Algorithm 2; the paper's literal dense
+//! form stays in [`one_matching::solve_dense`](crate::one_matching) as the
+//! reference.
+//!
+//! One sweep over the pairs `i < j` evaluates the recurrence with `O(b₀·n)`
+//! running prefix sums instead of the paper's `O(b₀²·n²)` arrays, keeping
+//! `n = 5000` (Figures 8 and 9) in milliseconds. [`solve`] keeps the rows
+//! of the requested peers; [`solve_expectations`] keeps per-peer weighted
+//! sums (Figure 11). The distribution is *n-free*: `D_c(i, j)` does not
+//! depend on `n` (§5.1.1), so truncation only cuts the tail.
 
 use serde::Serialize;
 
@@ -44,11 +51,18 @@ pub struct BMatchingDistribution {
     n: usize,
     p: f64,
     b0: u32,
-    /// `rows[i][c-1][j] = D_c(i, j)` for requested peers.
-    rows: BTreeMap<usize, Vec<Vec<f64>>>,
-    /// `mass[c-1][i] = Σ_j D_c(i, j)`: probability peer `i` has a `c`-th mate.
-    mass: Vec<Vec<f64>>,
+    /// `row_of[i]`: index of peer `i`'s rows in `rows`, or [`UNREQUESTED`].
+    row_of: Vec<u32>,
+    /// `rows[(r·b₀ + c − 1)·n + j] = D_c(i, j)` for the peer `i` with
+    /// `row_of[i] = r`.
+    rows: Vec<f64>,
+    /// `mass[i·b₀ + c − 1] = Σ_j D_c(i, j)`: probability peer `i` has a
+    /// `c`-th mate.
+    mass: Vec<f64>,
 }
+
+/// `row_of` entry of a peer whose rows were not requested.
+const UNREQUESTED: u32 = u32::MAX;
 
 impl BMatchingDistribution {
     /// Number of peers.
@@ -76,10 +90,16 @@ impl BMatchingDistribution {
         if c == 0 || c > self.b0 {
             return None;
         }
-        self.rows.get(&i).map(|r| r[(c - 1) as usize].as_slice())
+        let r = *self.row_of.get(i).filter(|&&r| r != UNREQUESTED)? as usize;
+        let start = (r * self.b0 as usize + (c - 1) as usize) * self.n;
+        Some(&self.rows[start..start + self.n])
     }
 
     /// Probability that peer `i` has at least `c` mates.
+    ///
+    /// By Lemma 1 the first-choice mass tends to 1 as peers are added
+    /// below `i`; the worst peers keep a visible unmatched probability
+    /// (Figure 8c).
     ///
     /// # Panics
     ///
@@ -91,7 +111,7 @@ impl BMatchingDistribution {
             "choice {c} out of 1..={}",
             self.b0
         );
-        self.mass[(c - 1) as usize][i]
+        self.mass[i * self.b0 as usize + (c - 1) as usize]
     }
 
     /// Expected number of mates of peer `i` (`Σ_c choice_mass`).
@@ -99,6 +119,87 @@ impl BMatchingDistribution {
     pub fn expected_degree(&self, i: usize) -> f64 {
         (1..=self.b0).map(|c| self.choice_mass(i, c)).sum()
     }
+}
+
+/// Receives every pair's per-choice probabilities from [`sweep`].
+trait Visit {
+    /// Pair `i < j`, in row-major order: `d_ij[c − 1] = D_c(i, j)` and
+    /// `d_ji[c − 1] = D_c(j, i)` for `1 ≤ c ≤ b₀`. A choice that no term
+    /// reached reads `-0.0`.
+    fn pair(&mut self, i: usize, j: usize, d_ij: &[f64], d_ji: &[f64]);
+}
+
+/// Evaluates Eq. 4 over every pair `i < j`, handing each pair to `visit`,
+/// and returns the per-choice masses `mass[i·b₀ + c − 1] = Σ_j D_c(i, j)`.
+///
+/// The widths the paper uses get their own copy of the loop with the
+/// width fixed at compile time; wider ones run the same body.
+///
+/// # Panics
+///
+/// Panics if `p ∉ [0, 1]` or `b0 == 0`.
+fn sweep(n: usize, p: f64, b0: u32, visit: &mut impl Visit) -> Vec<f64> {
+    assert!(
+        p.is_finite() && (0.0..=1.0).contains(&p),
+        "p must be in [0, 1], got {p}"
+    );
+    match b0 {
+        0 => panic!("b0 must be at least 1"),
+        1 => sweep_with(n, p, &mut [0.0; 3], visit),
+        2 => sweep_with(n, p, &mut [0.0; 6], visit),
+        3 => sweep_with(n, p, &mut [0.0; 9], visit),
+        b => sweep_with(n, p, &mut vec![0.0; 3 * b as usize], visit),
+    }
+}
+
+/// The body of [`sweep`] at width `scratch.len() / 3`; inlined into each
+/// arm so a literal width unrolls the choice loops.
+#[inline(always)]
+fn sweep_with(n: usize, p: f64, scratch: &mut [f64], visit: &mut impl Visit) -> Vec<f64> {
+    let b = scratch.len() / 3;
+    let (rowcum, pair) = scratch.split_at_mut(b);
+    let (d_i, d_j) = pair.split_at_mut(b);
+    // sums[j·b + c] = Σ_{k<i} D_{c+1}(j, k) while processing row i; row i
+    // ends holding Σ_k D_{c+1}(i, k), its masses.
+    let mut sums = vec![0.0f64; n * b];
+    for i in 0..n {
+        let (done, below) = sums.split_at_mut((i + 1) * b);
+        let row = &mut done[i * b..];
+        rowcum.copy_from_slice(row);
+        for (j, colcum) in (i + 1..n).zip(below.chunks_exact_mut(b)) {
+            // The whole b×b block is evaluated from the prefix sums as they
+            // stood BEFORE this pair, then applied at once. The sums start
+            // at -0.0, the exact additive identity, so a one-term choice is
+            // that term: no extra add on the chain through rowcum.
+            d_i.fill(-0.0);
+            d_j.fill(-0.0);
+            for ci in 0..b {
+                // P(choice ci+1 of i is free at level j).
+                let fi = (if ci == 0 { 1.0 } else { rowcum[ci - 1] }) - rowcum[ci];
+                if fi <= 0.0 {
+                    continue;
+                }
+                let pfi = p * fi;
+                for cj in 0..b {
+                    // P(choice cj+1 of j is free at level i).
+                    let fj = (if cj == 0 { 1.0 } else { colcum[cj - 1] }) - colcum[cj];
+                    if fj <= 0.0 {
+                        continue;
+                    }
+                    let v = pfi * fj;
+                    d_i[ci] += v; // D_{ci+1}(i, j), summed over j's choice
+                    d_j[cj] += v; // D_{cj+1}(j, i), summed over i's choice
+                }
+            }
+            for c in 0..b {
+                rowcum[c] += d_i[c];
+                colcum[c] += d_j[c];
+            }
+            visit.pair(i, j, d_i, d_j);
+        }
+        row.copy_from_slice(rowcum);
+    }
+    sums
 }
 
 /// Solves the independent `b₀`-matching recurrence, retaining per-choice
@@ -109,78 +210,53 @@ impl BMatchingDistribution {
 /// Panics if `p ∉ [0, 1]`, `b0 == 0`, or a requested peer is `>= n`.
 #[must_use]
 pub fn solve(n: usize, p: f64, b0: u32, peers: &[usize]) -> BMatchingDistribution {
-    assert!(
-        p.is_finite() && (0.0..=1.0).contains(&p),
-        "p must be in [0, 1], got {p}"
-    );
-    assert!(b0 >= 1, "b0 must be at least 1");
     let b = b0 as usize;
-    let mut rows: BTreeMap<usize, Vec<Vec<f64>>> = peers
-        .iter()
-        .map(|&i| {
-            assert!(i < n, "requested peer {i} out of range for n = {n}");
-            (i, vec![vec![0.0; n]; b])
-        })
-        .collect();
-    let mut mass = vec![vec![0.0f64; n]; b];
-    // colcum[c][j] = Σ_{k<i} D_{c+1}(j, k) while processing row i.
-    let mut colcum = vec![vec![0.0f64; n]; b];
-    // Scratch buffers reused across pairs.
-    let mut rowcum = vec![0.0f64; b];
-    let mut d_i = vec![0.0f64; b]; // D_{c}(i, j) for the current pair
-    let mut d_j = vec![0.0f64; b]; // D_{c}(j, i) for the current pair
-    for i in 0..n {
-        // Initialize Σ_{k<i} D_c(i, k) from the symmetric column sums.
-        for c in 0..b {
-            rowcum[c] = colcum[c][i];
-        }
-        for j in (i + 1)..n {
-            // factor_i[c] = P(choice c+1 of i is free at level j);
-            // factor_j[c] = P(choice c+1 of j is free at level i).
-            // The whole b×b block is evaluated from the prefix sums as they
-            // stood BEFORE this pair, then applied at once.
-            d_i.fill(0.0);
-            d_j.fill(0.0);
-            for ci in 0..b {
-                let fi = (if ci == 0 { 1.0 } else { rowcum[ci - 1] }) - rowcum[ci];
-                if fi <= 0.0 {
-                    continue;
-                }
-                for cj in 0..b {
-                    let fj = (if cj == 0 { 1.0 } else { colcum[cj - 1][j] }) - colcum[cj][j];
-                    if fj <= 0.0 {
-                        continue;
-                    }
-                    let v = p * fi * fj;
-                    d_i[ci] += v; // D_{ci+1}(i, j), summed over j's choice
-                    d_j[cj] += v; // D_{cj+1}(j, i), summed over i's choice
-                }
-            }
-            for c in 0..b {
-                rowcum[c] += d_i[c];
-                colcum[c][j] += d_j[c];
-            }
-            if let Some(r) = rows.get_mut(&i) {
-                for c in 0..b {
-                    r[c][j] = d_i[c];
-                }
-            }
-            if let Some(r) = rows.get_mut(&j) {
-                for c in 0..b {
-                    r[c][i] = d_j[c];
-                }
-            }
-        }
-        for c in 0..b {
-            mass[c][i] = rowcum[c];
+    let mut row_of = vec![UNREQUESTED; n];
+    let mut requested = 0;
+    for &i in peers {
+        assert!(i < n, "requested peer {i} out of range for n = {n}");
+        if row_of[i] == UNREQUESTED {
+            row_of[i] = requested;
+            requested += 1;
         }
     }
+    let mut visit = Rows {
+        n,
+        row_of: &row_of,
+        rows: vec![0.0; requested as usize * b * n],
+    };
+    let mass = sweep(n, p, b0, &mut visit);
+    let rows = visit.rows;
     BMatchingDistribution {
         n,
         p,
         b0,
+        row_of,
         rows,
         mass,
+    }
+}
+
+/// [`solve`]'s visitor: copies each pair into the requested rows.
+struct Rows<'a> {
+    n: usize,
+    row_of: &'a [u32],
+    rows: Vec<f64>,
+}
+
+impl Visit for Rows<'_> {
+    #[inline(always)]
+    fn pair(&mut self, i: usize, j: usize, d_ij: &[f64], d_ji: &[f64]) {
+        let b = d_ij.len();
+        for (me, mate, d) in [(i, j, d_ij), (j, i, d_ji)] {
+            let r = self.row_of[me];
+            if r != UNREQUESTED {
+                for c in 0..b {
+                    // + 0.0 turns the sweep's -0.0 (no term) into 0.
+                    self.rows[(r as usize * b + c) * self.n + mate] = d[c] + 0.0;
+                }
+            }
+        }
     }
 }
 
@@ -209,60 +285,36 @@ pub struct ExchangeExpectations {
 /// Panics if `p ∉ [0, 1]`, `b0 == 0`, or `weights.len() != n`.
 #[must_use]
 pub fn solve_expectations(n: usize, p: f64, b0: u32, weights: &[f64]) -> ExchangeExpectations {
-    assert!(
-        p.is_finite() && (0.0..=1.0).contains(&p),
-        "p must be in [0, 1], got {p}"
-    );
-    assert!(b0 >= 1, "b0 must be at least 1");
     assert_eq!(weights.len(), n, "weights must cover all peers");
+    let mut visit = Weighted {
+        weights,
+        weighted: vec![0.0; n],
+    };
+    let mass = sweep(n, p, b0, &mut visit);
     let b = b0 as usize;
-    let mut weighted = vec![0.0f64; n];
-    let mut colcum = vec![vec![0.0f64; n]; b];
-    let mut rowcum = vec![0.0f64; b];
-    let mut d_i = vec![0.0f64; b];
-    let mut d_j = vec![0.0f64; b];
-    let mut mass = vec![vec![0.0f64; n]; b];
-    for i in 0..n {
-        for c in 0..b {
-            rowcum[c] = colcum[c][i];
-        }
-        for j in (i + 1)..n {
-            d_i.fill(0.0);
-            d_j.fill(0.0);
-            for ci in 0..b {
-                let fi = (if ci == 0 { 1.0 } else { rowcum[ci - 1] }) - rowcum[ci];
-                if fi <= 0.0 {
-                    continue;
-                }
-                for cj in 0..b {
-                    let fj = (if cj == 0 { 1.0 } else { colcum[cj - 1][j] }) - colcum[cj][j];
-                    if fj <= 0.0 {
-                        continue;
-                    }
-                    let v = p * fi * fj;
-                    d_i[ci] += v;
-                    d_j[cj] += v;
-                }
-            }
-            let (mut pair_i, mut pair_j) = (0.0, 0.0);
-            for c in 0..b {
-                rowcum[c] += d_i[c];
-                colcum[c][j] += d_j[c];
-                pair_i += d_i[c];
-                pair_j += d_j[c];
-            }
-            weighted[i] += pair_i * weights[j];
-            weighted[j] += pair_j * weights[i];
-        }
-        for c in 0..b {
-            mass[c][i] = rowcum[c];
-        }
-    }
-    let expected_degree = (0..n).map(|i| (0..b).map(|c| mass[c][i]).sum()).collect();
+    let expected_degree = mass.chunks_exact(b).map(|m| m.iter().sum()).collect();
+    let choice_mass = (0..b)
+        .map(|c| mass.iter().skip(c).step_by(b).copied().collect())
+        .collect();
     ExchangeExpectations {
-        weighted,
+        weighted: visit.weighted,
         expected_degree,
-        choice_mass: mass,
+        choice_mass,
+    }
+}
+
+/// [`solve_expectations`]' visitor: weights each pair by the mate's
+/// bandwidth.
+struct Weighted<'a> {
+    weights: &'a [f64],
+    weighted: Vec<f64>,
+}
+
+impl Visit for Weighted<'_> {
+    #[inline(always)]
+    fn pair(&mut self, i: usize, j: usize, d_ij: &[f64], d_ji: &[f64]) {
+        self.weighted[i] += d_ij.iter().sum::<f64>() * self.weights[j];
+        self.weighted[j] += d_ji.iter().sum::<f64>() * self.weights[i];
     }
 }
 
@@ -273,25 +325,105 @@ mod tests {
     use super::*;
 
     #[test]
-    fn b1_reduces_to_algorithm2() {
+    fn b1_matches_dense_algorithm2() {
         let n = 80;
         let p = 0.07;
+        let dense = one_matching::solve_dense(n, p);
         let peers: Vec<usize> = (0..n).collect();
-        let one = one_matching::solve(n, p, &peers);
-        let b = solve(n, p, 1, &peers);
+        let sol = solve(n, p, 1, &peers);
         for i in 0..n {
-            let r1 = one.row(i).unwrap();
-            let rb = b.choice_row(i, 1).unwrap();
+            let row = sol.choice_row(i, 1).unwrap();
             for j in 0..n {
                 assert!(
-                    (r1[j] - rb[j]).abs() < 1e-12,
+                    (row[j] - dense[i][j]).abs() < 1e-12,
                     "D({i},{j}): {} vs {}",
-                    r1[j],
-                    rb[j]
+                    row[j],
+                    dense[i][j]
                 );
             }
-            assert!((one.match_probability(i) - b.choice_mass(i, 1)).abs() < 1e-12);
+            let mass: f64 = dense[i].iter().sum();
+            assert!((sol.choice_mass(i, 1) - mass).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn best_peer_row_is_truncated_geometric() {
+        // D(0, j) = p (1 - p)^{j-1} at b0 = 1: peer 0 matches its best
+        // connected peer, so D(0, 1) = p exactly.
+        let p = 0.2;
+        let sol = solve(50, p, 1, &[0]);
+        let row = sol.choice_row(0, 1).unwrap();
+        assert_eq!(row[1], p);
+        for j in 1..20 {
+            let expected = p * (1.0 - p).powi(j as i32 - 1);
+            assert!((row[j] - expected).abs() < 1e-12, "j={j}");
+        }
+    }
+
+    #[test]
+    fn b1_rows_are_symmetric() {
+        let peers: Vec<usize> = (0..30).collect();
+        let sol = solve(30, 0.15, 1, &peers);
+        for i in 0..30 {
+            for j in 0..30 {
+                let dij = sol.choice_row(i, 1).unwrap()[j];
+                let dji = sol.choice_row(j, 1).unwrap()[i];
+                assert!((dij - dji).abs() < 1e-15);
+            }
+        }
+    }
+
+    #[test]
+    fn lemma1_mass_approaches_one_with_peers_below() {
+        // Adding many peers below rank i drives the match probability to 1.
+        let sol = solve(2000, 0.01, 1, &[]);
+        let top = sol.choice_mass(100, 1);
+        assert!(top > 0.999, "{top}");
+        // The worst peer matches in roughly half the cases (§5.3).
+        let last = sol.choice_mass(1999, 1);
+        assert!((last - 0.5).abs() < 0.05, "worst peer mass {last}");
+    }
+
+    #[test]
+    fn mid_rank_mode_sits_at_own_rank() {
+        // Figure 8's central regime: the distribution is centred near the
+        // peer's own rank (stratification).
+        let sol = solve(500, 0.05, 1, &[250]);
+        let row = sol.choice_row(250, 1).unwrap();
+        let mode = (0..500).max_by(|&a, &b| row[a].total_cmp(&row[b])).unwrap();
+        assert!((mode as i64 - 250).abs() < 25, "mode {mode}");
+    }
+
+    #[test]
+    fn extreme_p_values() {
+        let sol = solve(10, 0.0, 1, &[0]);
+        assert!(sol.choice_row(0, 1).unwrap().iter().all(|&x| x == 0.0));
+        assert_eq!(sol.choice_mass(5, 1), 0.0);
+
+        let sol = solve(10, 1.0, 1, &[0, 1]);
+        // Complete graph: consecutive pairs match with certainty.
+        assert_eq!(sol.choice_row(0, 1).unwrap()[1], 1.0);
+        assert_eq!(sol.choice_row(1, 1).unwrap()[0], 1.0);
+        assert_eq!(sol.choice_row(0, 1).unwrap()[2], 0.0);
+    }
+
+    #[test]
+    fn duplicate_requests_share_one_row() {
+        let once = solve(60, 0.1, 2, &[20]);
+        let twice = solve(60, 0.1, 2, &[20, 20]);
+        assert_eq!(once, twice);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn bad_peer_request_panics() {
+        let _ = solve(5, 0.5, 1, &[7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "p must be in [0, 1]")]
+    fn bad_p_panics() {
+        let _ = solve(5, -0.1, 1, &[]);
     }
 
     #[test]
@@ -340,15 +472,19 @@ mod tests {
 
     #[test]
     fn n_freeness_truncation() {
-        let small = solve(80, 0.06, 2, &[30]);
-        let large = solve(200, 0.06, 2, &[30]);
-        for c in 1..=2u32 {
-            let (rs, rl) = (
-                small.choice_row(30, c).unwrap(),
-                large.choice_row(30, c).unwrap(),
-            );
-            for j in 0..80 {
-                assert!((rs[j] - rl[j]).abs() < 1e-12, "c={c} j={j}");
+        // n-freeness (§5.1.1): D_c(i, j) computed with n = 80 equals the
+        // restriction of the n = 200 solution.
+        for b0 in 1..=2u32 {
+            let small = solve(80, 0.06, b0, &[30]);
+            let large = solve(200, 0.06, b0, &[30]);
+            for c in 1..=b0 {
+                let (rs, rl) = (
+                    small.choice_row(30, c).unwrap(),
+                    large.choice_row(30, c).unwrap(),
+                );
+                for j in 0..80 {
+                    assert!((rs[j] - rl[j]).abs() < 1e-12, "b0={b0} c={c} j={j}");
+                }
             }
         }
     }

@@ -5,7 +5,8 @@
 //! `p^e (1−p)^(E−e)`. Computing the unique stable matching of each graph
 //! (Algorithm 1) and accumulating probabilities yields the **exact**
 //! `D(i, j)` — the gold standard against which the independence
-//! approximation of Algorithms 2–3 is measured.
+//! approximation of Algorithms 2–3 ([`b_matching`](crate::b_matching),
+//! Algorithm 2 being its `b₀ = 1` case) is measured.
 //!
 //! The paper's Figure 7 works this out for `n = 3`:
 //!
@@ -14,7 +15,8 @@
 //! ```
 //!
 //! while Algorithm 2 yields `D(2,3) = p(1−p)(1 − p(1−p))`, an excess of
-//! exactly `p³(1−p)`.
+//! exactly `p³(1−p)` ([`figure7_approx`]; `fig7` checks it against
+//! `b_matching::solve(3, p, 1, ..)`).
 
 use strat_core::{stable_configuration, Capacities, GlobalRanking, RankedAcceptance};
 use strat_graph::{Graph, NodeId};
@@ -99,7 +101,7 @@ pub fn figure7_approx(p: f64) -> (f64, f64, f64) {
 
 #[cfg(test)]
 mod tests {
-    use crate::one_matching;
+    use crate::b_matching;
 
     use super::*;
 
@@ -130,11 +132,11 @@ mod tests {
     #[test]
     fn algorithm2_matches_its_closed_form_on_n3() {
         for p in [0.1, 0.4, 0.7] {
-            let sol = one_matching::solve(3, p, &[0, 1, 2]);
+            let sol = b_matching::solve(3, p, 1, &[0, 1, 2]);
             let (a12, a13, a23) = figure7_approx(p);
-            assert!((sol.row(0).unwrap()[1] - a12).abs() < 1e-12);
-            assert!((sol.row(0).unwrap()[2] - a13).abs() < 1e-12);
-            assert!((sol.row(1).unwrap()[2] - a23).abs() < 1e-12);
+            assert!((sol.choice_row(0, 1).unwrap()[1] - a12).abs() < 1e-12);
+            assert!((sol.choice_row(0, 1).unwrap()[2] - a13).abs() < 1e-12);
+            assert!((sol.choice_row(1, 1).unwrap()[2] - a23).abs() < 1e-12);
         }
     }
 
@@ -158,10 +160,10 @@ mod tests {
         let p = 0.05;
         let exact = exact_distribution(n, p, 1);
         let peers: Vec<usize> = (0..n).collect();
-        let approx = one_matching::solve(n, p, &peers);
+        let approx = b_matching::solve(n, p, 1, &peers);
         for i in 0..n {
             for j in 0..n {
-                let err = (exact[i][j] - approx.row(i).unwrap()[j]).abs();
+                let err = (exact[i][j] - approx.choice_row(i, 1).unwrap()[j]).abs();
                 assert!(err < 5e-4, "D({i},{j}) error {err}");
             }
         }

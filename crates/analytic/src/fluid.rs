@@ -39,7 +39,8 @@ pub fn cdf_best(d: f64, beta: f64) -> f64 {
     1.0 - (-beta * d).exp()
 }
 
-/// Empirical check of Conjecture 1 at `α = 0`: solves Algorithm 2 with
+/// Empirical check of Conjecture 1 at `α = 0`: solves Algorithm 2
+/// ([`b_matching::solve`](crate::b_matching::solve) at `b₀ = 1`) with
 /// `p = d/n` and returns the maximum absolute error between `n·D(1, j)` and
 /// `d·e^{−(j/n)·d}` over scaled ranks `β = j/n ≤ beta_max`.
 ///
@@ -51,8 +52,8 @@ pub fn best_peer_fluid_error(n: usize, d: f64, beta_max: f64) -> f64 {
     assert!(n > 1 && d > 0.0 && beta_max > 0.0, "invalid parameters");
     assert!(d < n as f64, "d must be below n");
     let p = d / n as f64;
-    let sol = crate::one_matching::solve(n, p, &[0]);
-    let row = sol.row(0).expect("row 0 requested");
+    let sol = crate::b_matching::solve(n, p, 1, &[0]);
+    let row = sol.choice_row(0, 1).expect("row 0 requested");
     let j_max = ((beta_max * n as f64) as usize).min(n - 1);
     let mut worst = 0.0f64;
     for j in 1..=j_max {
@@ -662,8 +663,8 @@ mod tests {
         // value at small β must be close to d.
         let n = 2000;
         let d = 20.0;
-        let sol = crate::one_matching::solve(n, d / n as f64, &[0]);
-        let scaled = n as f64 * sol.row(0).unwrap()[1];
+        let sol = crate::b_matching::solve(n, d / n as f64, 1, &[0]);
+        let scaled = n as f64 * sol.choice_row(0, 1).unwrap()[1];
         assert!((scaled - d).abs() < 0.5, "scaled {scaled}");
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! | module | method | role |
 //! |--------|--------|------|
-//! | [`one_matching`] | Algorithm 2 (independence assumption) | fast `O(n²)` time / `O(n)` memory recurrence for 1-matching |
-//! | [`b_matching`] | Algorithm 3 | per-choice distributions `D_c(i, j)` for `b₀`-matching |
+//! | [`b_matching`] | Algorithms 2 and 3 (independence assumption) | one `O(b₀²·n²)` time / `O(b₀·n)` memory sweep giving the per-choice distributions `D_c(i, j)`; Algorithm 2 is `b₀ = 1` |
+//! | [`one_matching`] | Algorithm 2 in the paper's dense form | `O(n²)` memory reference the sweep is tested against |
 //! | [`exact`] | exhaustive graph enumeration (tiny `n`) | gold standard; quantifies the independence error (Figure 7) |
 //! | [`monte_carlo`] | parallel simulation of Algorithm 1 over graph ensembles | empirical validation at real scale (Figure 9) |
 //!
@@ -18,16 +18,18 @@
 //! # Example: the regimes of Figure 8
 //!
 //! ```
-//! use strat_analytic::one_matching;
+//! use strat_analytic::b_matching;
 //!
+//! // Independent 1-matching (Algorithm 2) is b₀-matching at b₀ = 1.
 //! let n = 1000;
-//! let sol = one_matching::solve(n, 0.025, &[40, 500, 960]);
+//! let sol = b_matching::solve(n, 0.025, 1, &[40, 500, 960]);
 //!
 //! // Top peers mate just below themselves; mid-rank peers see a symmetric
 //! // distribution centred on their own rank; bottom peers risk staying
 //! // unmatched.
-//! assert!(sol.unmatched_probability(40) < 1e-6);
-//! assert!(sol.unmatched_probability(960) > 0.005);
+//! let unmatched = |i| 1.0 - sol.choice_mass(i, 1);
+//! assert!(unmatched(40) < 1e-6);
+//! assert!(unmatched(960) > 0.005);
 //! ```
 
 #![warn(missing_docs)]

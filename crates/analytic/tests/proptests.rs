@@ -6,57 +6,47 @@ use proptest::prelude::*;
 use strat_analytic::{b_matching, exact, one_matching};
 
 proptest! {
-    /// Algorithm 2 rows are symmetric subprobability vectors with zero
-    /// diagonal, for arbitrary (n, p).
+    /// Algorithm 2 rows (the sweep at b0 = 1) are symmetric
+    /// subprobability vectors with zero diagonal, for arbitrary (n, p).
     #[test]
     fn algorithm2_rows_are_subprobabilities(
         n in 2usize..120,
         p in 0.0f64..=1.0,
     ) {
         let peers: Vec<usize> = (0..n).step_by((n / 6).max(1)).collect();
-        let sol = one_matching::solve(n, p, &peers);
+        let sol = b_matching::solve(n, p, 1, &peers);
         for &i in &peers {
-            let row = sol.row(i).expect("requested");
+            let row = sol.choice_row(i, 1).expect("requested");
             prop_assert!(row.iter().all(|&x| (0.0..=1.0).contains(&x)));
-            prop_assert!((row.iter().sum::<f64>() - sol.match_probability(i)).abs() < 1e-9);
-            prop_assert!(sol.match_probability(i) <= 1.0 + 1e-12);
+            prop_assert!((row.iter().sum::<f64>() - sol.choice_mass(i, 1)).abs() < 1e-9);
+            prop_assert!(sol.choice_mass(i, 1) <= 1.0 + 1e-12);
             prop_assert_eq!(row[i], 0.0);
         }
     }
 
-    /// Streaming and dense Algorithm 2 agree everywhere.
+    /// The sweep at b0 = 1 agrees everywhere with the paper's dense
+    /// Algorithm 2.
     #[test]
     fn streaming_equals_dense(n in 2usize..60, p in 0.0f64..=1.0) {
         let dense = one_matching::solve_dense(n, p);
         let peers: Vec<usize> = (0..n).collect();
-        let stream = one_matching::solve(n, p, &peers);
+        let stream = b_matching::solve(n, p, 1, &peers);
         for i in 0..n {
-            let row = stream.row(i).expect("requested");
+            let row = stream.choice_row(i, 1).expect("requested");
             for j in 0..n {
                 prop_assert!((row[j] - dense[i][j]).abs() < 1e-12, "D({},{})", i, j);
             }
         }
     }
 
-    /// Algorithm 3 with b0 = 1 reduces to Algorithm 2 for arbitrary inputs.
-    #[test]
-    fn b1_reduction(n in 2usize..80, p in 0.0f64..1.0) {
-        let mid = n / 2;
-        let one = one_matching::solve(n, p, &[mid]);
-        let b = b_matching::solve(n, p, 1, &[mid]);
-        let (r1, rb) = (one.row(mid).unwrap(), b.choice_row(mid, 1).unwrap());
-        for j in 0..n {
-            prop_assert!((r1[j] - rb[j]).abs() < 1e-12);
-        }
-    }
-
     /// Per-choice masses are decreasing in the choice index and the
-    /// expected degree never exceeds b0.
+    /// expected degree never exceeds b0 (widths past 3 run the sweep at a
+    /// run-time width).
     #[test]
     fn choice_masses_are_monotone(
         n in 4usize..80,
         p in 0.0f64..0.5,
-        b0 in 1u32..4,
+        b0 in 1u32..6,
     ) {
         let mid = n / 2;
         let sol = b_matching::solve(n, p, b0, &[mid]);
@@ -76,7 +66,7 @@ proptest! {
     fn expectations_agree_with_rows(
         n in 4usize..60,
         p in 0.0f64..0.4,
-        b0 in 1u32..4,
+        b0 in 1u32..6,
         scale in 0.1f64..100.0,
     ) {
         let weights: Vec<f64> = (0..n).map(|j| scale * (n - j) as f64).collect();
@@ -110,10 +100,10 @@ proptest! {
     ) {
         let exact_d = exact::exact_distribution(n, p, 1);
         let peers: Vec<usize> = (0..n).collect();
-        let approx = one_matching::solve(n, p, &peers);
+        let approx = b_matching::solve(n, p, 1, &peers);
         for i in 0..n {
             for j in 0..n {
-                let err = (exact_d[i][j] - approx.row(i).unwrap()[j]).abs();
+                let err = (exact_d[i][j] - approx.choice_row(i, 1).unwrap()[j]).abs();
                 // Leading error term is O(p^3).
                 prop_assert!(err < 10.0 * p * p * p + 1e-12, "D({},{}) err {}", i, j, err);
             }

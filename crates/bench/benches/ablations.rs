@@ -15,7 +15,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use strat_analytic::one_matching;
+use strat_analytic::{b_matching, one_matching};
 use strat_core::{
     blocking, stable_configuration, stable_configuration_complete, Capacities, GlobalRanking,
     Matching, RankedAcceptance,
@@ -31,7 +31,7 @@ fn ablation_analytic_memory(c: &mut Criterion) {
     let n = 600;
     let p = 0.02;
     group.bench_function("streaming", |b| {
-        b.iter(|| one_matching::solve(black_box(n), black_box(p), &[n / 2]));
+        b.iter(|| b_matching::solve(black_box(n), black_box(p), 1, &[n / 2]));
     });
     group.bench_function("dense_paper_form", |b| {
         b.iter(|| one_matching::solve_dense(black_box(n), black_box(p)));

@@ -10,7 +10,7 @@ use std::time::Duration;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use strat_analytic::{b_matching, one_matching};
+use strat_analytic::b_matching;
 use strat_bench::{
     bench_dynamics, bench_dynamics_ref, bench_monte_carlo, bench_monte_carlo_ref, bench_prefs,
     bench_prefs_ref, bench_stable_configuration, bench_stable_configuration_ref,
@@ -23,8 +23,9 @@ fn bench_analytic(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(3));
     group.sample_size(20);
+    // Algorithm 2 is Algorithm 3 at b₀ = 1.
     group.bench_function("algorithm2_n5000_p0.005", |b| {
-        b.iter(|| one_matching::solve(black_box(5000), black_box(0.005), &[2500]));
+        b.iter(|| b_matching::solve(black_box(5000), black_box(0.005), 1, &[2500]));
     });
     group.bench_function("algorithm3_b2_n5000_p0.01", |b| {
         b.iter(|| b_matching::solve(black_box(5000), black_box(0.01), 2, &[3000]));

@@ -474,12 +474,6 @@ impl EventEngine {
                     self.push(gap, K_ARRIVAL, idx, 1, 0);
                 }
             }
-            ArrivalProcess::Burst { round, count } => {
-                for _ in 0..*count {
-                    let idx = self.arrival_pushed();
-                    self.push(*round as f64, K_ARRIVAL, idx, 0, 0);
-                }
-            }
             ArrivalProcess::Trace { arrivals } => {
                 for &(round, count) in arrivals {
                     for _ in 0..count {

@@ -87,15 +87,9 @@ pub enum ArrivalProcess {
         /// Expected arrivals per round.
         rate: f64,
     },
-    /// A flash crowd: `count` peers arrive together at `round`.
-    Burst {
-        /// Round of the burst.
-        round: u64,
-        /// Peers in the burst.
-        count: u32,
-    },
     /// An explicit arrival trace: `(round, count)` entries, summed per
-    /// round.
+    /// round. A flash crowd of `count` peers at `round` is the one-entry
+    /// trace `[(round, count)]`.
     Trace {
         /// Arrival schedule.
         arrivals: Vec<(u64, u32)>,
@@ -108,13 +102,6 @@ impl ArrivalProcess {
         match self {
             ArrivalProcess::None => 0,
             ArrivalProcess::Poisson { rate } => poisson(rng, *rate),
-            ArrivalProcess::Burst { round: at, count } => {
-                if *at == round {
-                    u64::from(*count)
-                } else {
-                    0
-                }
-            }
             ArrivalProcess::Trace { arrivals } => arrivals
                 .iter()
                 .filter(|(r, _)| *r == round)
@@ -128,7 +115,6 @@ impl ArrivalProcess {
         match self {
             ArrivalProcess::None => true,
             ArrivalProcess::Poisson { rate } => *rate == 0.0,
-            ArrivalProcess::Burst { count, .. } => *count == 0,
             ArrivalProcess::Trace { arrivals } => arrivals.iter().all(|(_, c)| *c == 0),
         }
     }
@@ -1243,9 +1229,8 @@ mod tests {
         let mut session = Session::new(
             swarm,
             SessionConfig {
-                arrival: ArrivalProcess::Burst {
-                    round: 3,
-                    count: 25,
+                arrival: ArrivalProcess::Trace {
+                    arrivals: vec![(3, 25)],
                 },
                 ..SessionConfig::default()
             },
@@ -1339,7 +1324,9 @@ mod tests {
         let mut session = Session::new(
             swarm,
             SessionConfig {
-                arrival: ArrivalProcess::Burst { round: 1, count: 4 },
+                arrival: ArrivalProcess::Trace {
+                    arrivals: vec![(1, 4)],
+                },
                 arrival_completion: 1.0, // arrivals draw every piece
                 departure: DepartureRules {
                     seed_leave_prob: 1.0,
@@ -1372,7 +1359,9 @@ mod tests {
         let mut session = Session::new(
             swarm,
             SessionConfig {
-                arrival: ArrivalProcess::Burst { round: 3, count: 2 },
+                arrival: ArrivalProcess::Trace {
+                    arrivals: vec![(3, 2)],
+                },
                 departure: DepartureRules {
                     abort_prob: 0.9, // empties most of the arena fast
                     ..DepartureRules::none()
@@ -1410,7 +1399,9 @@ mod tests {
         let mut session = Session::new(
             swarm,
             SessionConfig {
-                arrival: ArrivalProcess::Burst { round: 1, count: 1 },
+                arrival: ArrivalProcess::Trace {
+                    arrivals: vec![(1, 1)],
+                },
                 departure: DepartureRules {
                     abort_prob: 1.0,
                     ..DepartureRules::none()

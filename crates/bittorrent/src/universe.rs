@@ -68,11 +68,10 @@ const INIT_EVENT: u64 = 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum MembershipModel {
-    /// Every member stays in its home torrent only (the degenerate
-    /// universe: `T` independent sessions).
-    Single,
     /// Every member joins exactly `extra` additional torrents (capped at
     /// `torrents − 1`), drawn without replacement ∝ popularity weight.
+    /// `extra: 0` keeps every member in its home torrent only (the
+    /// degenerate universe: `T` independent sessions).
     Fixed {
         /// Additional torrents per member.
         extra: usize,
@@ -114,11 +113,11 @@ pub struct UniverseConfig {
 }
 
 impl Default for UniverseConfig {
-    /// Single membership, equal split, no capacity classes, uniform
-    /// popularity, seed `0x0a11`.
+    /// Home-torrent-only membership (`Fixed { extra: 0 }`), equal split,
+    /// no capacity classes, uniform popularity, seed `0x0a11`.
     fn default() -> Self {
         Self {
-            membership: MembershipModel::Single,
+            membership: MembershipModel::Fixed { extra: 0 },
             split: CapacitySplit::EqualShare,
             class_upload_kbps: Vec::new(),
             popularity: Vec::new(),
@@ -641,10 +640,8 @@ impl Universe {
             completion_recorded: false,
         }];
         self.map_slot(home, slot, m);
-        let extra = match self.config.membership {
-            MembershipModel::Single => 0,
-            MembershipModel::Fixed { extra } => extra.min(self.sessions.len() - 1),
-        };
+        let MembershipModel::Fixed { extra } = self.config.membership;
+        let extra = extra.min(self.sessions.len() - 1);
         for t in self.draw_extra_torrents(home, extra, rng) {
             let completion = self.sessions[t].config().arrival_completion;
             let rid = self.sessions[t].join_with(capacity, completion, rng, &obs[t]);
@@ -1051,7 +1048,7 @@ mod tests {
         let mut u = Universe::new(
             sessions,
             UniverseConfig {
-                membership: MembershipModel::Single,
+                membership: MembershipModel::Fixed { extra: 0 },
                 class_upload_kbps: vec![200.0, 400.0, 800.0],
                 ..UniverseConfig::default()
             },

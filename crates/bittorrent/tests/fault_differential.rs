@@ -231,7 +231,9 @@ fn outage_defers_announces_and_backoff_admits_them_all() {
         ..FaultPlan::none()
     };
     let config = SessionConfig {
-        arrival: ArrivalProcess::Burst { round: 1, count: 6 },
+        arrival: ArrivalProcess::Trace {
+            arrivals: vec![(1, 6)],
+        },
         arrival_upload_kbps: 320.0,
         target_degree: 6,
         session_seed: 23,

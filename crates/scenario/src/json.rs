@@ -229,9 +229,8 @@ mod tests {
         for arrival in [
             ArrivalProcess::None,
             ArrivalProcess::Poisson { rate: 4.5 },
-            ArrivalProcess::Burst {
-                round: 12,
-                count: 300,
+            ArrivalProcess::Trace {
+                arrivals: vec![(12, 300)],
             },
             ArrivalProcess::Trace {
                 arrivals: vec![(1, 2), (9, 40)],
@@ -427,7 +426,10 @@ mod tests {
     #[test]
     fn universe_section_round_trips() {
         for (membership, split) in [
-            (MembershipModel::Single, CapacitySplit::EqualShare),
+            (
+                MembershipModel::Fixed { extra: 0 },
+                CapacitySplit::EqualShare,
+            ),
             (
                 MembershipModel::Fixed { extra: 2 },
                 CapacitySplit::DemandWeighted,

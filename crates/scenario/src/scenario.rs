@@ -449,7 +449,40 @@ impl Scenario {
         ensure(conflict.is_none(), "swarm universe", || {
             let key = conflict.map_or("", |(_, key)| key);
             format!("{key} is a single-session construct; remove it or `swarm.universe`")
-        })
+        })?;
+        // The event engine never compacts its peer arenas.
+        ensure(!(timing.is_some() && compacts), "swarm timing", || {
+            "compaction is a round-engine construct; remove \
+             `swarm.churn.compact_threshold` or `swarm.timing`"
+                .into()
+        })?;
+        // The dynamics axes mean nothing to a swarm.
+        let dynamics_axes = [
+            (
+                self.preference == PreferenceModel::GlobalRank,
+                "preference",
+                "GlobalRank",
+                "swarm peers rank each other by measured rates",
+            ),
+            (
+                self.churn == ChurnModel::None,
+                "churn",
+                "None",
+                "swarm turnover is `swarm.churn`",
+            ),
+            (
+                self.strategy == InitiativeStrategy::BestMate,
+                "strategy",
+                "BestMate",
+                "swarm peers unchoke by Tit-for-Tat",
+            ),
+        ];
+        for (default, what, name, why) in dynamics_axes {
+            ensure(default, what, || {
+                format!("no swarm kernel reads it ({why}); leave it `{name}`")
+            })?;
+        }
+        Ok(())
     }
 
     /// Materializes the topology on this scenario's peer count.
@@ -1351,6 +1384,68 @@ mod tests {
                     "{what}: {built:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn timed_swarms_refuse_compaction() {
+        let compacting = SessionConfig {
+            compact_threshold: Some(0.25),
+            ..SessionConfig::default()
+        };
+        let scenario = |timing: Option<EventTiming>| {
+            Scenario::new("t", 10)
+                .with_topology(TopologyModel::ErdosRenyiMeanDegree { d: 6.0 })
+                .with_capacity(CapacityModel::Constant { value: 300.0 })
+                .with_swarm(SwarmParams {
+                    churn: Some(compacting.clone()),
+                    timing,
+                    ..SwarmParams::default()
+                })
+        };
+        // The round engine compacts; the event engine never does.
+        assert!(scenario(None).build_session(&mut rng(1)).is_ok());
+        let timed = scenario(Some(EventTiming::default()));
+        assert!(matches!(
+            timed.build_event_engine(&mut rng(1)),
+            Err(ScenarioError::InvalidParameter {
+                what: "swarm timing",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn swarm_sections_refuse_the_dynamics_axes() {
+        let base = Scenario::new("t", 10)
+            .with_topology(TopologyModel::ErdosRenyiMeanDegree { d: 6.0 })
+            .with_capacity(CapacityModel::Constant { value: 300.0 })
+            .with_swarm(SwarmParams::default());
+        assert!(base.build_swarm(&mut rng(1)).is_ok());
+        for (scenario, what) in [
+            (
+                base.clone()
+                    .with_preference(PreferenceModel::Latency { span: 1000.0 }),
+                "preference",
+            ),
+            (
+                base.clone().with_churn(ChurnModel::Rate { rate: 0.5 }),
+                "churn",
+            ),
+            (
+                base.clone().with_strategy(InitiativeStrategy::Random),
+                "strategy",
+            ),
+        ] {
+            let built = scenario.build_swarm(&mut rng(1)).err();
+            assert!(
+                matches!(built, Some(ScenarioError::InvalidParameter { what: w, .. }) if w == what),
+                "{what}: {built:?}"
+            );
+            // Without the swarm section the dynamics read the axis.
+            let mut dynamics = scenario;
+            dynamics.swarm = None;
+            assert!(dynamics.validate().is_ok(), "{what}");
         }
     }
 

@@ -5,7 +5,7 @@
 //! probabilities `D(1,2) = p`, `D(1,3) = p(1−p)`, `D(2,3) = p(1−p)²`;
 //! the independent model inflates `D(2,3)` by exactly `p³(1−p)`.
 
-use strat_analytic::{exact, one_matching};
+use strat_analytic::{b_matching, exact};
 use strat_scenario::{Scenario, ScenarioError, TopologyModel};
 
 use crate::runner::{ExperimentContext, ExperimentResult};
@@ -43,8 +43,8 @@ pub fn run_scenario(
     for k in 1..=19 {
         let p = k as f64 / 20.0;
         let exact_d = exact::exact_distribution(3, p, 1);
-        let approx = one_matching::solve(3, p, &[1]);
-        let approx_d23 = approx.row(1).expect("row 1 requested")[2];
+        let approx = b_matching::solve(3, p, 1, &[1]);
+        let approx_d23 = approx.choice_row(1, 1).expect("row 1 requested")[2];
         let error = approx_d23 - exact_d[1][2];
         let predicted = p.powi(3) * (1.0 - p);
         max_residual = max_residual.max((error - predicted).abs());

@@ -9,7 +9,7 @@
 //!   bottom; the missing mass is the probability of staying unmatched. The
 //!   worst peer is matched in exactly half of the cases.
 
-use strat_analytic::one_matching;
+use strat_analytic::b_matching;
 use strat_scenario::{Scenario, ScenarioError, TopologyModel};
 
 use crate::experiments::common;
@@ -36,13 +36,17 @@ pub fn run_scenario(
     scenario: &Scenario,
 ) -> Result<ExperimentResult, ScenarioError> {
     let n = common::min_peers("fig8", scenario, 25)?;
-    let p = scenario.topology.edge_probability(n);
-    // Paper peers 200 / 2500 / 4800 (1-based) scaled to n.
+    let p = common::edge_probability("fig8", scenario, n)?;
+    // Paper peers 200 / 2500 / 4800 (1-based) scaled to n, plus a second
+    // central peer for the shift-invariance check.
     let peers = [n * 200 / 5000 - 1, n * 2500 / 5000 - 1, n * 4800 / 5000 - 1];
     let worst = n - 1;
+    let mid2 = n * 3500 / 5000;
     let mut request = peers.to_vec();
-    request.push(worst);
-    let sol = one_matching::solve(n, p, &request);
+    request.push(mid2);
+    // Independent 1-matching: Algorithm 3 at b₀ = 1 is Algorithm 2.
+    let sol = b_matching::solve(n, p, 1, &request);
+    let unmatched = |i| (1.0 - sol.choice_mass(i, 1)).max(0.0);
 
     let mut result = ExperimentResult::new(
         "fig8",
@@ -61,7 +65,7 @@ pub fn run_scenario(
 
     let rows: Vec<&[f64]> = peers
         .iter()
-        .map(|&i| sol.row(i).expect("row requested"))
+        .map(|&i| sol.choice_row(i, 1).expect("row requested"))
         .collect();
     for j in 0..n {
         result.push_row(vec![(j + 1) as f64, rows[0][j], rows[1][j], rows[2][j]]);
@@ -93,10 +97,8 @@ pub fn run_scenario(
         format!("mass left {left:.3} vs right {right:.3}"),
     );
     // Shift invariance: D(mid, mid+k) ~ D(mid', mid'+k) for mid' in the
-    // 25%-80% band — compare with a second solve.
-    let mid2 = n * 3500 / 5000;
-    let sol2 = one_matching::solve(n, p, &[mid2]);
-    let row2 = sol2.row(mid2).expect("row requested");
+    // 25%-80% band.
+    let row2 = sol.choice_row(mid2, 1).expect("row requested");
     let max_shift_err = (1..w)
         .map(|k| {
             let a = rows[1][mid + k] - row2[mid2 + k];
@@ -120,13 +122,13 @@ pub fn run_scenario(
         format!("mass below-rank {above:.3} vs above-rank {below:.3}"),
     );
     // Bottom peer: truncated distribution leaves unmatched probability.
-    let unmatched_bottom = sol.unmatched_probability(peers[2]);
+    let unmatched_bottom = unmatched(peers[2]);
     result.check(
         "bottom peer has visible unmatched probability",
         unmatched_bottom > 0.001,
         format!("P(unmatched) = {unmatched_bottom:.4}"),
     );
-    let unmatched_worst = sol.unmatched_probability(worst);
+    let unmatched_worst = unmatched(worst);
     result.check(
         "worst peer is matched in half of the cases",
         (unmatched_worst - 0.5).abs() < 0.05,
@@ -153,5 +155,19 @@ mod tests {
         };
         let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
+    }
+
+    #[test]
+    fn zero_edge_probability_is_a_typed_error() {
+        let ctx = ExperimentContext {
+            quick: true,
+            seed: 13,
+        };
+        let scenario = preset(&ctx).with_topology(TopologyModel::ErdosRenyiMeanDegree { d: 0.0 });
+        scenario.validate().expect("the scenario validates");
+        match run_scenario(&ctx, &scenario) {
+            Err(ScenarioError::InvalidParameter { what, .. }) => assert_eq!(what, "topology"),
+            other => panic!("expected a typed error, got {:?}", other.map(|r| r.id)),
+        }
     }
 }

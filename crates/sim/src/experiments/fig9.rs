@@ -37,7 +37,7 @@ pub fn run_scenario(
     scenario: &Scenario,
 ) -> Result<ExperimentResult, ScenarioError> {
     let n = common::min_peers("fig9", scenario, 12)?;
-    let p = scenario.topology.edge_probability(n);
+    let p = common::edge_probability("fig9", scenario, n)?;
     let realizations = if ctx.quick { 1500u64 } else { 1_000_000 };
     let b0 = match scenario.capacity {
         CapacityModel::Constant { value } => value as u32,
@@ -156,5 +156,19 @@ mod tests {
         };
         let result = run_scenario(&ctx, &preset(&ctx)).unwrap();
         assert!(result.all_passed(), "failed checks: {:#?}", result.checks);
+    }
+
+    #[test]
+    fn zero_edge_probability_is_a_typed_error() {
+        let ctx = ExperimentContext {
+            quick: true,
+            seed: 13,
+        };
+        let scenario = preset(&ctx).with_topology(TopologyModel::ErdosRenyiMeanDegree { d: 0.0 });
+        scenario.validate().expect("the scenario validates");
+        match run_scenario(&ctx, &scenario) {
+            Err(ScenarioError::InvalidParameter { what, .. }) => assert_eq!(what, "topology"),
+            other => panic!("expected a typed error, got {:?}", other.map(|r| r.id)),
+        }
     }
 }

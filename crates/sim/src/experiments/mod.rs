@@ -74,6 +74,20 @@ pub(crate) mod common {
         }
     }
 
+    /// The topology's edge probability on `n` peers, refused when it is 0:
+    /// the analytic kernels then have no mate distribution to measure.
+    pub fn edge_probability(id: &str, scenario: &Scenario, n: usize) -> Result<f64, ScenarioError> {
+        let p = scenario.topology.edge_probability(n);
+        if p > 0.0 {
+            Ok(p)
+        } else {
+            Err(ScenarioError::InvalidParameter {
+                what: "topology",
+                reason: format!("{id} needs a positive edge probability, got {p}"),
+            })
+        }
+    }
+
     /// The paper's standard declarative setup: `G(n, d)` acceptance graph,
     /// identity ranking, constant 1-matching, best-mate initiatives.
     /// Experiments attach their own name/seed/churn on top.

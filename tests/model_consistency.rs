@@ -3,7 +3,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use stratification::analytic::{b_matching, monte_carlo, one_matching};
+use stratification::analytic::{b_matching, monte_carlo};
 use stratification::core::{
     blocking, cluster, stable_configuration, Capacities, Dynamics, GlobalRanking,
     InitiativeStrategy, RankedAcceptance,
@@ -77,11 +77,12 @@ fn dynamics_ensemble_matches_algorithm2() {
         .iter()
         .map(|&c| c as f64 / realizations as f64)
         .collect();
-    let analytic = one_matching::solve(n, p, &[peer]);
-    let l1 = monte_carlo::l1_distance(&empirical, analytic.row(peer).unwrap());
+    // Algorithm 2 is Algorithm 3 at b₀ = 1.
+    let analytic = b_matching::solve(n, p, 1, &[peer]);
+    let l1 = monte_carlo::l1_distance(&empirical, analytic.choice_row(peer, 1).unwrap());
     assert!(l1 < 0.35, "dynamics-ensemble vs Algorithm 2: L1 = {l1}");
     let unmatched_rate = unmatched as f64 / realizations as f64;
-    let predicted = analytic.unmatched_probability(peer);
+    let predicted = 1.0 - analytic.choice_mass(peer, 1);
     assert!(
         (unmatched_rate - predicted).abs() < 0.05,
         "unmatched rate {unmatched_rate} vs predicted {predicted}"

@@ -31,7 +31,7 @@
 //! removes one per piece it takes away ([`crate::Swarm::arrive`] /
 //! [`crate::Swarm::depart`]).
 
-use crate::PieceSet;
+use crate::piece::{candidate_mask_into, missing_in_words};
 
 /// Candidate-mask words kept on the stack: 16 words cover every in-tree
 /// piece count (≤ 1024 pieces). Larger files keep no mask rows and take
@@ -325,10 +325,11 @@ impl AvailIndex {
         shard.touched.clear();
     }
 
-    /// The first `want` rarest-first picks among the pieces `other` has
-    /// and `q` lacks, in pick order, packed `(count << 32) | piece` — the
+    /// The first `want` rarest-first picks among the pieces the `other`
+    /// row has and the `q` row lacks (bitset words over this index's
+    /// pieces), in pick order, packed `(count << 32) | piece` — the
     /// exact sequence `want` successive reference picks
-    /// ([`PieceSet::rarest_missing_from`] + insert) produce, because
+    /// ([`crate::PieceSet::rarest_missing_from`] + insert) produce, because
     /// inserting a pick bumps only its *own* availability and the
     /// remaining candidates' `(count, index)` keys never change.
     ///
@@ -349,23 +350,18 @@ impl AvailIndex {
     /// identical canonical `(count, index)` sequence, so the choice is
     /// unobservable.
     #[inline]
-    pub(crate) fn batch_picks(
-        &self,
-        q: &PieceSet,
-        other: &PieceSet,
-        want: usize,
-        out: &mut Vec<u64>,
-    ) {
+    pub(crate) fn batch_picks(&self, q: &[u64], other: &[u64], want: usize, out: &mut Vec<u64>) {
         out.clear();
         if want == 0 {
             return;
         }
-        let pieces = q.piece_count();
-        let word_len = pieces.div_ceil(64);
+        let pieces = self.counts.len();
+        let word_len = q.len();
+        debug_assert_eq!(word_len, pieces.div_ceil(64));
         if word_len > MASK_WORDS {
             // Mask-free fallback for very large files: enumerate missing
             // pieces word-parallel, insertion-sort the top `want` by key.
-            for i in q.missing_from(other) {
+            for i in missing_in_words(q, other) {
                 let key = (u64::from(self.counts[i]) << 32) | i as u64;
                 insert_bounded(out, 0, want, key);
             }
@@ -373,7 +369,7 @@ impl AvailIndex {
         }
         let mut mask = [0u64; MASK_WORDS];
         let mask = &mut mask[..word_len];
-        let cand = q.candidate_mask_into(other, mask);
+        let cand = candidate_mask_into(q, other, mask);
         if cand == 0 {
             return;
         }
@@ -552,6 +548,7 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
 
     use super::*;
+    use crate::PieceSet;
 
     #[test]
     fn build_matches_counts() {
@@ -641,7 +638,7 @@ mod tests {
                     }
                     let (mut got, mut expect) = (Vec::new(), Vec::new());
                     for want in 0..=8 {
-                        idx.batch_picks(&q, &other, want, &mut got);
+                        idx.batch_picks(q.words(), other.words(), want, &mut got);
                         crate::reference::batch_rarest_picks_scan(
                             &q,
                             &other,
@@ -700,8 +697,8 @@ mod tests {
                 }
             }
             let (mut got_bulk, mut got_single) = (Vec::new(), Vec::new());
-            bulk.batch_picks(&q, &other, 4, &mut got_bulk);
-            single.batch_picks(&q, &other, 4, &mut got_single);
+            bulk.batch_picks(q.words(), other.words(), 4, &mut got_bulk);
+            single.batch_picks(q.words(), other.words(), 4, &mut got_single);
             assert_eq!(got_bulk, got_single, "case {case} picks");
         }
     }

@@ -94,7 +94,7 @@ use serde::{Deserialize, Serialize};
 use crate::avail::AvailIndex;
 use crate::behavior::PeerBehavior;
 use crate::observer::{NullObserver, RunObserver};
-use crate::piece::PieceSet;
+use crate::piece::PieceArena;
 use crate::session::{ArrivalProcess, SessionConfig};
 use crate::streams;
 use crate::swarm::{PeerId, Swarm};
@@ -359,7 +359,7 @@ pub struct EventEngine {
     class: Vec<u32>,
     /// Sender piece snapshot taken at the peer's last rechoke — the
     /// event-clock `pieces_prev` that piece picks draw from.
-    plan_pieces: Vec<PieceSet>,
+    plan_pieces: PieceArena,
     /// Arrival time in interval units (0 for initial peers).
     arrival_time: Vec<f64>,
 
@@ -413,7 +413,7 @@ impl EventEngine {
         let quantum_intervals = timing.transfer_quantum.map(|q| q / interval);
         let announce_intervals = timing.announce_interval.map(|a| a / interval);
         let snapshot = swarm.avail_index().clone();
-        let plan_pieces = (0..n).map(|p| swarm.pieces_at(p).clone()).collect();
+        let plan_pieces = swarm.piece_arena().clone();
         let mut engine = EventEngine {
             swarm,
             timing,
@@ -492,7 +492,7 @@ impl EventEngine {
         }
         if ch.departure.abort_prob > 0.0 {
             for p in 0..n {
-                if self.swarm.is_present(p) && !self.swarm.pieces_at(p).is_complete() {
+                if self.swarm.is_present(p) && !self.swarm.piece_arena().is_complete(p) {
                     let sq = self.alloc_seq();
                     let mut rng = streams::keyed(seed, streams::EVENT_SEQ, sq);
                     let gap = round_prob_gap(&mut rng, ch.departure.abort_prob);
@@ -780,7 +780,7 @@ impl EventEngine {
             self.window[e] = 0.0;
         }
         self.targets = targets;
-        self.plan_pieces[p].clone_from(self.swarm.pieces_at(p));
+        self.plan_pieces.copy_slot_from(p, self.swarm.piece_arena());
         self.snapshot_dirty = true;
         self.push((tick + 1) as f64, K_RECHOKE, p as u64, tick + 1, gen);
     }
@@ -811,7 +811,7 @@ impl EventEngine {
             &mut self.edges[e].credit,
             threshold,
             &self.snapshot,
-            &self.plan_pieces[sender],
+            self.plan_pieces.row(sender),
             stamp,
             &mut self.picks,
             obs,
@@ -915,7 +915,7 @@ impl EventEngine {
         if self.tag_of(d) != gen || !self.swarm.is_present(d) {
             return;
         }
-        if only_if_incomplete && self.swarm.pieces_at(d).is_complete() {
+        if only_if_incomplete && self.swarm.piece_arena().is_complete(d) {
             return;
         }
         self.stats.departures += 1;
@@ -1020,7 +1020,8 @@ impl EventEngine {
         self.class[slot] = (self.arrival_counter % classes) as u32;
         self.arrival_counter += 1;
         self.arrival_time[slot] = tau;
-        self.plan_pieces[slot].clone_from(self.swarm.pieces_at(slot));
+        self.plan_pieces
+            .copy_slot_from(slot, self.swarm.piece_arena());
         // The newcomer changes availability: piece picks after this
         // timestamp must see it.
         self.snapshot_dirty = true;
@@ -1110,11 +1111,9 @@ impl EventEngine {
         let n = self.swarm.peer_count();
         let m = self.swarm.edge_arena_len();
         if self.class.len() < n {
-            let piece_count = self.swarm.config().piece_count;
             self.class.resize(n, 0);
             self.arrival_time.resize(n, 0.0);
-            self.plan_pieces
-                .resize_with(n, || PieceSet::new(piece_count));
+            self.plan_pieces.resize(n);
         }
         if self.edges.len() < m {
             self.edges.resize(m, EdgeState::settled_at(tau));

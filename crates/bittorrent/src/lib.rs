@@ -68,7 +68,7 @@ pub use faults::{FaultPlan, FaultWindow};
 pub use observer::{
     ClusterAffinity, ClusterObserver, NullObserver, RunObserver, TraceLog, TraceObserver,
 };
-pub use piece::PieceSet;
+pub use piece::{PieceSet, PieceView};
 pub use swarm::{Peer, PeerId, Population, Swarm};
 pub use universe::{
     derive_seed, CapacitySplit, MembershipModel, Universe, UniverseCompletion, UniverseConfig,

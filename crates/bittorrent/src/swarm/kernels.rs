@@ -18,7 +18,8 @@ use rand_chacha::ChaCha8Rng;
 use super::{PeerId, Scratch, Swarm, NO_OPT};
 use crate::avail::{AvailIndex, AvailShard};
 use crate::observer::RunObserver;
-use crate::{PeerBehavior, PieceSet, SwarmConfig};
+use crate::piece::{PieceArena, PieceRowMut};
+use crate::{PeerBehavior, SwarmConfig};
 
 impl Swarm {
     /// Rechokes peer `p` on the whole arena — the serial round's and the
@@ -77,36 +78,23 @@ impl Swarm {
     }
 }
 
-/// Piece-mode interest with `O(1)` completion fast paths: a complete `q`
-/// lacks nothing, and a complete `p` holds every piece an incomplete `q`
-/// lacks. Semantics identical to `q.is_interested_in(p)`.
-#[inline]
-fn interested_pieces(q: &PieceSet, p: &PieceSet) -> bool {
-    if q.is_complete() {
-        return false;
-    }
-    if p.is_complete() {
-        return true;
-    }
-    q.is_interested_in(p)
-}
-
 /// Whether `q` is interested in `p`'s content — the single interest
 /// predicate of every engine. Fluid mode: non-seed peers are always
 /// interested (content never bottlenecks, §6); seeds are interested in
-/// nobody. Piece mode: [`interested_pieces`].
+/// nobody. Piece mode: [`PieceArena::interested`] on the two rows, bit
+/// for bit `q.is_interested_in(p)`.
 #[inline]
 pub(super) fn interested_at(
     fluid: bool,
     original_seed: &[bool],
-    pieces: &[PieceSet],
+    pieces: &PieceArena,
     q: usize,
     p: usize,
 ) -> bool {
     if fluid {
         q != p && !original_seed[q]
     } else {
-        interested_pieces(&pieces[q], &pieces[p])
+        pieces.interested(q, p)
     }
 }
 
@@ -116,14 +104,14 @@ pub(super) fn uploads_at(
     config: &SwarmConfig,
     present: &[bool],
     behavior: &[PeerBehavior],
-    pieces: &[PieceSet],
+    pieces: &PieceArena,
     original_seed: &[bool],
     p: usize,
 ) -> bool {
     if !present[p] || !behavior[p].uploads() {
         return false;
     }
-    if !config.fluid_content && pieces[p].is_complete() && !original_seed[p] {
+    if !config.fluid_content && pieces.is_complete(p) && !original_seed[p] {
         config.seed_after_completion
     } else {
         true
@@ -135,7 +123,7 @@ pub(super) fn uploads_at(
 fn acts_seed_at(
     config: &SwarmConfig,
     behavior: &[PeerBehavior],
-    pieces: &[PieceSet],
+    pieces: &PieceArena,
     original_seed: &[bool],
     p: usize,
 ) -> bool {
@@ -145,7 +133,7 @@ fn acts_seed_at(
     if config.fluid_content {
         original_seed[p]
     } else {
-        pieces[p].is_complete()
+        pieces.is_complete(p)
     }
 }
 
@@ -160,7 +148,7 @@ pub(super) struct RechokeView<'a> {
     pub(super) nbr: &'a [u32],
     pub(super) present: &'a [bool],
     pub(super) behavior: &'a [PeerBehavior],
-    pub(super) pieces: &'a [PieceSet],
+    pub(super) pieces: &'a PieceArena,
     pub(super) original_seed: &'a [bool],
 }
 
@@ -296,11 +284,12 @@ impl Availability for (&AvailIndex, &mut AvailIndex) {
 /// One edge's piece landing — the step the serial round, the indexed
 /// round and the event core share. Spends whole `piece_size` pieces of
 /// `credit` while it stays at or above `threshold`, on rarest-first
-/// picks of pieces `sender` holds and `recipient` lacks, prefetched from
-/// `avail`'s order in one scan (see [`AvailIndex::batch_picks`]); each
-/// landed piece is inserted, recorded in `avail` and reported to `obs`
-/// at time `t`. Credit left without a useful pick waits for the sender to
-/// acquire more. Stamps `completed_round` with `stamp` and returns `true`
+/// picks of pieces the `sender` row holds and the `recipient` row lacks,
+/// prefetched from `avail`'s order in one scan (see
+/// [`AvailIndex::batch_picks`]); each landed piece is inserted, recorded
+/// in `avail` and reported to `obs` at time `t`. Credit left without a
+/// useful pick waits for the sender to acquire more. Stamps
+/// `completed_round` with `stamp` and returns `true`
 /// when this landing completed the recipient `q` (always on its last
 /// piece: every pick is a distinct piece the recipient lacked).
 #[allow(clippy::too_many_arguments)]
@@ -310,8 +299,8 @@ pub(super) fn land_pieces<O: RunObserver>(
     piece_size: f64,
     threshold: f64,
     avail: &mut impl Availability,
-    recipient: &mut PieceSet,
-    sender: &PieceSet,
+    mut recipient: PieceRowMut<'_>,
+    sender: &[u64],
     completed_round: &mut Option<u64>,
     stamp: u64,
     picks: &mut Vec<u64>,
@@ -330,7 +319,9 @@ pub(super) fn land_pieces<O: RunObserver>(
         left -= piece_size;
         want += 1;
     }
-    avail.order().batch_picks(recipient, sender, want, picks);
+    avail
+        .order()
+        .batch_picks(recipient.words(), sender, want, picks);
     let mut completed = false;
     for &packed in picks.iter() {
         if *credit < threshold {

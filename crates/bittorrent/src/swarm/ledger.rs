@@ -171,7 +171,7 @@ impl Swarm {
         for i in pieces.ones() {
             self.avail.increment(i);
         }
-        self.pieces[p] = pieces;
+        self.pieces.assign(p, &pieces);
         self.completed_round[p] = None;
         self.original_seed[p] = complete;
         self.total_up[p] = 0.0;
@@ -207,7 +207,7 @@ impl Swarm {
         self.deg.push(0);
         self.upload_kbps.push(1.0);
         self.behavior.push(PeerBehavior::Compliant);
-        self.pieces.push(PieceSet::new(self.config.piece_count));
+        self.pieces.resize(p + 1);
         self.completed_round.push(None);
         self.original_seed.push(false);
         self.present.push(false);
@@ -257,16 +257,16 @@ impl Swarm {
         while self.deg[p] > 0 {
             self.remove_edge_at(p, self.deg[p] as usize - 1);
         }
-        let complete = self.pieces[p].is_complete();
+        let complete = self.pieces.is_complete(p);
         let Swarm {
             ref pieces,
             ref mut avail,
             ..
         } = *self;
-        for i in pieces[p].ones() {
+        for i in pieces.view(p).ones() {
             avail.decrement(i);
         }
-        self.pieces[p].clear();
+        self.pieces.clear(p);
         self.completed_round[p] = None;
         if complete {
             self.seeding_now -= 1;
@@ -436,7 +436,7 @@ impl Swarm {
         retain_present(&present, &mut self.deg);
         retain_present(&present, &mut self.upload_kbps);
         retain_present(&present, &mut self.behavior);
-        retain_present(&present, &mut self.pieces);
+        self.pieces.retain(&present);
         retain_present(&present, &mut self.completed_round);
         retain_present(&present, &mut self.original_seed);
         retain_present(&present, &mut self.total_up);
@@ -569,7 +569,9 @@ impl Swarm {
     /// exactly once on the free list, never live), the membership ledger
     /// (the dense present list is a permutation of the present slots, the
     /// position index its inverse, and an unbroken order flag means
-    /// present streams ascend with slot), availability counts and the
+    /// present streams ascend with slot), the piece arena (each slot's
+    /// held count is its row's popcount, no bits past the last piece,
+    /// absent slots' rows empty), availability counts and the
     /// population split against a from-scratch recount, and the
     /// availability index's own structure (permutation, buckets, mask
     /// rows). Test support for the membership/fault proptests;
@@ -664,7 +666,7 @@ impl Swarm {
                 assert!(free_seen[p], "absent slot {p} missing from the free list");
                 continue;
             }
-            if self.pieces[p].is_complete() {
+            if self.pieces.is_complete(p) {
                 seeding += 1;
             } else {
                 downloading += 1;
@@ -681,11 +683,12 @@ impl Swarm {
                 assert_eq!(self.rev[er] as usize, e, "reverse-of-reverse mismatch");
             }
         }
+        self.pieces.validate(&self.present);
         assert_eq!(self.downloading_now, downloading, "downloading count");
         assert_eq!(self.seeding_now, seeding, "seeding count");
         for i in 0..self.config.piece_count {
             let holders = (0..n)
-                .filter(|&p| self.present[p] && self.pieces[p].contains(i))
+                .filter(|&p| self.present[p] && self.pieces.view(p).contains(i))
                 .count() as u32;
             assert_eq!(holders, self.availability()[i], "availability of piece {i}");
         }

@@ -23,7 +23,14 @@
 //! `q → p` given `e = p → q`, replacing the reference engine's linear
 //! `position()` scan on every delivery), per-peer scalars live in flat
 //! parallel arrays, per-edge rate/credit state lives in row-aligned
-//! arrays, and unchoke sets live in a fixed-stride arena. A persistent
+//! arrays, and unchoke sets live in a fixed-stride arena. Piece state is
+//! one flat arena too (`PieceArena`): each slot's bitfield is a row of
+//! `⌈piece_count / 64⌉` words in a single `Vec<u64>` beside a `u32`
+//! held-count column, so the per-edge interest checks and rarest-first
+//! prefetches read contiguous words at any file size, the parallel
+//! round's start-of-round snapshot is one block copy per worker, and the
+//! membership primitives copy, clear or slide rows. [`Peer::pieces`]
+//! hands out a borrowed [`PieceView`] of a row. A persistent
 //! [`Scratch`] arena holds the per-peer candidate/rank/pool buffers, so a
 //! steady-state [`Swarm::round`] performs **zero heap allocation**.
 //!
@@ -99,7 +106,8 @@ use strat_graph::{generators, NodeId};
 
 use crate::avail::AvailIndex;
 use crate::observer::RunObserver;
-use crate::{PeerBehavior, PieceSet, SwarmConfig};
+use crate::piece::{PieceArena, PieceView};
+use crate::{PeerBehavior, SwarmConfig};
 
 use kernels::land_pieces;
 use round::ParBuffers;
@@ -157,10 +165,11 @@ impl<'a> Peer<'a> {
         self.swarm.behavior[self.id]
     }
 
-    /// The pieces currently held.
+    /// The pieces currently held, as a read view of the peer's row in
+    /// the engine's piece arena.
     #[must_use]
-    pub fn pieces(&self) -> &'a PieceSet {
-        &self.swarm.pieces[self.id]
+    pub fn pieces(&self) -> PieceView<'a> {
+        self.swarm.pieces.view(self.id)
     }
 
     /// Whether this peer entered the swarm holding the complete file (an
@@ -270,7 +279,9 @@ pub struct Swarm {
     // Per-peer state, struct-of-arrays.
     upload_kbps: Vec<f64>,
     behavior: Vec<PeerBehavior>,
-    pieces: Vec<PieceSet>,
+    /// Every slot's bitfield, one flat row of `⌈piece_count / 64⌉` words
+    /// per slot.
+    pieces: PieceArena,
     completed_round: Vec<Option<u64>>,
     /// Whether the peer entered the swarm holding the complete file.
     original_seed: Vec<bool>,
@@ -438,35 +449,30 @@ impl Swarm {
         debug_assert!((0..nbr.len()).all(|e| rev[rev[e] as usize] as usize == e));
 
         // Piece initialization draws in peer order, exactly like the
-        // reference engine.
-        let mut pieces = Vec::with_capacity(n);
+        // reference engine, counting availability as it goes.
+        let mut pieces = PieceArena::new(config.piece_count, n);
+        let mut availability = vec![0u32; config.piece_count];
         for p in 0..n {
             if p >= config.leechers {
-                pieces.push(PieceSet::full(config.piece_count));
+                pieces.fill(p);
+                availability.iter_mut().for_each(|a| *a += 1);
             } else {
-                let mut set = PieceSet::new(config.piece_count);
-                for i in 0..config.piece_count {
+                let mut row = pieces.row_mut(p);
+                for (i, a) in availability.iter_mut().enumerate() {
                     if rng.gen_bool(config.initial_completion) {
-                        set.insert(i);
+                        row.insert(i);
+                        *a += 1;
                     }
                 }
-                pieces.push(set);
             }
         }
         // A leecher may complete by lucky initialization.
         let completed_round: Vec<Option<u64>> = (0..n)
-            .map(|p| (p < config.leechers && pieces[p].is_complete()).then_some(0))
+            .map(|p| (p < config.leechers && pieces.is_complete(p)).then_some(0))
             .collect();
         let completed_total = completed_round.iter().filter(|c| c.is_some()).count();
-        let seeding_now = pieces.iter().filter(|set| set.is_complete()).count();
+        let seeding_now = (0..n).filter(|&p| pieces.is_complete(p)).count();
         let downloading_now = n - seeding_now;
-
-        let mut availability = vec![0u32; config.piece_count];
-        for set in &pieces {
-            for (i, a) in availability.iter_mut().enumerate() {
-                *a += u32::from(set.contains(i));
-            }
-        }
 
         let edges = nbr.len();
         let stride = config.tft_slots;
@@ -713,10 +719,10 @@ impl Swarm {
         self.rev[e] as usize
     }
 
-    /// Piece set of peer `p` (borrowed live, unlike [`Swarm::peer`]'s
-    /// clone-free accessor this one is crate-internal and infallible).
-    pub(crate) fn pieces_at(&self, p: PeerId) -> &PieceSet {
-        &self.pieces[p]
+    /// The live piece arena (the event core snapshots rows of it at
+    /// each peer's rechoke).
+    pub(crate) fn piece_arena(&self) -> &PieceArena {
+        &self.pieces
     }
 
     /// Deposits settled upload credit on the sender side (the event-clock
@@ -741,7 +747,7 @@ impl Swarm {
 
     /// The event core's piece landing on edge credit `credit` into `q`:
     /// [`land_pieces`] ranked by the availability `snapshot`, picking from
-    /// the sender's rechoke-time piece snapshot `sender`, recording into
+    /// the sender's rechoke-time piece snapshot row `sender`, recording into
     /// the live availability and counting a completion stamped `stamp`.
     /// Returns whether `q` completed.
     #[allow(clippy::too_many_arguments)]
@@ -751,7 +757,7 @@ impl Swarm {
         credit: &mut f64,
         threshold: f64,
         snapshot: &AvailIndex,
-        sender: &PieceSet,
+        sender: &[u64],
         stamp: u64,
         picks: &mut Vec<u64>,
         obs: &O,
@@ -769,7 +775,7 @@ impl Swarm {
             config.piece_size_kbit,
             threshold,
             &mut (snapshot, avail),
-            &mut pieces[q],
+            pieces.row_mut(q),
             sender,
             &mut completed_round[q],
             stamp,

@@ -11,8 +11,8 @@ use super::kernels::{land_pieces, RechokeView};
 use super::{Scratch, Swarm};
 use crate::avail::{AvailIndex, AvailShard};
 use crate::observer::{NullObserver, RunObserver};
+use crate::piece::{PieceArena, PieceChunk};
 use crate::streams;
-use crate::PieceSet;
 
 /// Working state of the parallel round driver — the scatter-write flow
 /// mailbox, the start-of-round piece/availability snapshots, per-worker
@@ -38,7 +38,7 @@ use crate::PieceSet;
 #[derive(Debug, Default)]
 pub(super) struct ParBuffers {
     flow: Vec<AtomicU64>,
-    pieces_prev: Vec<PieceSet>,
+    pieces_prev: PieceArena,
     avail_prev: AvailIndex,
     scratches: Vec<Scratch>,
     shards: Vec<AvailShard>,
@@ -149,7 +149,7 @@ impl Swarm {
             self.par_rechoke_and_flows(
                 &ranges,
                 &mut par.scratches,
-                if fluid { &mut [] } else { &mut par.pieces_prev },
+                (!fluid).then_some(&mut par.pieces_prev),
                 &par.flow,
                 obs,
             );
@@ -195,13 +195,14 @@ impl Swarm {
     /// totals, the sender's own `pieces_prev` snapshot chunk) or in the
     /// sender's uniquely-owned reverse-edge flow slots, so peers
     /// partition freely across workers. Folds the piece-snapshot copy
-    /// into the workers (pieces are frozen for the whole pass, so
-    /// chunk-local evaluation sees exactly the start-of-round state).
+    /// into the workers as one block copy of each worker's arena rows
+    /// (pieces are frozen for the whole pass, so the copy is exactly the
+    /// start-of-round state). Fluid mode passes no snapshot.
     fn par_rechoke_and_flows<O: RunObserver>(
         &mut self,
         ranges: &[Range<usize>],
         scratches: &mut [Scratch],
-        pieces_prev: &mut [PieceSet],
+        pieces_prev: Option<&mut PieceArena>,
         flow: &[AtomicU64],
         obs: &O,
     ) {
@@ -247,12 +248,10 @@ impl Swarm {
         let opt_parts = split_lengths(optimistic, &peer_sizes);
         let up_parts = split_lengths(total_up, &peer_sizes);
         let tftup_parts = split_lengths(tft_up, &peer_sizes);
-        // Fluid mode keeps no piece snapshot; hand every worker an empty
-        // chunk.
-        let pp_parts: Vec<&mut [PieceSet]> = if pieces_prev.is_empty() {
-            ranges.iter().map(|_| Default::default()).collect()
-        } else {
-            split_lengths(pieces_prev, &peer_sizes)
+        // Fluid mode keeps no piece snapshot; hand every worker none.
+        let pp_parts: Vec<Option<PieceChunk<'_>>> = match pieces_prev {
+            Some(prev) => prev.chunks_mut(&peer_sizes).into_iter().map(Some).collect(),
+            None => ranges.iter().map(|_| None).collect(),
         };
 
         std::thread::scope(|scope| {
@@ -270,15 +269,14 @@ impl Swarm {
                 let opt_c = opt_parts.next().expect("one part per range");
                 let up_c = up_parts.next().expect("one part per range");
                 let tftup_c = tftup_parts.next().expect("one part per range");
-                let pp_c = pp_parts.next().expect("one part per range");
+                let mut pp_c = pp_parts.next().expect("one part per range");
                 let scratch = scratch_parts.next().expect("one scratch per range");
                 run_or_spawn(scope, ranges.len() == 1, move || {
-                    let snap = !pp_c.is_empty();
+                    if let Some(pp_c) = &mut pp_c {
+                        pp_c.copy_from(pieces, range.start);
+                    }
                     for p in range.clone() {
                         let li = p - range.start;
-                        if snap {
-                            pp_c[li].copy_bits_from(&pieces[p]);
-                        }
                         let mut rng = streams::keyed(
                             config.seed,
                             streams::PEER_ROUND,
@@ -335,7 +333,7 @@ impl Swarm {
         &mut self,
         ranges: &[Range<usize>],
         flow: &[AtomicU64],
-        pieces_prev: &[PieceSet],
+        pieces_prev: &PieceArena,
         avail_prev: &AvailIndex,
         shards: &mut [AvailShard],
         completions: &mut [usize],
@@ -369,7 +367,7 @@ impl Swarm {
             .map(|r| row_off[r.end] - row_off[r.start])
             .collect();
 
-        let pieces_parts = split_lengths(pieces, &peer_sizes);
+        let pieces_parts = pieces.chunks_mut(&peer_sizes);
         let completed_parts = split_lengths(completed_round, &peer_sizes);
         let down_parts = split_lengths(total_down, &peer_sizes);
         let tftdown_parts = split_lengths(tft_down, &peer_sizes);
@@ -391,7 +389,7 @@ impl Swarm {
             let mut scratch_parts = scratches.iter_mut();
             for range in ranges {
                 let range = range.clone();
-                let pieces_c = pieces_parts.next().expect("one part per range");
+                let mut pieces_c = pieces_parts.next().expect("one part per range");
                 let completed_c = completed_parts.next().expect("one part per range");
                 let down_c = down_parts.next().expect("one part per range");
                 let tftdown_c = tftdown_parts.next().expect("one part per range");
@@ -456,8 +454,8 @@ impl Swarm {
                                 piece_size,
                                 piece_size,
                                 &mut (avail_prev, &mut *shard),
-                                &mut pieces_c[li],
-                                &pieces_prev[nbr[e] as usize],
+                                pieces_c.row_mut(li),
+                                pieces_prev.row(nbr[e] as usize),
                                 &mut completed_c[li],
                                 round + 1,
                                 &mut scratch.picks,

@@ -10,14 +10,24 @@ impl Swarm {
     /// semantics — bit-identical to
     /// [`reference::RefSwarm::round`](crate::reference::RefSwarm::round).
     pub fn round(&mut self) {
-        self.round_with(&NullObserver);
+        self.round_observed(&NullObserver);
     }
 
     /// [`round`](Self::round) with a [`RunObserver`] tap. The observer is
     /// a pure `&self` tap — attaching one changes no swarm state and
     /// consumes no randomness; a disabled observer (`O::ENABLED = false`,
-    /// e.g. [`NullObserver`]) compiles every hook away.
+    /// e.g. [`NullObserver`]) dispatches to the crate's own instantiation
+    /// of the round, so an out-of-crate caller runs the same machine code
+    /// as [`round`](Self::round).
     pub fn round_with<O: RunObserver>(&mut self, obs: &O) {
+        if !O::ENABLED {
+            return self.round();
+        }
+        self.round_observed(obs);
+    }
+
+    /// The serial-round body behind both entry points.
+    fn round_observed<O: RunObserver>(&mut self, obs: &O) {
         self.received_curr.fill(0.0);
         self.rechoke(obs);
         self.transfer(obs);
@@ -173,9 +183,7 @@ impl Swarm {
             round,
             ..
         } = *self;
-        let [recipient, sender] = pieces
-            .get_disjoint_mut([q, p])
-            .expect("an edge joins two distinct peers");
+        let (recipient, sender) = pieces.recipient_and_sender(q, p);
         let piece_size = config.piece_size_kbit;
         if land_pieces(
             &mut credit[er],

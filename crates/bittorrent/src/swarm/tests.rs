@@ -1,4 +1,5 @@
 use super::*;
+use crate::PieceSet;
 
 fn uniform_uploads(n: usize, kbps: f64) -> Vec<f64> {
     vec![kbps; n]

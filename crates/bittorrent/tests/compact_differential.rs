@@ -22,11 +22,15 @@ use strat_bittorrent::session::{ArrivalProcess, DepartureRules, Session, Session
 use strat_bittorrent::{PeerBehavior, PieceSet, Swarm, SwarmConfig};
 
 fn build_swarm(leechers: usize, seeds: usize, seed: u64) -> Swarm {
+    build_swarm_with_pieces(leechers, seeds, 48, seed)
+}
+
+fn build_swarm_with_pieces(leechers: usize, seeds: usize, pieces: usize, seed: u64) -> Swarm {
     let n = leechers + seeds;
     let config = SwarmConfig::builder()
         .leechers(leechers)
         .seeds(seeds)
-        .piece_count(48)
+        .piece_count(pieces)
         .piece_size_kbit(180.0)
         .initial_completion(0.35)
         .mean_neighbors(9.0)
@@ -142,6 +146,45 @@ fn compacting_session_matches_uncompacted_twin() {
             assert!(
                 compacting.swarm().peer_count() < reference.swarm().peer_count(),
                 "threads {threads} seed {seed}: compaction did not shrink the arena"
+            );
+        }
+    }
+}
+
+/// The same twin equality at 300 pieces: five words per arena row, a
+/// width no row of the 48-piece suites has, so compaction's row slides
+/// and the parallel snapshot's block copies move multi-word rows.
+#[test]
+fn compacting_session_matches_twin_at_300_pieces() {
+    for threads in [1usize, 3] {
+        for seed in [11u64, 406] {
+            let mut compacting = Session::new(
+                build_swarm_with_pieces(22, 2, 300, seed),
+                churny_config(seed ^ 0x300, Some(0.2)),
+            );
+            let mut reference = Session::new(
+                build_swarm_with_pieces(22, 2, 300, seed),
+                churny_config(seed ^ 0x300, None),
+            );
+            for round in 0..24u64 {
+                compacting.run_rounds_parallel(1, threads);
+                reference.run_rounds_parallel(1, threads);
+                compacting.swarm().check_invariants();
+                assert_twins_match(
+                    &compacting,
+                    &reference,
+                    &format!("300 pieces, threads {threads} seed {seed} round {round}"),
+                );
+            }
+            compacting.swarm().validate_consistency();
+            reference.swarm().validate_consistency();
+            assert!(
+                compacting.compactions() > 0,
+                "threads {threads} seed {seed}: compaction never fired at 300 pieces"
+            );
+            assert!(
+                compacting.stats().completions > 0,
+                "threads {threads} seed {seed}: nobody completed at 300 pieces"
             );
         }
     }

@@ -96,6 +96,48 @@ fn capped_tracker_engine_keeps_arena_invariants() {
     assert!(stats.transfers > 0);
 }
 
+/// The synchronous limit at 300 pieces (five words per arena row, a
+/// width the proptest below never draws): the event core's rechoke-time
+/// sender snapshots and the round engine's block-copied pass-1 snapshot
+/// must still land the same pieces, bit for bit.
+#[test]
+fn sync_limit_matches_round_indexed_at_300_pieces() {
+    for seed in [5u64, 2007] {
+        let mut oracle = build(24, 2, 300, 0.3, seed);
+        let rs = oracle.config().round_seconds;
+        let mut engine = EventEngine::new(
+            build(24, 2, 300, 0.3, seed),
+            EventTiming::synchronous_limit(rs),
+            None,
+        );
+        for _ in 0..3 {
+            oracle.run_rounds_parallel(6, 3);
+            engine.run_sync_rounds(6);
+            let ev = engine.swarm();
+            for p in 0..oracle.peer_count() {
+                let (a, b) = (oracle.peer(p), ev.peer(p));
+                assert_eq!(a.pieces(), b.pieces(), "seed {seed}: pieces of peer {p}");
+                assert_eq!(
+                    a.completed_round(),
+                    b.completed_round(),
+                    "seed {seed}: peer {p}"
+                );
+                assert_eq!(
+                    a.total_downloaded().to_bits(),
+                    b.total_downloaded().to_bits(),
+                    "seed {seed}: download total of peer {p}"
+                );
+            }
+            assert_eq!(oracle.availability(), ev.availability(), "seed {seed}");
+            ev.validate_consistency();
+        }
+        assert!(
+            (0..oracle.peer_count()).any(|p| oracle.peer(p).completed_round().is_some()),
+            "seed {seed}: nobody completed, so the comparison never saw a full row"
+        );
+    }
+}
+
 /// FNV-1a over the little-endian bytes of `x`.
 fn fnv(h: &mut u64, x: u64) {
     for b in x.to_le_bytes() {

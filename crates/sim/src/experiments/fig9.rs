@@ -39,9 +39,18 @@ pub fn run_scenario(
     let n = common::min_peers("fig9", scenario, 12)?;
     let p = common::edge_probability("fig9", scenario, n)?;
     let realizations = if ctx.quick { 1500u64 } else { 1_000_000 };
+    // The kernel observes a first and a second choice, so it measures
+    // b₀-matching for a constant b₀ of at least 2.
     let b0 = match scenario.capacity {
-        CapacityModel::Constant { value } => value as u32,
-        _ => 2,
+        CapacityModel::Constant { value } if value >= 2.0 => value as u32,
+        ref other => {
+            return Err(ScenarioError::InvalidParameter {
+                what: "capacity",
+                reason: format!(
+                    "fig9 observes first and second choices and needs a Constant b0 of at least 2, got {other:?}"
+                ),
+            })
+        }
     };
     let peer = n * 3000 / 5000 - 1; // paper's peer 3000, scaled & 0-based
     let window = n / 6; // plot/report window around the peer

@@ -155,6 +155,37 @@ fn btevent_with_faults_is_a_typed_error() {
     }
 }
 
+/// `fig9` observes each peer's first and second choice, so it measures
+/// only a constant b₀ of at least 2: a dumped preset edited to b₀ = 0 or
+/// 1, or to a non-constant capacity model, is a typed `capacity` error
+/// (the `--scenario` CLI prints it and exits 2), not a panic or a silent
+/// b₀ = 2.
+#[test]
+fn fig9_refuses_a_capacity_below_two() {
+    let ctx = ctx();
+    let entry = runner::find("fig9").expect("fig9 is registered");
+    for capacity in [
+        CapacityModel::Constant { value: 0.0 },
+        CapacityModel::Constant { value: 1.0 },
+        CapacityModel::RoundedNormal {
+            mean: 3.0,
+            sigma: 1.0,
+        },
+    ] {
+        let scenario = (entry.preset)(&ctx).with_capacity(capacity.clone());
+        let parsed = Scenario::from_json(&scenario.to_json()).expect("parses");
+        match (entry.try_run_scenario)(&ctx, &parsed) {
+            Err(ScenarioError::InvalidParameter { what, .. }) => {
+                assert_eq!(what, "capacity", "{capacity:?}");
+            }
+            other => panic!(
+                "{capacity:?}: expected a capacity error, got {:?}",
+                other.map(|r| r.id)
+            ),
+        }
+    }
+}
+
 /// Kernels refuse scenarios they cannot measure before simulating
 /// anything: every swarm kernel one without a swarm section, `bt1` one
 /// with fewer than 10 leechers (empty share-ratio deciles) or piece-mode

@@ -11,6 +11,14 @@
 //! preemptions — are discarded before the median is taken, so exported
 //! ratios stop absorbing them).
 //!
+//! Name filter: a bench binary built with `criterion_group!` takes its
+//! first non-flag command-line argument as a substring filter on
+//! `group/bench`, so `cargo bench -p strat-bench --bench core_algorithms
+//! -- analytic` measures only the `analytic/…` rows. A skipped benchmark
+//! never runs its body (setup outside the body still runs); a
+//! `bench_pair` runs when either side matches. `Criterion::default()`
+//! (the JSON exporter's entry) applies no filter.
+//!
 //! Environment knobs:
 //!
 //! * `CRITERION_JSON=path` — append one JSON line per benchmark
@@ -29,6 +37,8 @@ pub use std::hint::black_box;
 /// Top-level benchmark driver.
 pub struct Criterion {
     time_scale: f64,
+    /// Substring a benchmark's `group/bench` name must contain to run.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
@@ -38,11 +48,30 @@ impl Default for Criterion {
             .and_then(|v| v.parse::<f64>().ok())
             .filter(|s| s.is_finite() && *s > 0.0)
             .unwrap_or(1.0);
-        Self { time_scale }
+        Self {
+            time_scale,
+            filter: None,
+        }
     }
 }
 
 impl Criterion {
+    /// Takes the name filter from the command line: the first argument
+    /// that is not a flag (`cargo bench` passes `--bench` itself).
+    #[must_use]
+    pub fn configure_from_args(self) -> Self {
+        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+        self.with_filter(filter)
+    }
+
+    /// Runs only benchmarks whose `group/bench` name contains `filter`
+    /// (every benchmark when `None`).
+    #[must_use]
+    pub fn with_filter(mut self, filter: Option<String>) -> Self {
+        self.filter = filter;
+        self
+    }
+
     /// Starts a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -103,6 +132,9 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let id = id.into();
+        if !self.selected(&[&id]) {
+            return self;
+        }
         let mut bencher = self.make_bencher();
         f(&mut bencher);
         self.report(&id, &bencher);
@@ -119,6 +151,9 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &I),
     {
+        if !self.selected(&[&id.full]) {
+            return self;
+        }
         let mut bencher = self.make_bencher();
         f(&mut bencher, input);
         self.report(&id.full, &bencher);
@@ -139,6 +174,10 @@ impl BenchmarkGroup<'_> {
         id_b: impl Into<String>,
         mut b: impl FnMut() -> OB,
     ) -> &mut Self {
+        let (id_a, id_b) = (id_a.into(), id_b.into());
+        if !self.selected(&[&id_a, &id_b]) {
+            return self;
+        }
         let scale = self.criterion.time_scale;
         let warm_up = self.warm_up.mul_f64(scale);
         let measurement = self.measurement.mul_f64(scale);
@@ -175,23 +214,22 @@ impl BenchmarkGroup<'_> {
         }
         samples_a.sort_by(f64::total_cmp);
         samples_b.sort_by(f64::total_cmp);
-        self.emit(
-            &id_a.into(),
-            robust_median(&samples_a),
-            self.sample_size,
-            iters,
-        );
-        self.emit(
-            &id_b.into(),
-            robust_median(&samples_b),
-            self.sample_size,
-            iters,
-        );
+        self.emit(&id_a, robust_median(&samples_a), self.sample_size, iters);
+        self.emit(&id_b, robust_median(&samples_b), self.sample_size, iters);
         self
     }
 
     /// Ends the group (cosmetic; reports are emitted eagerly).
     pub fn finish(&mut self) {}
+
+    /// Whether the name filter lets any of `ids` (bench names in this
+    /// group) run.
+    fn selected(&self, ids: &[&str]) -> bool {
+        self.criterion.filter.as_deref().is_none_or(|filter| {
+            ids.iter()
+                .any(|id| format!("{}/{id}", self.name).contains(filter))
+        })
+    }
 
     fn make_bencher(&self) -> Bencher {
         let scale = self.criterion.time_scale;
@@ -314,7 +352,7 @@ fn robust_median(sorted: &[f64]) -> f64 {
 macro_rules! criterion_group {
     ($group:ident, $($target:path),+ $(,)?) => {
         pub fn $group() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $( $target(&mut criterion); )+
         }
     };
@@ -337,7 +375,10 @@ mod tests {
     #[test]
     fn measures_something_sane() {
         std::env::remove_var("CRITERION_JSON");
-        let mut c = Criterion { time_scale: 0.02 };
+        let mut c = Criterion {
+            time_scale: 0.02,
+            filter: None,
+        };
         let mut group = c.benchmark_group("shim");
         group.sample_size(5);
         let mut ran = false;
@@ -353,6 +394,50 @@ mod tests {
         });
         group.finish();
         assert!(ran);
+    }
+
+    #[test]
+    fn name_filter_matches_group_and_bench() {
+        std::env::remove_var("CRITERION_JSON");
+        let mut c = Criterion::default().with_filter(Some("shim/ke".into()));
+        c.time_scale = 0.001;
+        let mut group = c.benchmark_group("shim");
+        group.sample_size(3);
+        let mut ran = Vec::new();
+        for name in ["kept", "skipped"] {
+            group.bench_function(name, |b| {
+                b.iter(|| 0u8);
+                ran.push(name);
+            });
+        }
+        group.bench_with_input(BenchmarkId::new("keyed", 1), &(), |b, _| {
+            b.iter(|| 0u8);
+            ran.push("keyed/1");
+        });
+        group.bench_with_input(BenchmarkId::new("other", 1), &(), |b, _| {
+            b.iter(|| 0u8);
+            ran.push("other/1");
+        });
+        let (mut a_runs, mut b_runs) = (0, 0);
+        // A pair runs when either side matches, both sides together.
+        group.bench_pair("x", || a_runs += 1, "kernel", || b_runs += 1);
+        let (mut c_runs, mut d_runs) = (0, 0);
+        group.bench_pair("y", || c_runs += 1, "z", || d_runs += 1);
+        group.finish();
+        assert_eq!(ran, ["kept", "keyed/1"]);
+        assert!(a_runs > 0 && b_runs > 0);
+        assert_eq!((c_runs, d_runs), (0, 0));
+        // No filter runs everything.
+        let mut all = Criterion::default().with_filter(None);
+        all.time_scale = 0.001;
+        let mut group = all.benchmark_group("g");
+        group.sample_size(3);
+        let mut runs = 0;
+        group.bench_function("any", |b| {
+            b.iter(|| 0u8);
+            runs += 1;
+        });
+        assert_eq!(runs, 1);
     }
 
     #[test]

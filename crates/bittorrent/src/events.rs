@@ -23,7 +23,7 @@
 //! |---|---|---|
 //! | transfer | 0 | recipient slot `a`, global edge slot `b` |
 //! | departure | 1 | peer slot `a`, abort-only flag `b`, generation `tag` |
-//! | arrival | 2 | arrival index `a`, chain flag `b` |
+//! | arrival | 2 | `a = 0`, chain flag `b` |
 //! | rechoke | 3 | peer slot `a`, tick `b`, generation `tag` |
 //! | announce | 4 | peer slot `a`, generation `tag` |
 //!
@@ -33,6 +33,9 @@
 //! A peer's `tag` is its generation tag in the swarm arena, which every
 //! arrival into the slot bumps, so events queued for a departed occupant
 //! die at fire time. Tags are equality guards only: never order, never keys.
+//! Arrivals carry no index: the chain flag is the same for every arrival
+//! of a run (all Poisson or all trace), so `seq`, assigned at push time,
+//! orders same-time arrivals in push order.
 //!
 //! Transfers live in their own indexed queue (`queue::EdgeQueue`) holding
 //! at most one crossing per edge slot; departures, arrivals, rechokes and
@@ -131,8 +134,8 @@ struct Ev {
     tag: u64,
 }
 
-/// Bit offset of the kind in [`Ev::kind_a`]; `a` (a peer slot or an
-/// arrival index) fits below it.
+/// Bit offset of the kind in [`Ev::kind_a`]; `a` (a peer slot, or 0 for
+/// an arrival) fits below it.
 const KIND_SHIFT: u32 = 56;
 
 impl Ev {
@@ -376,8 +379,6 @@ pub struct EventEngine {
 
     /// Arrivals admitted so far (drives round-robin class assignment).
     arrival_counter: u64,
-    /// Arrival events scheduled so far (tie-break payload).
-    arrivals_pushed: u64,
     completions: Vec<CompletionRecord>,
     stats: EventStats,
 }
@@ -437,7 +438,6 @@ impl EventEngine {
             picks: Vec::new(),
             wire_scratch: Vec::new(),
             arrival_counter: 0,
-            arrivals_pushed: 0,
             completions: Vec::new(),
             stats: EventStats::default(),
         };
@@ -470,15 +470,13 @@ impl EventEngine {
                     let sq = self.alloc_seq();
                     let mut rng = streams::keyed(seed, streams::EVENT_SEQ, sq);
                     let gap = exp_gap(&mut rng, 1.0 / rate);
-                    let idx = self.arrival_pushed();
-                    self.push(gap, K_ARRIVAL, idx, 1, 0);
+                    self.push(gap, K_ARRIVAL, 0, 1, 0);
                 }
             }
             ArrivalProcess::Trace { arrivals } => {
                 for &(round, count) in arrivals {
                     for _ in 0..count {
-                        let idx = self.arrival_pushed();
-                        self.push(round as f64, K_ARRIVAL, idx, 0, 0);
+                        self.push(round as f64, K_ARRIVAL, 0, 0, 0);
                     }
                 }
             }
@@ -780,7 +778,8 @@ impl EventEngine {
             self.window[e] = 0.0;
         }
         self.targets = targets;
-        self.plan_pieces.copy_slot_from(p, self.swarm.piece_arena());
+        self.plan_pieces
+            .copy_row(p, self.swarm.piece_arena().view(p));
         self.snapshot_dirty = true;
         self.push((tick + 1) as f64, K_RECHOKE, p as u64, tick + 1, gen);
     }
@@ -1021,7 +1020,7 @@ impl EventEngine {
         self.arrival_counter += 1;
         self.arrival_time[slot] = tau;
         self.plan_pieces
-            .copy_slot_from(slot, self.swarm.piece_arena());
+            .copy_row(slot, self.swarm.piece_arena().view(slot));
         // The newcomer changes availability: piece picks after this
         // timestamp must see it.
         self.snapshot_dirty = true;
@@ -1056,8 +1055,7 @@ impl EventEngine {
         };
         if chain && rate > 0.0 {
             let gap = exp_gap(&mut rng, 1.0 / rate);
-            let idx = self.arrival_pushed();
-            self.push(tau + gap, K_ARRIVAL, idx, 1, 0);
+            self.push(tau + gap, K_ARRIVAL, 0, 1, 0);
         }
     }
 
@@ -1155,14 +1153,6 @@ impl EventEngine {
         let s = self.seq;
         self.seq += 1;
         s
-    }
-
-    /// Next arrival index (display / tie-break payload of arrival
-    /// events).
-    fn arrival_pushed(&mut self) -> u64 {
-        let idx = self.arrivals_pushed;
-        self.arrivals_pushed += 1;
-        idx
     }
 
     // ------------------------------------------------------------------

@@ -1,54 +1,12 @@
 //! Piece sets: fixed-size bitsets over the pieces of the shared file.
 //!
-//! Three shapes share one set of word kernels: [`PieceSet`], the owned
-//! value a peer arrives with (tracker draws, the reference engine);
-//! `PieceArena`, every engine's per-slot piece state as one flat word
-//! array; and [`PieceView`], the borrowed read view of one arena row.
+//! One layout, `PieceArena`, holds pieces as rows of `⌈piece_count / 64⌉`
+//! words: every engine keeps its per-slot piece state in one, and
+//! [`PieceSet`], the owned value a peer arrives with (tracker draws, the
+//! reference engine), is an arena of one row. [`PieceView`] is the
+//! borrowed read view of one row.
 
 use serde::Serialize;
-
-/// Words stored inline before falling back to the heap: 4 × 64 = 256
-/// pieces, covering every configuration the experiments run, so the
-/// tracker's arrival draws and the reference engine's per-peer sets need
-/// no heap allocation at the usual file sizes. The engines keep their
-/// piece state in a `PieceArena` instead, contiguous at any file size.
-const INLINE_WORDS: usize = 4;
-
-/// Bitset word storage: small files live inline, large ones on the heap.
-/// The variant is a pure function of the piece count (≤ 256 pieces ⇒
-/// inline), so derived equality never compares across variants.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum WordStore {
-    Inline([u64; INLINE_WORDS]),
-    Heap(Vec<u64>),
-}
-
-/// Serialized as a plain word array, matching the `Vec<u64>` encoding the
-/// field had before the inline-storage optimization.
-impl Serialize for WordStore {
-    fn serialize_json_into(&self, out: &mut String) {
-        out.push('[');
-        for (i, w) in self.as_full_slice().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&w.to_string());
-        }
-        out.push(']');
-    }
-}
-
-impl WordStore {
-    /// The backing words, inline padding included (trailing inline words
-    /// beyond the live length are kept zero).
-    #[inline]
-    fn as_full_slice(&self) -> &[u64] {
-        match self {
-            WordStore::Inline(words) => words,
-            WordStore::Heap(words) => words,
-        }
-    }
-}
 
 /// Bitset words covering `piece_count` pieces.
 #[inline]
@@ -129,7 +87,8 @@ pub(crate) fn candidate_mask_into(mine: &[u64], theirs: &[u64], mask: &mut [u64]
     cand
 }
 
-/// The set of pieces a peer holds, as a packed bitset.
+/// The set of pieces a peer holds, as a packed bitset: a one-row piece
+/// arena.
 ///
 /// # Examples
 ///
@@ -144,25 +103,15 @@ pub(crate) fn candidate_mask_into(mine: &[u64], theirs: &[u64], mask: &mut [u64]
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PieceSet {
-    words: WordStore,
-    piece_count: usize,
-    held: usize,
+    row: PieceArena,
 }
 
 impl PieceSet {
     /// An empty set over `piece_count` pieces.
     #[must_use]
     pub fn new(piece_count: usize) -> Self {
-        let len = word_len(piece_count);
-        let words = if len <= INLINE_WORDS {
-            WordStore::Inline([0; INLINE_WORDS])
-        } else {
-            WordStore::Heap(vec![0; len])
-        };
         Self {
-            words,
-            piece_count,
-            held: 0,
+            row: PieceArena::new(piece_count, 1),
         }
     }
 
@@ -170,57 +119,38 @@ impl PieceSet {
     #[must_use]
     pub fn full(piece_count: usize) -> Self {
         let mut s = Self::new(piece_count);
-        let words = s.words_mut();
-        words.fill(u64::MAX);
-        // Mask the tail bits beyond `piece_count` in the last word.
-        if let Some(last) = words.last_mut() {
-            *last = tail_mask(piece_count);
-        }
-        s.held = piece_count;
+        s.row.fill(0);
         s
     }
 
-    /// The live bitset words (`piece_count.div_ceil(64)` of them).
+    /// The bitset words (`piece_count.div_ceil(64)` of them).
     #[inline]
     pub(crate) fn words(&self) -> &[u64] {
-        &self.words.as_full_slice()[..word_len(self.piece_count)]
-    }
-
-    #[inline]
-    fn words_mut(&mut self) -> &mut [u64] {
-        let len = word_len(self.piece_count);
-        match &mut self.words {
-            WordStore::Inline(words) => &mut words[..len],
-            WordStore::Heap(words) => &mut words[..len],
-        }
+        self.row.row(0)
     }
 
     /// The set as a borrowed read view — the shape an engine's
     /// [`crate::Peer::pieces`] hands out.
     pub(crate) fn view(&self) -> PieceView<'_> {
-        PieceView {
-            words: self.words(),
-            held: self.held,
-            piece_count: self.piece_count,
-        }
+        self.row.view(0)
     }
 
     /// Total number of pieces in the file.
     #[must_use]
     pub fn piece_count(&self) -> usize {
-        self.piece_count
+        self.row.piece_count
     }
 
     /// Number of pieces held.
     #[must_use]
     pub fn count(&self) -> usize {
-        self.held
+        self.view().count()
     }
 
     /// Whether all pieces are held.
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        self.held == self.piece_count
+        self.row.is_complete(0)
     }
 
     /// Whether piece `i` is held.
@@ -240,20 +170,12 @@ impl PieceSet {
     ///
     /// Panics if `i >= piece_count`.
     pub fn insert(&mut self, i: usize) -> bool {
-        assert!(i < self.piece_count, "piece {i} out of range");
-        let mask = 1u64 << (i % 64);
-        let word = &mut self.words_mut()[i / 64];
-        if *word & mask != 0 {
-            return false;
-        }
-        *word |= mask;
-        self.held += 1;
-        true
+        self.row.row_mut(0).insert(i)
     }
 
     /// Iterates over the held pieces in ascending order (word-parallel).
     pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
-        ones_in(self.words())
+        self.view().ones()
     }
 
     /// Whether `other` holds at least one piece this set lacks — i.e.
@@ -266,17 +188,8 @@ impl PieceSet {
 
     /// Iterates over the pieces `other` has and `self` lacks.
     pub fn missing_from<'a>(&'a self, other: &'a PieceSet) -> impl Iterator<Item = usize> + 'a {
-        debug_assert_eq!(self.piece_count, other.piece_count);
+        debug_assert_eq!(self.piece_count(), other.piece_count());
         missing_in_words(self.words(), other.words())
-    }
-
-    /// Iterates over the pieces `self` has and `other` lacks — the dual
-    /// of [`PieceSet::missing_from`] (`a.missing_in(b)` ≡
-    /// `b.missing_from(a)` with the receiver as the *holder*), so sender
-    /// -side kernels can enumerate what they can offer a neighbour with
-    /// one ANDNOT sweep.
-    pub fn missing_in<'a>(&'a self, other: &'a PieceSet) -> impl Iterator<Item = usize> + 'a {
-        other.missing_from(self)
     }
 
     /// The **rarest-first** pick: among pieces `other` has and `self`
@@ -284,14 +197,14 @@ impl PieceSet {
     /// lowest index, matching a deterministic tie-break).
     #[must_use]
     pub fn rarest_missing_from(&self, other: &PieceSet, availability: &[u32]) -> Option<usize> {
-        debug_assert_eq!(availability.len(), self.piece_count);
+        debug_assert_eq!(availability.len(), self.piece_count());
         self.missing_from(other)
             .min_by_key(|&i| (availability[i], i))
     }
 }
 
 /// A borrowed read view of one peer's pieces: a row of an engine's piece
-/// arena (from [`crate::Peer::pieces`]) or a [`PieceSet`]'s words. Copies
+/// arena (from [`crate::Peer::pieces`]) or a [`PieceSet`]. Copies
 /// are cheap (three words); equality compares the held pieces.
 ///
 /// # Examples
@@ -365,7 +278,7 @@ impl<'a> PieceView<'a> {
 /// clearing or sliding a range of slots is a block copy. Bits past
 /// `piece_count` and the rows of absent slots stay zero (the swarm's
 /// consistency check verifies both).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub(crate) struct PieceArena {
     piece_count: usize,
     stride: usize,
@@ -457,14 +370,6 @@ impl PieceArena {
         (row, sender)
     }
 
-    /// Overwrites row `p` with `set`.
-    pub(crate) fn assign(&mut self, p: usize, set: &PieceSet) {
-        debug_assert_eq!(set.piece_count(), self.piece_count);
-        let w = self.stride;
-        self.words[p * w..][..w].copy_from_slice(set.words());
-        self.held[p] = set.count() as u32;
-    }
-
     /// Fills row `p` with every piece (a seed).
     pub(crate) fn fill(&mut self, p: usize) {
         let row = self.row_mut(p);
@@ -482,13 +387,13 @@ impl PieceArena {
         *row.held = 0;
     }
 
-    /// Copies slot `p`'s row from `src` (same file), the event core's
-    /// rechoke-time sender snapshot.
-    pub(crate) fn copy_slot_from(&mut self, p: usize, src: &PieceArena) {
-        debug_assert_eq!(self.stride, src.stride);
+    /// Overwrites row `p` with `src` (same file): an arrival's drawn
+    /// pieces, or the event core's rechoke-time sender snapshot.
+    pub(crate) fn copy_row(&mut self, p: usize, src: PieceView<'_>) {
+        debug_assert_eq!(src.piece_count, self.piece_count);
         let w = self.stride;
-        self.words[p * w..][..w].copy_from_slice(src.row(p));
-        self.held[p] = src.held[p];
+        self.words[p * w..][..w].copy_from_slice(src.words);
+        self.held[p] = src.held as u32;
     }
 
     /// Grows (with empty rows) or shrinks the arena to `slots` rows.
@@ -678,15 +583,13 @@ mod tests {
         a.insert(64);
         let missing: Vec<usize> = a.missing_from(&b).collect();
         assert_eq!(missing, vec![0, 129]);
-        // The dual enumerates the same pieces from the holder's side.
-        let offered: Vec<usize> = b.missing_in(&a).collect();
-        assert_eq!(offered, vec![0, 129]);
+        // Nothing flows the other way: `b` holds every piece `a` has.
+        assert_eq!(b.missing_from(&a).count(), 0);
     }
 
     #[test]
-    fn heap_fallback_beyond_inline_capacity() {
-        // 300 pieces exceed the 4 inline words; every operation must
-        // behave identically on the heap path.
+    fn sets_past_four_words() {
+        // 300 pieces span five words, the last one partial.
         let mut s = PieceSet::new(300);
         assert!(s.insert(257));
         assert!(s.contains(257));
@@ -695,7 +598,7 @@ mod tests {
         assert_eq!(full.count(), 300);
         assert!(full.is_complete());
         assert_eq!(s.missing_from(&full).count(), 299);
-        assert_eq!(full.missing_in(&s).count(), 299);
+        assert_eq!(full.missing_from(&s).count(), 0);
     }
 
     #[test]
@@ -765,15 +668,14 @@ mod tests {
     fn arena_of(sets: &[PieceSet]) -> PieceArena {
         let mut arena = PieceArena::new(sets[0].piece_count(), sets.len());
         for (p, set) in sets.iter().enumerate() {
-            arena.assign(p, set);
+            arena.copy_row(p, set.view());
         }
         arena
     }
 
     /// The arena's interest is `is_interested_in` bit for bit (complete
     /// and empty rows included), and its rows read back as the sets they
-    /// were assigned, across word boundaries and the old inline/heap
-    /// split.
+    /// were copied from, across word boundaries.
     #[test]
     fn arena_interest_and_views_match_piece_sets() {
         use rand::SeedableRng;

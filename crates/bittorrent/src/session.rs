@@ -24,9 +24,9 @@
 //!   for it, so stale handles never alias a reincarnated slot.
 //!
 //! The swarm arena keeps the one membership ledger (the present list the
-//! tracker samples, generation tags, stream order), so a session holds
-//! only lifecycle state: arrival rounds, completion and leave decisions,
-//! and the publisher squad.
+//! tracker samples, generation tags, stream order) and each peer's
+//! completion stamp, so a session holds only lifecycle state: arrival
+//! rounds, leave decisions, and the publisher squad.
 //!
 //! # Determinism contract
 //!
@@ -405,8 +405,6 @@ pub struct Session {
     config: SessionConfig,
     /// Round at which the slot's current occupant arrived.
     arrival_round: Vec<u64>,
-    /// Whether the occupant's completion has been recorded in the stats.
-    completion_recorded: Vec<bool>,
     /// Whether the occupant already faced its leave-on-completion draw.
     leave_decided: Vec<bool>,
     /// Whether the slot's current occupant belongs to the **publisher
@@ -416,15 +414,10 @@ pub struct Session {
     /// peers behave like freshly promoted seeds and stay mortal).
     publisher: Vec<bool>,
     stats: SessionStats,
-    /// True when both processes are inert — the zero-churn fast path that
-    /// keeps the session bit-identical to the closed engine.
-    inert: bool,
-    /// The fault schedule (see [`crate::faults`]).
+    /// The fault schedule (see [`crate::faults`]). Each fault pass tests
+    /// its own axis, so an inert plan draws nothing and leaves the
+    /// session bit-identical to one built without a plan.
     faults: FaultPlan,
-    /// True when the plan injects anything; every fault hook is gated on
-    /// this, so inert plans leave the session bit-identical to one built
-    /// without a plan.
-    faults_active: bool,
     /// Arrivals whose announce hit a tracker outage, waiting to retry.
     pending: Vec<PendingAnnounce>,
     /// Reusable candidate buffer of capped tracker requests.
@@ -499,9 +492,8 @@ impl Session {
         if let Err(reason) = faults.validate() {
             panic!("invalid fault plan: {reason}");
         }
-        let inert = config.arrival.is_inert() && config.departure.is_inert();
-        let faults_active = !faults.is_inert();
-        if !inert || faults_active {
+        let churned = !(config.arrival.is_inert() && config.departure.is_inert());
+        if churned || !faults.is_inert() {
             swarm.reserve_overlay_slack(config.target_degree.max(4));
         }
         if faults.loss_prob > 0.0 {
@@ -513,13 +505,10 @@ impl Session {
             swarm,
             config,
             arrival_round: vec![0; n],
-            completion_recorded: vec![false; n],
             leave_decided: vec![false; n],
             publisher,
             stats: SessionStats::default(),
-            inert,
             faults,
-            faults_active,
             pending: Vec::new(),
             wire_scratch: Vec::new(),
             pass_buf: Vec::new(),
@@ -698,8 +687,9 @@ impl Session {
     /// pass, partition cuts), then arrivals (queued during outages),
     /// announce retries, the overlay-repair pass, one swarm round
     /// (serial when `threads` is `None`), and completion recording.
-    /// Every fault hook is gated on the plan being non-inert, so the
-    /// zero-fault step is exactly the PR 5 session step.
+    /// Each pass tests its own rule and draws nothing when that rule is
+    /// off, so inert processes and an inert fault plan leave the step
+    /// bit-identical to the closed engine's round.
     fn step_round<O: RunObserver>(&mut self, threads: Option<usize>, obs: &O) {
         self.membership_pass_with(obs);
         self.round_pass_with(threads, obs);
@@ -717,21 +707,11 @@ impl Session {
     /// whenever that work touches no session state.
     pub fn membership_pass_with<O: RunObserver>(&mut self, obs: &O) {
         let round = self.swarm.round_count();
-        if !self.inert {
-            self.departure_pass(round, obs);
-        }
-        if self.faults_active {
-            self.fault_pass(round, obs);
-        }
-        if !self.inert {
-            self.arrival_pass(round, obs);
-        }
-        if self.faults_active {
-            self.retry_pass(round, obs);
-        }
-        if self.faults_active {
-            self.repair_pass(round);
-        }
+        self.departure_pass(round, obs);
+        self.fault_pass(round, obs);
+        self.arrival_pass(round, obs);
+        self.retry_pass(round, obs);
+        self.repair_pass(round);
     }
 
     /// The round half of one session step: one swarm round (serial when
@@ -860,7 +840,6 @@ impl Session {
             });
         }
         retain_live(&remap, &mut self.arrival_round);
-        retain_live(&remap, &mut self.completion_recorded);
         retain_live(&remap, &mut self.leave_decided);
         retain_live(&remap, &mut self.publisher);
         self.compactions += 1;
@@ -1023,7 +1002,7 @@ impl Session {
             );
             self.config.arrival.count_at(round, &mut rng)
         };
-        let outage = self.faults_active && self.faults.outage_active(round);
+        let outage = self.faults.outage_active(round);
         for i in 0..count {
             let mut rng = streams::keyed(
                 self.config.session_seed,
@@ -1073,12 +1052,10 @@ impl Session {
             .arrive(upload_kbps, PeerBehavior::Compliant, pieces);
         if slot == self.arrival_round.len() {
             self.arrival_round.push(0);
-            self.completion_recorded.push(false);
             self.leave_decided.push(false);
             self.publisher.push(false);
         }
         self.arrival_round[slot] = round;
-        self.completion_recorded[slot] = false;
         self.leave_decided[slot] = false;
         // Session arrivals are never publishers, complete or not.
         self.publisher[slot] = false;
@@ -1095,7 +1072,7 @@ impl Session {
     /// configured peer-list cap; while a partition is active the tracker
     /// refuses cross-half candidates. Returns the edges added.
     fn wire(&mut self, slot: PeerId, rng: &mut ChaCha8Rng, round: u64) -> usize {
-        let partitioned = self.faults_active && self.faults.partition_active(round);
+        let partitioned = self.faults.partition_active(round);
         let target = self.effective_target(partitioned);
         tracker::wire(
             &mut self.swarm,
@@ -1138,21 +1115,28 @@ impl Session {
         }
     }
 
+    /// The completion round of `slot`'s occupant when the round just run
+    /// completed its download — the one newness test of both completion
+    /// recorders (this session's and the universe's), which run right
+    /// after every round. Every engine stamps a completion in round `r`
+    /// as `r + 1`, which is `round_count()` once the round ends; a
+    /// leecher complete from initialization carries stamp 0 and is new
+    /// after the first round. Original seeds never complete.
+    pub(crate) fn fresh_completion(&self, slot: PeerId) -> Option<u64> {
+        let peer = self.swarm.peer(slot);
+        let round = self.swarm.round_count();
+        let stamp = peer.completed_round()?;
+        let fresh = stamp == round || (stamp == 0 && round == 1);
+        (fresh && !peer.is_original_seed()).then_some(stamp)
+    }
+
     /// Records download completions that happened during the last round
     /// (non-original peers only — arriving seeds never "complete").
     fn record_completions(&mut self) {
         let order = self.take_pass_order();
         for &p in &order {
             let p = p as usize;
-            if self.completion_recorded[p] {
-                continue;
-            }
-            let peer = self.swarm.peer(p);
-            if peer.is_original_seed() {
-                continue;
-            }
-            if let Some(completed) = peer.completed_round() {
-                self.completion_recorded[p] = true;
+            if let Some(completed) = self.fresh_completion(p) {
                 self.stats.completions += 1;
                 self.stats
                     .completion_records
@@ -1462,6 +1446,89 @@ mod tests {
         for threads in [2, 3, 8] {
             assert_eq!(run(threads), baseline, "threads = {threads}");
         }
+    }
+
+    /// The fresh completions the recorder must take after a round: every
+    /// present non-publisher whose stamp is the round just run, as
+    /// `(arrival round, completion round)` in pass order.
+    fn fresh_in_pass_order(session: &Session) -> Vec<(u64, u64)> {
+        let round = session.round_count();
+        let mut order = Vec::new();
+        session.swarm().present_in_stream_order(&mut order);
+        order
+            .into_iter()
+            .map(|p| p as usize)
+            .filter(|&p| {
+                let peer = session.swarm().peer(p);
+                !peer.is_original_seed() && peer.completed_round() == Some(round)
+            })
+            .map(|p| (session.arrival_round_of(p), round))
+            .collect()
+    }
+
+    /// Exactly-once recording: after every round of a churned, crashing
+    /// session that compacts, the records match the completion count and
+    /// the round's new records are exactly its fresh completions.
+    #[test]
+    fn completions_are_recorded_exactly_once_across_compactions() {
+        let swarm = base_swarm(40, 2, 31);
+        let mut session = Session::with_faults(
+            swarm,
+            SessionConfig {
+                arrival: ArrivalProcess::Poisson { rate: 4.0 },
+                departure: DepartureRules {
+                    leave_on_completion: 0.6,
+                    seed_leave_prob: 0.4,
+                    abort_prob: 0.02,
+                    ..DepartureRules::none()
+                },
+                arrival_upload_kbps: 400.0,
+                target_degree: 8,
+                session_seed: 31,
+                compact_threshold: Some(0.2),
+                ..SessionConfig::default()
+            },
+            FaultPlan {
+                crash_prob: 0.02,
+                fault_seed: 7,
+                ..FaultPlan::none()
+            },
+        );
+        for _ in 0..60 {
+            let before = session.stats().completion_records.len();
+            session.run_rounds(1);
+            let stats = session.stats();
+            assert_eq!(stats.completion_records.len() as u64, stats.completions);
+            assert_eq!(
+                stats.completion_records[before..],
+                fresh_in_pass_order(&session)[..],
+                "round {}",
+                session.round_count()
+            );
+        }
+        assert!(session.compactions() > 0, "compaction never fired");
+        assert!(session.stats().crashes > 0);
+        assert!(session.stats().completions > 20);
+    }
+
+    /// A leecher complete from initialization carries stamp 0 and is
+    /// recorded once, after the first round.
+    #[test]
+    fn leechers_complete_at_start_are_recorded_after_the_first_round() {
+        let cfg = SwarmConfig::builder()
+            .leechers(6)
+            .seeds(1)
+            .piece_count(8)
+            .initial_completion(1.0)
+            .seed(3)
+            .build();
+        let swarm = Swarm::new(cfg, &[400.0; 7]);
+        let mut session = Session::new(swarm, SessionConfig::default());
+        session.run_rounds(1);
+        assert_eq!(session.stats().completions, 6);
+        assert_eq!(session.stats().completion_records, vec![(0, 0); 6]);
+        session.run_rounds(3);
+        assert_eq!(session.stats().completions, 6);
     }
 
     #[test]

@@ -171,7 +171,7 @@ impl Swarm {
         for i in pieces.ones() {
             self.avail.increment(i);
         }
-        self.pieces.assign(p, &pieces);
+        self.pieces.copy_row(p, pieces.view());
         self.completed_round[p] = None;
         self.original_seed[p] = complete;
         self.total_up[p] = 0.0;

@@ -640,17 +640,10 @@ impl Swarm {
 
     /// Cumulative number of download completions: every peer that entered
     /// incomplete and finished the file, **including** peers that have
-    /// since departed. Equals [`Swarm::completed_count`] on closed swarms.
+    /// since departed.
     #[must_use]
     pub fn completed(&self) -> usize {
         self.completed_total
-    }
-
-    /// Number of leechers that completed the file (cumulative; see
-    /// [`Swarm::completed`], which this forwards to).
-    #[must_use]
-    pub fn completed_count(&self) -> usize {
-        self.completed()
     }
 
     /// The peers `p` is currently TFT-unchoking.

@@ -101,11 +101,11 @@ fn swarm_completes_with_enough_rounds() {
     let mut swarm = Swarm::new(cfg, &uniform_uploads(11, 1000.0));
     for _ in 0..400 {
         swarm.round();
-        if swarm.completed_count() == 10 {
+        if swarm.completed() == 10 {
             break;
         }
     }
-    assert_eq!(swarm.completed_count(), 10, "swarm failed to complete");
+    assert_eq!(swarm.completed(), 10, "swarm failed to complete");
     // Completion rounds recorded and within the horizon.
     for p in 0..10 {
         assert!(swarm.peer(p).completed_round().is_some());
@@ -228,7 +228,7 @@ fn completed_leechers_keep_seeding_when_configured() {
         .build();
     let mut swarm = Swarm::new(cfg, &uniform_uploads(9, 2000.0));
     swarm.run_rounds(100);
-    assert_eq!(swarm.completed_count(), 8);
+    assert_eq!(swarm.completed(), 8);
     // Completed leechers continued to upload after completing.
     let up: f64 = (0..8).map(|p| swarm.peer(p).total_uploaded()).sum();
     assert!(up > 0.0);

@@ -173,10 +173,10 @@ impl UniverseConfig {
 struct Replica {
     torrent: u32,
     id: SessionPeerId,
-    /// False once the occupant departed (own churn or withdrawal).
+    /// False once the occupant departed (own churn or withdrawal). A
+    /// membership's completion is recorded once, in the step whose round
+    /// stamped it ([`Session::fresh_completion`]).
     active: bool,
-    /// Whether this membership's completion is already in the records.
-    completion_recorded: bool,
 }
 
 /// A universe member: class, capacity, and its replicas (home first).
@@ -395,7 +395,6 @@ impl Universe {
                             torrent: t as u32,
                             id,
                             active: true,
-                            completion_recorded: false,
                         }],
                     });
                     self.map_slot(t, slot, m);
@@ -637,7 +636,6 @@ impl Universe {
             torrent: home as u32,
             id,
             active: true,
-            completion_recorded: false,
         }];
         self.map_slot(home, slot, m);
         let MembershipModel::Fixed { extra } = self.config.membership;
@@ -651,7 +649,6 @@ impl Universe {
                 torrent: t as u32,
                 id: rid,
                 active: true,
-                completion_recorded: false,
             });
             self.stats.cross_joins += 1;
         }
@@ -811,30 +808,20 @@ impl Universe {
     /// passes (a replica that completed this round is still present —
     /// its earliest possible departure is next round's membership pass).
     fn record_completions(&mut self) {
-        for m in 0..self.members.len() {
-            for r in 0..self.members[m].replicas.len() {
-                let (t, id) = {
-                    let rep = &self.members[m].replicas[r];
-                    if !rep.active || rep.completion_recorded {
-                        continue;
-                    }
-                    (rep.torrent as usize, rep.id)
-                };
-                let Some(slot) = self.sessions[t].resolve(id) else {
+        for (m, member) in self.members.iter().enumerate() {
+            for rep in member.replicas.iter().filter(|rep| rep.active) {
+                let t = rep.torrent as usize;
+                let session = &self.sessions[t];
+                let Some(slot) = session.resolve(rep.id) else {
                     continue;
                 };
-                let peer = self.sessions[t].swarm().peer(slot);
-                if peer.is_original_seed() {
-                    continue;
-                }
-                if let Some(completed) = peer.completed_round() {
-                    self.members[m].replicas[r].completion_recorded = true;
+                if let Some(completed) = session.fresh_completion(slot) {
                     self.stats.completions += 1;
                     self.stats.completion_records.push(UniverseCompletion {
                         member: m as u32,
                         torrent: t as u32,
-                        class: self.members[m].class,
-                        arrival_round: self.sessions[t].arrival_round_of(slot),
+                        class: member.class,
+                        arrival_round: session.arrival_round_of(slot),
                         completed_round: completed,
                     });
                 }
@@ -1086,6 +1073,38 @@ mod tests {
             assert!(rec.completed_round > rec.arrival_round || rec.arrival_round == 0);
             assert_ne!(rec.class, UNTRACKED_CLASS, "publishers never complete");
         }
+    }
+
+    /// Exactly-once recording across torrents: after every step the
+    /// records match the completion count, and the step's new records
+    /// are the fresh completions of every torrent (each present peer is
+    /// a member's replica), stamped with the round just run.
+    #[test]
+    fn completions_are_recorded_exactly_once_per_step() {
+        let mut u = universe(3, 1);
+        for _ in 0..60 {
+            let before = u.stats().completion_records.len();
+            u.run_rounds(1, None);
+            let round = u.session(0).round_count();
+            let fresh: usize = (0..3)
+                .map(|t| {
+                    let swarm = u.session(t).swarm();
+                    (0..swarm.peer_count())
+                        .filter(|&p| swarm.is_present(p))
+                        .map(|p| swarm.peer(p))
+                        .filter(|peer| {
+                            !peer.is_original_seed() && peer.completed_round() == Some(round)
+                        })
+                        .count()
+                })
+                .sum();
+            let stats = u.stats();
+            assert_eq!(stats.completion_records.len() as u64, stats.completions);
+            let new = &stats.completion_records[before..];
+            assert_eq!(new.len(), fresh, "round {round}");
+            assert!(new.iter().all(|rec| rec.completed_round == round));
+        }
+        assert!(u.stats().completions > 20);
     }
 
     #[test]

@@ -1052,7 +1052,7 @@ mod tests {
         // `run_rounds_parallel`, not the legacy sequential `run_rounds`).
         let mut swarm = scenario.build_swarm(&mut rng(4)).unwrap();
         swarm.run_rounds_parallel(6, 2);
-        assert_eq!(engine.swarm().completed_count(), swarm.completed_count());
+        assert_eq!(engine.swarm().completed(), swarm.completed());
         for p in 0..swarm.peer_count() {
             assert_eq!(
                 engine.swarm().peer(p).total_downloaded().to_bits(),

@@ -98,7 +98,7 @@ fn run_scenario_with_threads(
         let step = sample_every.min(rounds - simulated);
         swarm.run_rounds_parallel(step, threads);
         simulated += step;
-        let completed = swarm.completed_count();
+        let completed = swarm.completed();
         let mean_progress = (0..leechers)
             .map(|p| swarm.peer(p).pieces().count() as f64 / piece_count as f64)
             .sum::<f64>()

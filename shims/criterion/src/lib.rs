@@ -9,7 +9,9 @@
 //! per-iteration time after Tukey IQR outlier rejection (samples outside
 //! `[Q1 − 1.5·IQR, Q3 + 1.5·IQR]` — warm-up spikes, scheduler
 //! preemptions — are discarded before the median is taken, so exported
-//! ratios stop absorbing them).
+//! ratios stop absorbing them). A `bench_pair` also keeps the median of
+//! its per-sample B/A ratios ([`Criterion::pair_ratio`]), the statistic
+//! a near-identical pair is gated on.
 //!
 //! Name filter: a bench binary built with `criterion_group!` takes its
 //! first non-flag command-line argument as a substring filter on
@@ -34,11 +36,18 @@ use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
+/// Target duration of one side's block in a `bench_pair` sample: short
+/// enough that neighbouring A and B blocks share the machine's state.
+const PAIR_BLOCK: Duration = Duration::from_millis(1);
+
 /// Top-level benchmark driver.
 pub struct Criterion {
     time_scale: f64,
     /// Substring a benchmark's `group/bench` name must contain to run.
     filter: Option<String>,
+    /// Every measured `bench_pair`: its B side's `group/bench` name and
+    /// the median of its per-sample B/A ratios.
+    pair_ratios: Vec<(String, f64)>,
 }
 
 impl Default for Criterion {
@@ -51,6 +60,7 @@ impl Default for Criterion {
         Self {
             time_scale,
             filter: None,
+            pair_ratios: Vec::new(),
         }
     }
 }
@@ -70,6 +80,17 @@ impl Criterion {
     pub fn with_filter(mut self, filter: Option<String>) -> Self {
         self.filter = filter;
         self
+    }
+
+    /// The median per-sample B/A time ratio of the measured `bench_pair`
+    /// whose B side is `group/bench_b`, or `None` if no such pair ran.
+    #[must_use]
+    pub fn pair_ratio(&self, group: &str, bench_b: &str) -> Option<f64> {
+        let name = format!("{group}/{bench_b}");
+        self.pair_ratios
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, ratio)| ratio)
     }
 
     /// Starts a named group of related benchmarks.
@@ -161,12 +182,16 @@ impl BenchmarkGroup<'_> {
     }
 
     /// Measures two bodies with **interleaved** sample blocks, reporting
-    /// one row each. Back-to-back `bench_function` runs of near-identical
-    /// kernels absorb slow machine drift (frequency scaling, thermal
-    /// state) into their ratio; alternating A/B blocks within every
-    /// sample keeps that drift common to both sides, so the ratio of the
-    /// two medians is meaningful at the percent level. Both sides run
-    /// the same calibrated iteration count per block.
+    /// one row each plus the median of the per-sample B/A ratios
+    /// ([`Criterion::pair_ratio`]). Back-to-back `bench_function` runs of
+    /// near-identical kernels absorb machine drift (frequency scaling,
+    /// neighbours' load) into their ratio. Here every sample times one
+    /// short A block and one short B block back to back (about a
+    /// millisecond each), so both see the same machine state, and the
+    /// side that runs first alternates from sample to sample, so neither
+    /// always inherits the other's cache state. A preemption spoils one
+    /// sample's ratio, not a side's median. The samples fill the
+    /// measurement budget, and there are at least `sample_size` of them.
     pub fn bench_pair<OA, OB>(
         &mut self,
         id_a: impl Into<String>,
@@ -192,30 +217,40 @@ impl BenchmarkGroup<'_> {
         }
         let per_pair = warm_start.elapsed().as_secs_f64() / warm_iters as f64;
 
-        // Calibrate so the A+B blocks of one sample fill the per-sample
-        // slice of the measurement budget.
+        // Calibrate the blocks to about `PAIR_BLOCK` per side, then take
+        // as many samples as fill the measurement budget.
+        let per_pair = per_pair.max(1e-9);
         let budget = measurement.as_secs_f64().max(1e-3);
-        let per_sample = budget / self.sample_size as f64;
-        let iters = ((per_sample / per_pair.max(1e-9)).floor() as u64).max(1);
+        let iters = ((2.0 * PAIR_BLOCK.as_secs_f64() / per_pair).floor() as u64).max(1);
+        let samples = ((budget / (per_pair * iters as f64)) as usize).max(self.sample_size);
 
-        let mut samples_a = Vec::with_capacity(self.sample_size);
-        let mut samples_b = Vec::with_capacity(self.sample_size);
-        for _ in 0..self.sample_size {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(a());
-            }
-            samples_a.push(start.elapsed().as_nanos() as f64 / iters as f64);
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(b());
-            }
-            samples_b.push(start.elapsed().as_nanos() as f64 / iters as f64);
+        let mut samples_a = Vec::with_capacity(samples);
+        let mut samples_b = Vec::with_capacity(samples);
+        let mut ratios = Vec::with_capacity(samples);
+        for sample in 0..samples {
+            let (ns_a, ns_b) = if sample % 2 == 0 {
+                let ns_a = time_block(iters, &mut a);
+                (ns_a, time_block(iters, &mut b))
+            } else {
+                let ns_b = time_block(iters, &mut b);
+                (time_block(iters, &mut a), ns_b)
+            };
+            samples_a.push(ns_a);
+            samples_b.push(ns_b);
+            ratios.push(ns_b / ns_a);
         }
         samples_a.sort_by(f64::total_cmp);
         samples_b.sort_by(f64::total_cmp);
-        self.emit(&id_a, robust_median(&samples_a), self.sample_size, iters);
-        self.emit(&id_b, robust_median(&samples_b), self.sample_size, iters);
+        ratios.sort_by(f64::total_cmp);
+        self.emit(&id_a, robust_median(&samples_a), samples, iters);
+        self.emit(&id_b, robust_median(&samples_b), samples, iters);
+        let ratio = robust_median(&ratios);
+        let name_b = format!("{}/{id_b}", self.name);
+        println!(
+            "{:<52} B/A ratio {ratio:.4} (median of per-sample ratios)",
+            name_b
+        );
+        self.criterion.pair_ratios.push((name_b, ratio));
         self
     }
 
@@ -319,6 +354,15 @@ impl Bencher {
     }
 }
 
+/// Runs `f` `iters` times and returns the mean time per call in ns.
+fn time_block<O>(iters: u64, f: &mut impl FnMut() -> O) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
+
 /// Linearly interpolated quantile of a sorted, non-empty slice.
 fn quantile(sorted: &[f64], p: f64) -> f64 {
     let idx = p * (sorted.len() - 1) as f64;
@@ -378,6 +422,7 @@ mod tests {
         let mut c = Criterion {
             time_scale: 0.02,
             filter: None,
+            pair_ratios: Vec::new(),
         };
         let mut group = c.benchmark_group("shim");
         group.sample_size(5);
@@ -427,6 +472,10 @@ mod tests {
         assert_eq!(ran, ["kept", "keyed/1"]);
         assert!(a_runs > 0 && b_runs > 0);
         assert_eq!((c_runs, d_runs), (0, 0));
+        // Only the measured pair leaves a ratio, keyed by its B side.
+        assert!(c.pair_ratio("shim", "kernel").is_some());
+        assert_eq!(c.pair_ratio("shim", "x"), None);
+        assert_eq!(c.pair_ratio("shim", "z"), None);
         // No filter runs everything.
         let mut all = Criterion::default().with_filter(None);
         all.time_scale = 0.001;

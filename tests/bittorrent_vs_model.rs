@@ -138,15 +138,11 @@ fn heterogeneous_swarm_completes_with_piece_dynamics() {
     let mut swarm = Swarm::new(config, &uploads);
     for _ in 0..3000 {
         swarm.round();
-        if swarm.completed_count() == leechers {
+        if swarm.completed() == leechers {
             break;
         }
     }
-    assert_eq!(
-        swarm.completed_count(),
-        leechers,
-        "swarm failed to complete"
-    );
+    assert_eq!(swarm.completed(), leechers, "swarm failed to complete");
     // Conservation at the end of the run.
     let up: f64 = (0..swarm.peer_count())
         .map(|p| swarm.peer(p).total_uploaded())

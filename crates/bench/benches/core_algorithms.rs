@@ -1,9 +1,9 @@
 //! Criterion benchmarks for the core algorithms: Algorithm 1 (generic and
-//! complete-graph forms) and the initiative dynamics — optimized vs the
-//! seed-faithful reference implementations (shared groups from
-//! `strat_bench`) — plus the analytic solvers, the Figure 9 Monte Carlo
-//! (lazy sampler vs the full-graph path), graph generation, and the swarm
-//! round loop (optimized vs the retained reference engine).
+//! complete-graph forms), the initiative dynamics, the Figure 9 Monte
+//! Carlo and the swarm round loop — shared groups from `strat_bench`, where
+//! each optimized engine runs in one interleaved pair with its reference
+//! twin (the row `<bench>/reference`) — plus the analytic solvers and
+//! graph generation.
 
 use std::time::Duration;
 
@@ -12,9 +12,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use strat_analytic::b_matching;
 use strat_bench::{
-    bench_dynamics, bench_dynamics_ref, bench_monte_carlo, bench_monte_carlo_ref, bench_prefs,
-    bench_prefs_ref, bench_stable_configuration, bench_stable_configuration_ref,
-    bench_swarm_rounds, bench_swarm_rounds_ref,
+    bench_dynamics, bench_monte_carlo, bench_prefs, bench_stable_configuration, bench_swarm_rounds,
 };
 use strat_graph::generators;
 
@@ -56,16 +54,11 @@ fn bench_graph(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_stable_configuration,
-    bench_stable_configuration_ref,
     bench_dynamics,
-    bench_dynamics_ref,
     bench_prefs,
-    bench_prefs_ref,
     bench_analytic,
     bench_monte_carlo,
-    bench_monte_carlo_ref,
     bench_graph,
-    bench_swarm_rounds,
-    bench_swarm_rounds_ref
+    bench_swarm_rounds
 );
 criterion_main!(benches);

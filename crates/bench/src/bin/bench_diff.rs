@@ -1,28 +1,34 @@
-//! Compares two `BENCH_core.json` reports row by row.
+//! Compares two `BENCH_core.json` reports.
 //!
 //! ```text
 //! cargo run --release -p strat-bench --bin bench_diff -- OLD.json NEW.json
 //! ```
 //!
-//! Prints a Markdown table with every `groups` row's old and new median
-//! and the NEW/OLD ratio, flagging rows that moved by more than 15% in
-//! either direction, plus rows present in only one report. The verdict
-//! is informational: the tool exits 0 whenever both reports parse, so a
+//! Prints two Markdown tables. The speedup table gives every pair's old
+//! and new reference/optimized ratio with its inter-quartile range, and
+//! flags a pair only when the two IQRs do not overlap: each ratio comes
+//! from interleaved samples, so it carries from run to run. The `groups`
+//! table gives every row's old and new median and the NEW/OLD ratio,
+//! flagging rows that moved by more than 15% in either direction; absolute
+//! medians depend on the machine and its load, so that table is context.
+//! Both tables list rows present in only one report. The verdict is
+//! informational: the tool exits 0 whenever both reports parse, so a
 //! noisy runner cannot fail a build with it. Exit 2 on bad arguments or
 //! unreadable reports.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
 use serde::Deserialize;
 
-/// A row moved when NEW/OLD is more than this far from 1.
+/// A `groups` row moved when NEW/OLD is more than this far from 1.
 const FLAG: f64 = 0.15;
 
 /// The part of a report this tool reads; every other key is ignored.
 #[derive(Deserialize)]
 struct Report {
     groups: Vec<Row>,
+    speedups: Vec<Speedup>,
 }
 
 /// One `groups` row.
@@ -33,21 +39,74 @@ struct Row {
     median_ns: f64,
 }
 
-/// `group/bench → median_ns` of one report's `groups` rows.
-fn medians(path: &str) -> Result<BTreeMap<String, f64>, String> {
+/// One `speedups` row: the median ratio and its quartiles.
+#[derive(Deserialize)]
+struct Speedup {
+    group: String,
+    bench: String,
+    speedup: f64,
+    speedup_q1: f64,
+    speedup_q3: f64,
+}
+
+/// One report's rows keyed by `group/bench`.
+struct Tables {
+    medians: BTreeMap<String, f64>,
+    speedups: BTreeMap<String, Speedup>,
+}
+
+fn load(path: &str) -> Result<Tables, String> {
     let raw = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let value = serde_json::from_str_value(&raw).map_err(|e| format!("{path}: {e:?}"))?;
     let report =
         Report::from_value(&value).map_err(|e| format!("{path}: malformed report: {e}"))?;
-    Ok(report
-        .groups
-        .into_iter()
-        .map(|row| (format!("{}/{}", row.group, row.bench), row.median_ns))
-        .collect())
+    Ok(Tables {
+        medians: report
+            .groups
+            .into_iter()
+            .map(|row| (format!("{}/{}", row.group, row.bench), row.median_ns))
+            .collect(),
+        speedups: report
+            .speedups
+            .into_iter()
+            .map(|row| (format!("{}/{}", row.group, row.bench), row))
+            .collect(),
+    })
+}
+
+/// Whether the inter-quartile ranges of two speedups share a point.
+fn iqrs_overlap(a: &Speedup, b: &Speedup) -> bool {
+    a.speedup_q1 <= b.speedup_q3 && b.speedup_q1 <= a.speedup_q3
 }
 
 fn moved(ratio: f64) -> bool {
     (ratio - 1.0).abs() > FLAG
+}
+
+/// Prints one Markdown table over every row of either report: the key,
+/// each report's `cells`, then `compare`'s text and flag for a row both
+/// reports hold. Returns the flagged and total row counts.
+fn table<T>(
+    header: &str,
+    old: &BTreeMap<String, T>,
+    new: &BTreeMap<String, T>,
+    cells: impl Fn(Option<&T>) -> String,
+    compare: impl Fn(&T, &T) -> (String, &'static str),
+) -> (usize, usize) {
+    println!("{header}");
+    let keys: BTreeSet<&String> = old.keys().chain(new.keys()).collect();
+    let mut flagged = 0;
+    for key in &keys {
+        let (o, n) = (old.get(*key), new.get(*key));
+        let (text, flag) = match (o, n) {
+            (Some(o), Some(n)) => compare(o, n),
+            (Some(_), None) => (String::new(), "only in old"),
+            (None, _) => (String::new(), "only in new"),
+        };
+        flagged += usize::from(!flag.is_empty());
+        println!("| {key} | {} | {} | {text} | {flag} |", cells(o), cells(n));
+    }
+    (flagged, keys.len())
 }
 
 fn main() -> ExitCode {
@@ -56,7 +115,7 @@ fn main() -> ExitCode {
         eprintln!("usage: bench_diff OLD.json NEW.json");
         return ExitCode::from(2);
     };
-    let (old, new) = match (medians(old_path), medians(new_path)) {
+    let (old, new) = match (load(old_path), load(new_path)) {
         (Ok(old), Ok(new)) => (old, new),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("bench_diff: {e}");
@@ -64,38 +123,47 @@ fn main() -> ExitCode {
         }
     };
 
-    println!("| row | old ns | new ns | new/old | |");
-    println!("|---|---:|---:|---:|---|");
-    let mut flagged = 0;
-    let mut rows = 0;
-    for (row, &old_ns) in &old {
-        rows += 1;
-        let Some(&new_ns) = new.get(row) else {
-            println!("| {row} | {old_ns:.0} | | | only in old |");
-            flagged += 1;
-            continue;
-        };
-        let ratio = new_ns / old_ns;
-        let flag = if moved(ratio) {
-            flagged += 1;
-            if ratio > 1.0 {
-                "**slower**"
-            } else {
-                "**faster**"
-            }
-        } else {
-            ""
-        };
-        println!("| {row} | {old_ns:.0} | {new_ns:.0} | {ratio:.2} | {flag} |");
-    }
-    for (row, &new_ns) in new.iter().filter(|(row, _)| !old.contains_key(*row)) {
-        println!("| {row} | | {new_ns:.0} | | only in new |");
-        rows += 1;
-        flagged += 1;
-    }
-    println!();
+    println!("#### Speedups (reference/optimized, median of interleaved per-sample ratios)\n");
+    let (flagged, pairs) = table(
+        "| pair | old | old IQR | new | new IQR | new/old | |\n|---|---:|---:|---:|---:|---:|---|",
+        &old.speedups,
+        &new.speedups,
+        |s| {
+            s.map_or(" | ".to_string(), |s| {
+                format!("{:.2} | {:.2}–{:.2}", s.speedup, s.speedup_q1, s.speedup_q3)
+            })
+        },
+        |o, n| {
+            let flag = match (iqrs_overlap(o, n), n.speedup > o.speedup) {
+                (true, _) => "",
+                (false, true) => "**faster**",
+                (false, false) => "**slower**",
+            };
+            (format!("{:.2}", n.speedup / o.speedup), flag)
+        },
+    );
     println!(
-        "{flagged} of {rows} rows flagged (moved by more than {:.0}%, or present in one report only)",
+        "\n{flagged} of {pairs} pairs flagged (IQRs do not overlap, or present in one report only)"
+    );
+
+    println!("\n#### Medians (machine-dependent context)\n");
+    let (flagged, rows) = table(
+        "| row | old ns | new ns | new/old | |\n|---|---:|---:|---:|---|",
+        &old.medians,
+        &new.medians,
+        |ns| ns.map_or(String::new(), |ns| format!("{ns:.0}")),
+        |o, n| {
+            let ratio = n / o;
+            let flag = match (moved(ratio), ratio > 1.0) {
+                (false, _) => "",
+                (true, true) => "**slower**",
+                (true, false) => "**faster**",
+            };
+            (format!("{ratio:.2}"), flag)
+        },
+    );
+    println!(
+        "\n{flagged} of {rows} rows flagged (moved by more than {:.0}%, or present in one report only)",
         FLAG * 100.0
     );
     ExitCode::SUCCESS
@@ -103,7 +171,31 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::moved;
+    use super::{iqrs_overlap, moved, Speedup};
+
+    fn speedup(q1: f64, q3: f64) -> Speedup {
+        Speedup {
+            group: String::new(),
+            bench: String::new(),
+            speedup: (q1 + q3) / 2.0,
+            speedup_q1: q1,
+            speedup_q3: q3,
+        }
+    }
+
+    #[test]
+    fn speedups_move_only_when_their_iqrs_are_disjoint() {
+        let base = speedup(2.0, 2.4);
+        // Overlapping, nested and touching ranges are not a move.
+        assert!(iqrs_overlap(&base, &speedup(2.3, 2.8)));
+        assert!(iqrs_overlap(&base, &speedup(1.5, 2.0)));
+        assert!(iqrs_overlap(&base, &speedup(2.1, 2.2)));
+        assert!(iqrs_overlap(&speedup(1.0, 5.0), &base));
+        // Disjoint ranges on either side are.
+        assert!(!iqrs_overlap(&base, &speedup(2.41, 3.0)));
+        assert!(!iqrs_overlap(&base, &speedup(1.0, 1.99)));
+        assert!(!iqrs_overlap(&speedup(2.41, 3.0), &base));
+    }
 
     #[test]
     fn rows_move_beyond_fifteen_percent_either_way() {

@@ -3,9 +3,18 @@
 //! The hot-path groups live here (not in `benches/`) so that both the
 //! `cargo bench` harness (`benches/core_algorithms.rs`) and the
 //! `BENCH_core.json` exporter (`src/bin/export.rs`) measure **exactly the
-//! same kernels**. Each optimized group has a `*_ref` twin running the
-//! seed-faithful implementations from `strat_core::reference`, which keeps
-//! the speedup a measured number rather than a claim.
+//! same kernels**.
+//!
+//! Speedups are measured, not claimed. Each optimized engine that keeps a
+//! seed-faithful reference twin (`strat_core::reference`,
+//! `strat_bittorrent::reference`, or the path it replaced) is timed
+//! against it in one interleaved `bench_pair` inside the optimized
+//! engine's own group, reference as side A and optimized as side B; the
+//! exporter's speedup is the median of that pair's per-sample
+//! reference/optimized time ratios. One naming rule holds for every pair
+//! (`speedup_pair`): the optimized side is the row `<group>/<bench>` and
+//! the reference side the row `<group>/<bench>/reference`. Each pair's
+//! doc names the differential test that pins its two sides to equal work.
 //!
 //! Criterion targets under `benches/`:
 //!
@@ -21,7 +30,7 @@
 
 use std::time::Duration;
 
-use criterion::{black_box, BenchmarkId, Criterion};
+use criterion::{black_box, BenchmarkGroup, BenchmarkId, Criterion};
 use rand::{Rng as _, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use strat_analytic::monte_carlo::{self, MonteCarloConfig};
@@ -37,7 +46,7 @@ use strat_core::{
     GlobalRanking, InitiativeStrategy, PrefAcceptance, RankedAcceptance,
 };
 use strat_graph::{generators, Graph, NodeId};
-use strat_scenario::{Scenario, TopologyModel};
+use strat_scenario::{Scenario, ScenarioKeys, TopologyModel};
 use strat_sim::experiments::btchurn;
 use strat_sim::runner::ExperimentContext;
 
@@ -60,18 +69,37 @@ pub fn er_acceptance(n: usize, d: f64, seed: u64) -> RankedAcceptance {
         .expect("valid scenario")
 }
 
+/// Measures `reference` against `optimized` as one interleaved pair:
+/// side A is the row `<bench>/reference`, side B the row `<bench>`.
+fn speedup_pair<OA, OB>(
+    group: &mut BenchmarkGroup<'_>,
+    bench: impl Into<String>,
+    reference: impl FnMut() -> OA,
+    optimized: impl FnMut() -> OB,
+) {
+    let bench = bench.into();
+    group.bench_pair(format!("{bench}/reference"), reference, bench, optimized);
+}
+
 /// `stable_configuration` on `G(n, 20)` with `b = 3` at n ∈ {1k, 10k, 100k},
-/// plus the complete-graph specialization at {10k, 100k}.
+/// each paired with seed-faithful Algorithm 1 (`strat_core::reference`;
+/// same matching by `crates/core/tests/differential.rs`
+/// `stable_configuration_matches_reference`), plus the complete-graph
+/// specialization at {10k, 100k}.
 pub fn bench_stable_configuration(c: &mut Criterion) {
     let mut group = c.benchmark_group("stable_configuration");
     group.warm_up_time(Duration::from_millis(400));
     group.measurement_time(Duration::from_secs(2));
     for &n in &[1000usize, 10_000, 100_000] {
         let acc = er_acceptance(n, 20.0, 1);
+        let ref_acc = reference::RefAcceptance::from_optimized(&acc);
         let caps = Capacities::constant(n, 3);
-        group.bench_with_input(BenchmarkId::new("erdos_renyi_d20_b3", n), &n, |b, _| {
-            b.iter(|| stable_configuration(black_box(&acc), black_box(&caps)).unwrap());
-        });
+        speedup_pair(
+            &mut group,
+            format!("erdos_renyi_d20_b3/{n}"),
+            || reference::stable_configuration(black_box(&ref_acc), black_box(&caps)),
+            || stable_configuration(black_box(&acc), black_box(&caps)).unwrap(),
+        );
     }
     for &n in &[10_000usize, 100_000] {
         let ranking = GlobalRanking::identity(n);
@@ -85,24 +113,12 @@ pub fn bench_stable_configuration(c: &mut Criterion) {
     group.finish();
 }
 
-/// Seed-faithful Algorithm 1 (`strat_core::reference`) on the same
-/// instances as [`bench_stable_configuration`]'s Erdős–Rényi rows.
-pub fn bench_stable_configuration_ref(c: &mut Criterion) {
-    let mut group = c.benchmark_group("stable_configuration_ref");
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_secs(2));
-    for &n in &[1000usize, 10_000, 100_000] {
-        let acc = reference::RefAcceptance::from_optimized(&er_acceptance(n, 20.0, 1));
-        let caps = Capacities::constant(n, 3);
-        group.bench_with_input(BenchmarkId::new("erdos_renyi_d20_b3", n), &n, |b, _| {
-            b.iter(|| reference::stable_configuration(black_box(&acc), black_box(&caps)));
-        });
-    }
-    group.finish();
-}
-
 /// Steady-state initiative cost per base unit, n = 1000, d = 10, b = 1:
-/// the three scan strategies plus the disorder metric.
+/// the three scan strategies, each paired with the seed-faithful process
+/// (`strat_core::reference::RefDynamics`) on the same acceptance graph
+/// and random stream, plus the disorder metric. Both sides of a pair run
+/// the same outcome stream (`crates/core/tests/differential.rs`
+/// `dynamics_outcome_stream_matches_reference`) and advance in lockstep.
 pub fn bench_dynamics(c: &mut Criterion) {
     let mut group = c.benchmark_group("dynamics");
     group.warm_up_time(Duration::from_millis(400));
@@ -112,14 +128,26 @@ pub fn bench_dynamics(c: &mut Criterion) {
         InitiativeStrategy::Decremental,
         InitiativeStrategy::Random,
     ] {
-        group.bench_function(format!("{strategy:?}_base_unit_n1000_d10"), |b| {
-            let mut rng = ChaCha8Rng::seed_from_u64(2);
-            let mut dynamics = er_scenario(1000, 10.0, 2)
-                .with_strategy(strategy)
-                .build_dynamics(&mut rng)
-                .expect("valid scenario");
-            b.iter(|| black_box(dynamics.run_base_unit(&mut rng)));
-        });
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let mut dynamics = er_scenario(1000, 10.0, 2)
+            .with_strategy(strategy)
+            .build_dynamics(&mut rng)
+            .expect("valid scenario");
+        let ScenarioKeys::Ranked(acc) = dynamics.keys() else {
+            unreachable!("a global-ranking scenario")
+        };
+        let mut slow = reference::RefDynamics::new(
+            reference::RefAcceptance::from_optimized(acc),
+            dynamics.capacities().clone(),
+            strategy,
+        );
+        let mut slow_rng = rng.clone();
+        speedup_pair(
+            &mut group,
+            format!("{strategy:?}_base_unit_n1000_d10"),
+            || black_box(slow.run_base_unit(&mut slow_rng)),
+            || black_box(dynamics.run_base_unit(&mut rng)),
+        );
     }
     group.bench_function("disorder_n1000_d10", |b| {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
@@ -131,28 +159,6 @@ pub fn bench_dynamics(c: &mut Criterion) {
         }
         b.iter(|| black_box(dynamics.disorder()));
     });
-    group.finish();
-}
-
-/// Seed-faithful initiative driver on the same instances as
-/// [`bench_dynamics`].
-pub fn bench_dynamics_ref(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dynamics_ref");
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_secs(2));
-    for strategy in [
-        InitiativeStrategy::BestMate,
-        InitiativeStrategy::Decremental,
-        InitiativeStrategy::Random,
-    ] {
-        group.bench_function(format!("{strategy:?}_base_unit_n1000_d10"), |b| {
-            let mut rng = ChaCha8Rng::seed_from_u64(2);
-            let acc = reference::RefAcceptance::from_optimized(&er_acceptance(1000, 10.0, 2));
-            let caps = Capacities::constant(1000, 1);
-            let mut dynamics = reference::RefDynamics::new(acc, caps, strategy);
-            b.iter(|| black_box(dynamics.run_base_unit(&mut rng)));
-        });
-    }
     group.finish();
 }
 
@@ -170,7 +176,11 @@ fn latency_instance(n: usize, seed: u64) -> (Graph, LatencyPrefs, Capacities) {
 }
 
 /// Generalized-preference dynamics on the dirty-set engine, latency
-/// instances:
+/// instances, each paired with the retained full-scan reference
+/// (`strat_core::reference`), which re-scans every neighborhood with live
+/// preference comparisons, converged or not (same mate sets and sweep
+/// counts by `crates/core/tests/prefs_differential.rs`
+/// `latency_systems_agree`):
 ///
 /// * `converge_*` — [`PrefAcceptance::build`] plus [`Dynamics::settle`]
 ///   from `C∅` to stability (key-table construction is seeded by cached
@@ -185,75 +195,38 @@ pub fn bench_prefs(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     for &n in &[500usize, 2000] {
         let (graph, prefs, caps) = latency_instance(n, 0x9e1);
-        group.bench_with_input(
-            BenchmarkId::new("converge_latency_d20_b3", n),
-            &n,
-            |b, _| {
-                b.iter(|| {
-                    let keys = PrefAcceptance::build(&graph, &prefs);
-                    let mut dynamics =
-                        Dynamics::new(keys, caps.clone(), InitiativeStrategy::BestMate)
-                            .expect("sizes");
-                    black_box(dynamics.settle())
-                });
+        speedup_pair(
+            &mut group,
+            format!("converge_latency_d20_b3/{n}"),
+            || black_box(reference::best_mate_dynamics(&graph, &prefs, &caps)),
+            || {
+                let keys = PrefAcceptance::build(&graph, &prefs);
+                let mut dynamics =
+                    Dynamics::new(keys, caps.clone(), InitiativeStrategy::BestMate).expect("sizes");
+                black_box(dynamics.settle())
             },
         );
     }
     let n = 2000usize;
     let (graph, prefs, caps) = latency_instance(n, 0x9e1);
     let keys = PrefAcceptance::build(&graph, &prefs);
-    let mut dynamics = Dynamics::new(keys, caps, InitiativeStrategy::BestMate).expect("sizes");
+    let mut dynamics =
+        Dynamics::new(keys, caps.clone(), InitiativeStrategy::BestMate).expect("sizes");
     dynamics.settle().expect("latency systems are cycle-free");
-    group.bench_with_input(
-        BenchmarkId::new("settled_sweep_latency_d20_b3", n),
-        &n,
-        |b, _| {
-            b.iter(|| {
-                let mut active = 0u64;
-                for p in 0..n {
-                    active += u64::from(
-                        dynamics
-                            .best_mate_initiative(strat_graph::NodeId::new(p))
-                            .is_active(),
-                    );
-                }
-                active
-            });
-        },
-    );
-    group.finish();
-}
-
-/// The retained full-scan reference (`strat_core::reference`) on the same
-/// instances as [`bench_prefs`]: every sweep re-scans every neighborhood
-/// with live preference comparisons, converged or not.
-pub fn bench_prefs_ref(c: &mut Criterion) {
-    let mut group = c.benchmark_group("prefs_ref");
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_secs(2));
-    for &n in &[500usize, 2000] {
-        let (graph, prefs, caps) = latency_instance(n, 0x9e1);
-        group.bench_with_input(
-            BenchmarkId::new("converge_latency_d20_b3", n),
-            &n,
-            |b, _| {
-                b.iter(|| black_box(reference::best_mate_dynamics(&graph, &prefs, &caps)));
-            },
-        );
-    }
-    let n = 2000usize;
-    let (graph, prefs, caps) = latency_instance(n, 0x9e1);
     let reference::RefPrefOutcome::Stable {
         at: mut matching, ..
     } = reference::best_mate_dynamics(&graph, &prefs, &caps)
     else {
         panic!("latency systems are cycle-free")
     };
-    group.bench_with_input(
-        BenchmarkId::new("settled_sweep_latency_d20_b3", n),
-        &n,
-        |b, _| {
-            b.iter(|| reference::best_mate_sweep(&graph, &prefs, &caps, &mut matching));
+    speedup_pair(
+        &mut group,
+        format!("settled_sweep_latency_d20_b3/{n}"),
+        || reference::best_mate_sweep(&graph, &prefs, &caps, &mut matching),
+        || {
+            (0..n)
+                .filter(|&p| dynamics.best_mate_initiative(NodeId::new(p)).is_active())
+                .count()
         },
     );
     group.finish();
@@ -284,34 +257,58 @@ fn swarm_inputs(leechers: usize, fluid: bool, seed: u64) -> (SwarmConfig, Vec<f6
 const PIECE_WINDOW: u64 = 8;
 
 /// The serial swarm round at n = 500 leechers: the fluid steady state
-/// (rechoke + rate transfer, the bt1 regime), a fixed pre-completion
-/// window in piece mode, one indexed-semantics round at n = 2000 run
-/// through [`Swarm::run_rounds_parallel`] on all available cores, and
-/// one indexed round of the n = 10⁵ flash crowd (cold piece-mode swarm,
-/// btflash geometry) pinning the scaling trajectory toward the
-/// million-peer target.
+/// (rechoke + rate transfer, the bt1 regime) and a fixed pre-completion
+/// window in piece mode, each paired with the retained reference engine
+/// ([`RefSwarm`], same clone-per-iteration window; bit-identical by
+/// `crates/bittorrent/tests/differential.rs`
+/// `serial_round_bit_identical_to_reference`); one indexed-semantics
+/// round at n = 2000 run through [`Swarm::run_rounds_parallel`] on all
+/// available cores, paired with the serial indexed-round oracle
+/// ([`RefSwarm::round_indexed`];
+/// `parallel_rounds_bit_identical_to_indexed_reference`); and one indexed
+/// round of the n = 10⁵ flash crowd (cold piece-mode swarm, btflash
+/// geometry) pinning the scaling trajectory toward the million-peer
+/// target.
 pub fn bench_swarm_rounds(c: &mut Criterion) {
     let mut group = c.benchmark_group("swarm");
     group.warm_up_time(Duration::from_millis(400));
     group.measurement_time(Duration::from_secs(2));
     let (config, uploads) = swarm_inputs(500, true, 0xb17);
+    let mut slow = RefSwarm::new(config.clone(), &uploads);
     let mut swarm = Swarm::new(config, &uploads);
-    group.bench_function("round_n500_fluid", |b| b.iter(|| swarm.round()));
+    speedup_pair(
+        &mut group,
+        "round_n500_fluid",
+        || slow.round(),
+        || swarm.round(),
+    );
     let (config, uploads) = swarm_inputs(500, false, 0xb17);
+    let slow_pristine = RefSwarm::new(config.clone(), &uploads);
     let pristine = Swarm::new(config, &uploads);
-    group.bench_function("rounds8_n500_pieces", |b| {
-        b.iter(|| {
+    speedup_pair(
+        &mut group,
+        "rounds8_n500_pieces",
+        || {
+            let mut swarm = slow_pristine.clone();
+            swarm.run_rounds(PIECE_WINDOW);
+            swarm
+        },
+        || {
             let mut swarm = pristine.clone();
             swarm.run_rounds(PIECE_WINDOW);
             swarm
-        });
-    });
+        },
+    );
     let threads = strat_par::default_threads();
     let (config, uploads) = swarm_inputs(2000, true, 0xb18);
+    let mut slow = RefSwarm::new(config.clone(), &uploads);
     let mut swarm = Swarm::new(config, &uploads);
-    group.bench_function("rounds_indexed_n2000_fluid", |b| {
-        b.iter(|| swarm.run_rounds_parallel(1, threads));
-    });
+    speedup_pair(
+        &mut group,
+        "rounds_indexed_n2000_fluid",
+        || slow.round_indexed(),
+        || swarm.run_rounds_parallel(1, threads),
+    );
     // Flash crowd at n = 10⁵ (btflash geometry, scaled 10x): an
     // ever-advancing swarm, so the measured regime is the hot early
     // wave — the cold swarm stays far from completion across the
@@ -357,32 +354,35 @@ pub fn bench_swarm_rounds(c: &mut Criterion) {
     group.finish();
 }
 
-/// The retained reference engine ([`RefSwarm`]) on the same instances as
-/// [`bench_swarm_rounds`]: serial rounds (same clone-per-iteration piece
-/// window), and the serial indexed-round oracle as the baseline of the
-/// parallel row.
-pub fn bench_swarm_rounds_ref(c: &mut Criterion) {
-    let mut group = c.benchmark_group("swarm_ref");
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_secs(2));
-    let (config, uploads) = swarm_inputs(500, true, 0xb17);
-    let mut swarm = RefSwarm::new(config, &uploads);
-    group.bench_function("round_n500_fluid", |b| b.iter(|| swarm.round()));
-    let (config, uploads) = swarm_inputs(500, false, 0xb17);
-    let pristine = RefSwarm::new(config, &uploads);
-    group.bench_function("rounds8_n500_pieces", |b| {
-        b.iter(|| {
-            let mut swarm = pristine.clone();
-            swarm.run_rounds(PIECE_WINDOW);
-            swarm
-        });
-    });
-    let (config, uploads) = swarm_inputs(2000, true, 0xb18);
-    let mut swarm = RefSwarm::new(config, &uploads);
-    group.bench_function("rounds_indexed_n2000_fluid", |b| {
-        b.iter(|| swarm.round_indexed());
-    });
-    group.finish();
+/// The churned-session arena: `n0` leechers and 2 seeds, 256 pieces of
+/// 250 kbit at half completion, `d = 20`, 400 kbit/s uploads.
+fn churn_swarm(n0: usize) -> Swarm {
+    let config = SwarmConfig::builder()
+        .leechers(n0)
+        .seeds(2)
+        .piece_count(256)
+        .piece_size_kbit(250.0)
+        .initial_completion(0.5)
+        .mean_neighbors(20.0)
+        .seed(0x5e55)
+        .build();
+    Swarm::new(config, &vec![400.0; n0 + 2])
+}
+
+/// Stationary churn at ~1000 peers from [`churn_swarm`]`(700)`:
+/// lambda/mu = 60 * 16 downloads in flight plus a lingering-seed pool.
+fn churn_config() -> SessionConfig {
+    SessionConfig {
+        arrival: ArrivalProcess::Poisson { rate: 60.0 },
+        departure: DepartureRules {
+            seed_leave_prob: 0.25,
+            ..DepartureRules::none()
+        },
+        arrival_upload_kbps: 400.0,
+        target_degree: 20,
+        session_seed: 0x5e55,
+        ..SessionConfig::default()
+    }
 }
 
 /// The open-membership session layer:
@@ -405,34 +405,7 @@ pub fn bench_session(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(400));
     group.measurement_time(Duration::from_secs(2));
 
-    // Stationary churn at ~1000 peers: lambda/mu = 60 * 16 downloads in
-    // flight plus a lingering-seed pool.
-    let churn_swarm = |n0: usize| {
-        let config = SwarmConfig::builder()
-            .leechers(n0)
-            .seeds(2)
-            .piece_count(256)
-            .piece_size_kbit(250.0)
-            .initial_completion(0.5)
-            .mean_neighbors(20.0)
-            .seed(0x5e55)
-            .build();
-        Swarm::new(config, &vec![400.0; n0 + 2])
-    };
-    let mut session = Session::new(
-        churn_swarm(700),
-        SessionConfig {
-            arrival: ArrivalProcess::Poisson { rate: 60.0 },
-            departure: DepartureRules {
-                seed_leave_prob: 0.25,
-                ..DepartureRules::none()
-            },
-            arrival_upload_kbps: 400.0,
-            target_degree: 20,
-            session_seed: 0x5e55,
-            ..SessionConfig::default()
-        },
-    );
+    let mut session = Session::new(churn_swarm(700), churn_config());
     session.run_rounds(40); // reach stationary turnover
     group.bench_function("round_churn_n1000", |b| b.iter(|| session.run_rounds(1)));
 
@@ -531,32 +504,9 @@ pub fn bench_faults(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(400));
     group.measurement_time(Duration::from_secs(2));
 
-    let churn_swarm = |n0: usize| {
-        let config = SwarmConfig::builder()
-            .leechers(n0)
-            .seeds(2)
-            .piece_count(256)
-            .piece_size_kbit(250.0)
-            .initial_completion(0.5)
-            .mean_neighbors(20.0)
-            .seed(0x5e55)
-            .build();
-        Swarm::new(config, &vec![400.0; n0 + 2])
-    };
-    let churn_config = SessionConfig {
-        arrival: ArrivalProcess::Poisson { rate: 60.0 },
-        departure: DepartureRules {
-            seed_leave_prob: 0.25,
-            ..DepartureRules::none()
-        },
-        arrival_upload_kbps: 400.0,
-        target_degree: 20,
-        session_seed: 0x5e55,
-        ..SessionConfig::default()
-    };
     let mut session = Session::with_faults(
         churn_swarm(700),
-        churn_config,
+        churn_config(),
         FaultPlan {
             crash_prob: 0.002,
             loss_prob: 0.05,
@@ -580,10 +530,11 @@ pub fn bench_faults(c: &mut Criterion) {
 ///
 /// * `sync_rounds8_n500_pieces` — the event engine driven in its
 ///   synchronous limit over the same pre-completion window as
-///   `swarm/rounds8_n500_pieces`; the `events_ref` twin replays the
-///   bit-identical trajectory on the indexed round engine, so the
-///   speedup row is the queue's measured overhead for event-sequencing
-///   a round;
+///   `swarm/rounds8_n500_pieces`, paired with the indexed round engine
+///   replaying the bit-identical trajectory
+///   (`crates/bittorrent/tests/event_differential.rs`
+///   `sync_limit_matches_round_indexed`), so the speedup row is the
+///   inverse of the queue's measured cost for event-sequencing a round;
 /// * `run_for_60s_churn_hetero_n500` — one minute of simulated time
 ///   off the tick grid: three speed classes, a 5 s transfer quantum,
 ///   announce-driven rewiring, stationary Poisson churn;
@@ -596,18 +547,26 @@ pub fn bench_events(c: &mut Criterion) {
 
     let (config, uploads) = swarm_inputs(500, false, 0xb17);
     let round_seconds = config.round_seconds;
+    let rounds_pristine = Swarm::new(config, &uploads);
     let pristine = EventEngine::new(
-        Swarm::new(config, &uploads),
+        rounds_pristine.clone(),
         EventTiming::synchronous_limit(round_seconds),
         None,
     );
-    group.bench_function("sync_rounds8_n500_pieces", |b| {
-        b.iter(|| {
+    speedup_pair(
+        &mut group,
+        "sync_rounds8_n500_pieces",
+        || {
+            let mut swarm = rounds_pristine.clone();
+            swarm.run_rounds_parallel(PIECE_WINDOW, 1);
+            swarm
+        },
+        || {
             let mut engine = pristine.clone();
             engine.run_sync_rounds(PIECE_WINDOW);
             engine
-        });
-    });
+        },
+    );
 
     let churned = |transfer_quantum: Option<f64>| {
         let (config, uploads) = swarm_inputs(500, false, 0xe7e);
@@ -648,36 +607,18 @@ pub fn bench_events(c: &mut Criterion) {
     group.finish();
 }
 
-/// The indexed round engine on the synchronous-limit instance of
-/// [`bench_events`]: same trajectory, no event queue.
-pub fn bench_events_ref(c: &mut Criterion) {
-    let mut group = c.benchmark_group("events_ref");
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_secs(2));
-    let (config, uploads) = swarm_inputs(500, false, 0xb17);
-    let pristine = Swarm::new(config, &uploads);
-    group.bench_function("sync_rounds8_n500_pieces", |b| {
-        b.iter(|| {
-            let mut swarm = pristine.clone();
-            swarm.run_rounds_parallel(PIECE_WINDOW, 1);
-            swarm
-        });
-    });
-    group.finish();
-}
-
 /// The `RunObserver` layer's zero-cost claim as a measured number: the
-/// n = 2000 fluid round through the plain `round()` against the same
-/// round driven through `round_with(&NullObserver)`. The two rows come
-/// from one `bench_pair` — interleaved A/B sample blocks, so machine
-/// drift cancels out of the ratio — and the `BENCH_core.json` exporter
-/// asserts that the median per-sample observed/plain ratio stays within
-/// 1% at full time scale (the two paths monomorphize to the same code;
-/// the gate guards the seam). Both sides step one shared swarm: twin
-/// swarms sit at different heap addresses, which alone moved the ratio
-/// by up to ±3% between exports. The swarm rotates its optimistic
-/// unchoke every round, so consecutive rounds — the A and B blocks of a
-/// sample — do the same work.
+/// n = 2000 fluid round through the plain `round()` (the reference side)
+/// against the same round driven through `round_with(&NullObserver)`
+/// (bit-identical by `crates/bittorrent/tests/observer_differential.rs`
+/// `observed_serial_rounds_are_bit_identical`). The `BENCH_core.json`
+/// exporter asserts that the median per-sample observed/plain time ratio
+/// stays within 1% at full time scale (the two paths monomorphize to the
+/// same code; the gate guards the seam). Both sides step one shared
+/// swarm: twin swarms sit at different heap addresses, which alone moved
+/// the ratio by up to ±3% between exports. The swarm rotates its
+/// optimistic unchoke every round, so consecutive rounds — the A and B
+/// blocks of a sample — do the same work.
 pub fn bench_observer(c: &mut Criterion) {
     let mut group = c.benchmark_group("observer");
     group.warm_up_time(Duration::from_millis(400));
@@ -685,10 +626,10 @@ pub fn bench_observer(c: &mut Criterion) {
     let (mut config, uploads) = swarm_inputs(2000, true, 0xb18);
     config.optimistic_period = 1;
     let swarm = std::cell::RefCell::new(Swarm::new(config, &uploads));
-    group.bench_pair(
-        "round_n2000_fluid_plain",
+    speedup_pair(
+        &mut group,
+        "round_n2000_fluid",
         || swarm.borrow_mut().round(),
-        "round_n2000_fluid_null_observer",
         || swarm.borrow_mut().round_with(&NullObserver),
     );
     group.finish();
@@ -776,7 +717,11 @@ pub fn bench_universe(c: &mut Criterion) {
 ///   (n = 600, p = 5%, b₀ = 2, 1500 realizations, observed peer 359);
 /// * `per_realization_n5000_p0.01_b2` — one realization at the paper's
 ///   size (observed peer 2999) on a fresh stream per iteration, histogram
-///   allocation included.
+///   allocation included, paired with the full-graph path the sampler
+///   replaced: draw the whole Erdős–Rényi graph, solve the whole stable
+///   configuration (Algorithm 1), read the observed mates (same mates by
+///   `strat_analytic::monte_carlo`'s
+///   `lazy_mates_equal_the_full_stable_configuration`).
 pub fn bench_monte_carlo(c: &mut Criterion) {
     let mut group = c.benchmark_group("monte_carlo");
     group.warm_up_time(Duration::from_millis(400));
@@ -796,53 +741,37 @@ pub fn bench_monte_carlo(c: &mut Criterion) {
         threads: 1,
         ..MonteCarloConfig::figure9(1)
     };
-    group.bench_function("per_realization_n5000_p0.01_b2", |b| {
-        b.iter(|| {
-            paper.seed += 1;
-            monte_carlo::estimate_choice_distribution(black_box(&paper), 2999)
-        });
-    });
-    group.finish();
-}
-
-/// The full-graph path [`bench_monte_carlo`] replaced, on the same
-/// per-realization instance: draw the whole Erdős–Rényi graph, solve the
-/// whole stable configuration (Algorithm 1), read the observed mates.
-pub fn bench_monte_carlo_ref(c: &mut Criterion) {
-    let mut group = c.benchmark_group("monte_carlo_ref");
-    group.warm_up_time(Duration::from_millis(400));
-    group.measurement_time(Duration::from_secs(2));
-    let cfg = MonteCarloConfig::figure9(1);
-    let ranking = GlobalRanking::identity(cfg.n);
-    let caps = Capacities::constant(cfg.n, cfg.b0);
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    group.bench_function("per_realization_n5000_p0.01_b2", |b| {
-        b.iter(|| {
-            let graph = generators::erdos_renyi(cfg.n, cfg.p, &mut rng);
+    let (n, p) = (paper.n, paper.p);
+    let ranking = GlobalRanking::identity(n);
+    let caps = Capacities::constant(n, paper.b0);
+    let mut rng = ChaCha8Rng::seed_from_u64(paper.seed);
+    speedup_pair(
+        &mut group,
+        "per_realization_n5000_p0.01_b2",
+        || {
+            let graph = generators::erdos_renyi(n, p, &mut rng);
             let acc = RankedAcceptance::new(graph, ranking.clone()).expect("sizes match");
             let stable = stable_configuration(&acc, &caps).expect("sizes match");
             black_box(stable.mates(NodeId::new(2999)).len())
-        });
-    });
+        },
+        || {
+            paper.seed += 1;
+            monte_carlo::estimate_choice_distribution(black_box(&paper), 2999)
+        },
+    );
     group.finish();
 }
 
-/// Registers every core group (optimized + reference) on `c`.
+/// Registers every core group on `c`.
 pub fn core_groups(c: &mut Criterion) {
     bench_stable_configuration(c);
-    bench_stable_configuration_ref(c);
     bench_dynamics(c);
-    bench_dynamics_ref(c);
     bench_prefs(c);
-    bench_prefs_ref(c);
     bench_swarm_rounds(c);
-    bench_swarm_rounds_ref(c);
     bench_session(c);
     bench_faults(c);
     bench_events(c);
-    bench_events_ref(c);
     bench_observer(c);
     bench_universe(c);
     bench_monte_carlo(c);
-    bench_monte_carlo_ref(c);
 }

@@ -1,7 +1,9 @@
 //! Schema and row-presence gate for the checked-in `BENCH_core.json`:
 //! the exporter's output must parse, every measurement must be a finite
-//! positive median with non-empty names, every speedup row must be
-//! consistent with its reference/optimized pair, and the scale-path rows
+//! positive median with non-empty names, every speedup row must be a
+//! median ratio inside its quartiles with both of its pair's sides among
+//! the measurements, the fifteen pairs must all be there, and the
+//! scale-path rows
 //! (n = 10⁵ and n = 10⁶ flash rounds, the million-peer churn round) must
 //! be present — a refresh that silently drops them fails here instead of
 //! during the next perf comparison.
@@ -14,28 +16,36 @@ fn load() -> Value {
     serde_json::from_str_value(&raw).expect("BENCH_core.json parses")
 }
 
-fn rows(report: &Value, section: &str) -> Vec<(String, String, f64)> {
+fn section<'a>(report: &'a Value, key: &str) -> &'a [Value] {
     report
-        .get(section)
+        .get(key)
         .and_then(Value::as_array)
-        .unwrap_or_else(|| panic!("`{section}` is an array"))
+        .unwrap_or_else(|| panic!("`{key}` is an array"))
+}
+
+fn text(row: &Value, key: &str) -> String {
+    row.get(key)
+        .and_then(Value::as_str)
+        .unwrap_or_else(|| panic!("row has string `{key}`: {row:?}"))
+        .to_string()
+}
+
+fn num(row: &Value, key: &str) -> f64 {
+    row.get(key)
+        .and_then(Value::as_f64)
+        .unwrap_or_else(|| panic!("row has numeric `{key}`: {row:?}"))
+}
+
+/// The `groups` rows as `(group, bench, median_ns)`.
+fn rows(report: &Value) -> Vec<(String, String, f64)> {
+    section(report, "groups")
         .iter()
         .map(|row| {
-            let field = |key: &str| {
-                row.get(key)
-                    .and_then(Value::as_str)
-                    .unwrap_or_else(|| panic!("`{section}` row has string `{key}`: {row:?}"))
-                    .to_string()
-            };
-            let ns = row
-                .get(if section == "groups" {
-                    "median_ns"
-                } else {
-                    "optimized_ns"
-                })
-                .and_then(Value::as_f64)
-                .unwrap_or_else(|| panic!("`{section}` row has a numeric time: {row:?}"));
-            (field("group"), field("bench"), ns)
+            (
+                text(row, "group"),
+                text(row, "bench"),
+                num(row, "median_ns"),
+            )
         })
         .collect()
 }
@@ -56,7 +66,7 @@ fn report_schema_is_well_formed() {
         .expect("`time_scale` is a number");
     assert!(time_scale.is_finite() && time_scale > 0.0);
 
-    let groups = rows(&report, "groups");
+    let groups = rows(&report);
     assert!(!groups.is_empty(), "at least one measurement");
     for (group, bench, median_ns) in &groups {
         assert!(!group.is_empty() && !bench.is_empty());
@@ -74,31 +84,68 @@ fn report_schema_is_well_formed() {
 #[test]
 fn speedup_rows_are_consistent_with_their_pairs() {
     let report = load();
-    let speedups = report
-        .get("speedups")
-        .and_then(Value::as_array)
-        .expect("`speedups` is an array");
-    assert!(!speedups.is_empty(), "at least one speedup pair");
-    for row in speedups {
-        let num = |key: &str| {
-            row.get(key)
-                .and_then(Value::as_f64)
-                .unwrap_or_else(|| panic!("speedup row has `{key}`: {row:?}"))
-        };
-        let (reference, optimized, speedup) =
-            (num("reference_ns"), num("optimized_ns"), num("speedup"));
-        assert!(reference > 0.0 && optimized > 0.0);
-        assert!(
-            (speedup - reference / optimized).abs() <= 1e-6 * speedup.abs(),
-            "speedup field disagrees with its ratio: {row:?}"
+    let groups = rows(&report);
+    let measured =
+        |group: &str, bench: &str| groups.iter().any(|(g, b, _)| g == group && b == bench);
+    let mut pairs = Vec::new();
+    for row in section(&report, "speedups") {
+        let (speedup, q1, q3) = (
+            num(row, "speedup"),
+            num(row, "speedup_q1"),
+            num(row, "speedup_q3"),
         );
+        for x in [
+            speedup,
+            q1,
+            q3,
+            num(row, "reference_ns"),
+            num(row, "optimized_ns"),
+        ] {
+            assert!(x.is_finite() && x > 0.0, "non-positive figure: {row:?}");
+        }
+        assert!(
+            q1 <= speedup && speedup <= q3,
+            "median outside its quartiles: {row:?}"
+        );
+        let group = text(row, "group");
+        for side in ["bench", "reference_bench"] {
+            assert!(
+                measured(&group, &text(row, side)),
+                "pair side `{side}` has no `groups` row: {row:?}"
+            );
+        }
+        pairs.push(format!("{group}/{}", text(row, "bench")));
     }
+    pairs.sort();
+    let mut expected = [
+        "stable_configuration/erdos_renyi_d20_b3/1000",
+        "stable_configuration/erdos_renyi_d20_b3/10000",
+        "stable_configuration/erdos_renyi_d20_b3/100000",
+        "dynamics/BestMate_base_unit_n1000_d10",
+        "dynamics/Decremental_base_unit_n1000_d10",
+        "dynamics/Random_base_unit_n1000_d10",
+        "prefs/converge_latency_d20_b3/500",
+        "prefs/converge_latency_d20_b3/2000",
+        "prefs/settled_sweep_latency_d20_b3/2000",
+        "swarm/round_n500_fluid",
+        "swarm/rounds8_n500_pieces",
+        "swarm/rounds_indexed_n2000_fluid",
+        "events/sync_rounds8_n500_pieces",
+        "monte_carlo/per_realization_n5000_p0.01_b2",
+        "observer/round_n2000_fluid",
+    ];
+    expected.sort_unstable();
+    // Equal sorted lists: unique names, and exactly these fifteen pairs.
+    assert_eq!(
+        pairs, expected,
+        "speedup pairs differ from the fifteen expected"
+    );
 }
 
 #[test]
 fn scale_path_rows_are_present() {
     let report = load();
-    let groups = rows(&report, "groups");
+    let groups = rows(&report);
     for (group, bench) in [
         ("swarm", "flash_round_indexed_n100000_pieces"),
         ("swarm", "flash_round_indexed_n1000000_pieces"),

@@ -900,7 +900,7 @@ impl EventEngine {
     }
 
     /// Departure of peer `d`: settle and flush its row, detach every
-    /// edge (mirroring the swap-moves on the engine's per-edge arrays),
+    /// edge (applying its slot moves to the engine's per-edge arrays),
     /// and remove the peer. `only_if_incomplete` marks abort timers,
     /// which lapse once the download finished.
     fn fire_departure<O: RunObserver>(
@@ -929,36 +929,26 @@ impl EventEngine {
         self.swarm.depart(d);
     }
 
-    /// Detaches the edge at local slot `k` of `p`'s row, mirroring
-    /// [`Swarm::remove_edge_at`]'s q-side-then-p-side swap-moves on the
-    /// engine's per-edge arrays. Both directions are settled and their
-    /// pending deposits flushed first (the endpoints keep what was
-    /// already transferred); displaced flowing edges get a rescheduled
-    /// crossing under their new slot.
+    /// Detaches the edge at local slot `k` of `p`'s row. Both directions
+    /// are settled and their pending deposits flushed first (the
+    /// endpoints keep what was already transferred); then
+    /// [`Swarm::remove_edge_at`]'s slot moves are applied, in its order,
+    /// to the engine's per-edge arrays, and displaced flowing edges get
+    /// a rescheduled crossing under their new slot.
     fn detach_edge<O: RunObserver>(&mut self, p: PeerId, k: usize, tau: f64, obs: &O) {
-        let (p_base, p_end) = self.swarm.row_bounds(p);
-        let e = p_base + k;
+        let e = self.swarm.row_bounds(p).0 + k;
         let q = self.swarm.edge_target(e);
         let er = self.swarm.edge_rev(e);
-        let (_, q_end) = self.swarm.row_bounds(q);
-        // Settle and flush the dying edge in both directions.
         for (slot, owner) in [(e, p), (er, q)] {
             self.settle_edge(slot, tau, obs);
             self.flush_pending(slot, owner);
         }
-        // Mirror the q-side swap-move (q's last live edge into `er`).
-        let q_last = q_end - 1;
-        if er != q_last {
-            self.move_edge_slot(q_last, er, q, tau);
+        for m in self.swarm.remove_edge_at(p, k) {
+            if m.from != m.to {
+                self.move_edge_slot(m.from, m.to, m.owner, tau);
+            }
+            self.clear_engine_slot(m.from, tau);
         }
-        self.clear_engine_slot(q_last, tau);
-        // Mirror the p-side swap-move (p's last live edge into `e`).
-        let p_last = p_end - 1;
-        if e != p_last {
-            self.move_edge_slot(p_last, e, p, tau);
-        }
-        self.clear_engine_slot(p_last, tau);
-        self.swarm.remove_edge_at(p, k);
     }
 
     /// Moves per-edge engine state from `src` to `dst` (both in

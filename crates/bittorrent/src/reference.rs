@@ -12,9 +12,9 @@
 //!    round, and that [`RefSwarm::round_indexed`] matches
 //!    [`Swarm::run_rounds_parallel`](crate::Swarm::run_rounds_parallel)
 //!    for every thread count;
-//! 2. **Benchmarking** — the `swarm_ref/*` groups in `strat-bench`
-//!    measure this engine against the optimized one, keeping the speedup
-//!    a number rather than a claim.
+//! 2. **Benchmarking** — the `swarm/*` pairs in `strat-bench` measure
+//!    this engine against the optimized one, keeping the speedup a
+//!    number rather than a claim.
 //!
 //! RNG discipline: [`RefSwarm::round`] consumes the shared ChaCha stream
 //! in exactly the same order and quantity as [`Swarm::round`](crate::Swarm::round)

@@ -6,6 +6,16 @@ use super::round::ParBuffers;
 use super::{PeerId, Swarm, ABSENT, NO_OPT};
 use crate::{PeerBehavior, PieceSet};
 
+/// One swap-move of [`Swarm::remove_edge_at`]: `owner`'s last live edge
+/// moved from slot `from` into the vacated slot `to` (`from == to` when
+/// the removed edge was already last), and `from` was cleared.
+#[derive(Clone, Copy)]
+pub(crate) struct SlotMove {
+    pub(crate) owner: PeerId,
+    pub(crate) from: usize,
+    pub(crate) to: usize,
+}
+
 impl Swarm {
     /// Tight exclusive upper bound on the present arena slots (see the
     /// `live_bound` field).
@@ -514,44 +524,42 @@ impl Swarm {
 
     /// Unlinks the edge at local slot `k` of `p`'s row: swap-removes both
     /// directions (moving the displaced edges' state along and re-pointing
-    /// their reverse slots). The unchoke state (TFT set and optimistic
-    /// slot) of both endpoints is dropped — it stores local row positions,
-    /// which may have moved; the next rechoke rebuilds it.
-    pub(crate) fn remove_edge_at(&mut self, p: PeerId, k: usize) {
+    /// their reverse slots), and returns the two slot moves in the order
+    /// they were made — the other endpoint's row first, then `p`'s. The
+    /// unchoke state (TFT set and optimistic slot) of both endpoints is
+    /// dropped — it stores local row positions, which may have moved; the
+    /// next rechoke rebuilds it.
+    pub(crate) fn remove_edge_at(&mut self, p: PeerId, k: usize) -> [SlotMove; 2] {
         let e = self.row_off[p] + k;
         let q = self.nbr[e] as usize;
         let er = self.rev[e] as usize;
-        // q side: move q's last live edge into `er`.
-        let q_last = self.row_off[q] + self.deg[q] as usize - 1;
-        if er != q_last {
-            self.nbr[er] = self.nbr[q_last];
-            self.rev[er] = self.rev[q_last];
-            self.received_prev[er] = self.received_prev[q_last];
-            self.received_curr[er] = self.received_curr[q_last];
-            self.credit[er] = self.credit[q_last];
-            let partner = self.rev[er] as usize;
-            self.rev[partner] = er as u32;
-        }
-        self.clear_edge_slot(q_last);
-        self.deg[q] -= 1;
-        // p side: move p's last live edge into `e`. (The q-side move never
-        // touches p's row: rows hold at most one edge per neighbour.)
-        let p_last = self.row_off[p] + self.deg[p] as usize - 1;
-        if e != p_last {
-            self.nbr[e] = self.nbr[p_last];
-            self.rev[e] = self.rev[p_last];
-            self.received_prev[e] = self.received_prev[p_last];
-            self.received_curr[e] = self.received_curr[p_last];
-            self.credit[e] = self.credit[p_last];
-            let partner = self.rev[e] as usize;
-            self.rev[partner] = e as u32;
-        }
-        self.clear_edge_slot(p_last);
-        self.deg[p] -= 1;
+        // The q-side move never touches p's row: rows hold at most one
+        // edge per neighbour.
+        let moves = [self.swap_remove_edge(q, er), self.swap_remove_edge(p, e)];
         self.tft_len[p] = 0;
         self.tft_len[q] = 0;
         self.optimistic[p] = NO_OPT;
         self.optimistic[q] = NO_OPT;
+        moves
+    }
+
+    /// Moves `owner`'s last live edge into the vacated slot `to`
+    /// (re-pointing its reverse slot), clears the last slot and shrinks
+    /// the row.
+    fn swap_remove_edge(&mut self, owner: PeerId, to: usize) -> SlotMove {
+        let from = self.row_off[owner] + self.deg[owner] as usize - 1;
+        if to != from {
+            self.nbr[to] = self.nbr[from];
+            self.rev[to] = self.rev[from];
+            self.received_prev[to] = self.received_prev[from];
+            self.received_curr[to] = self.received_curr[from];
+            self.credit[to] = self.credit[from];
+            let partner = self.rev[to] as usize;
+            self.rev[partner] = to as u32;
+        }
+        self.clear_edge_slot(from);
+        self.deg[owner] -= 1;
+        SlotMove { owner, from, to }
     }
 
     #[inline]

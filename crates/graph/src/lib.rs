@@ -10,7 +10,7 @@
 //!   the Section 5 random-graph analysis),
 //! * [`UnionFind`] and [`components::Components`] — connected-component
 //!   analysis for cluster-size statistics,
-//! * [`metrics`] — degrees, BFS distances, diameter, clustering coefficient.
+//! * [`metrics`] — degrees, BFS distances, diameter.
 //!
 //! # Example
 //!

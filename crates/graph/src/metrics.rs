@@ -1,4 +1,4 @@
-//! Structural graph metrics: degrees, distances, clustering coefficient.
+//! Structural graph metrics: degrees, distances, diameter.
 
 use std::collections::VecDeque;
 
@@ -28,17 +28,6 @@ pub fn density(graph: &Graph) -> f64 {
         return 0.0;
     }
     graph.edge_count() as f64 / (n * (n - 1) / 2) as f64
-}
-
-/// Histogram of node degrees: `hist[k]` = number of nodes of degree `k`.
-#[must_use]
-pub fn degree_histogram(graph: &Graph) -> Vec<usize> {
-    let max_deg = graph.nodes().map(|v| graph.degree(v)).max().unwrap_or(0);
-    let mut hist = vec![0usize; max_deg + 1];
-    for v in graph.nodes() {
-        hist[graph.degree(v)] += 1;
-    }
-    hist
 }
 
 /// BFS distances (in hops) from `source`; `None` for unreachable nodes.
@@ -91,32 +80,6 @@ pub fn diameter(graph: &Graph) -> u32 {
         .unwrap_or(0)
 }
 
-/// Global clustering coefficient: `3 × triangles / open-or-closed wedges`.
-///
-/// Returns 0 when there are no wedges. Used to characterize collaboration
-/// graphs (§4.1 discusses small-world properties of overlays).
-#[must_use]
-pub fn clustering_coefficient(graph: &Graph) -> f64 {
-    let mut wedges = 0u64;
-    let mut closed = 0u64; // ordered triangle corners (3 per triangle × 2 directions)
-    for v in graph.nodes() {
-        let neigh = graph.neighbors(v);
-        let deg = neigh.len() as u64;
-        wedges += deg.saturating_sub(1) * deg / 2;
-        for (i, &a) in neigh.iter().enumerate() {
-            for &b in &neigh[i + 1..] {
-                if graph.has_edge(a, b) {
-                    closed += 1;
-                }
-            }
-        }
-    }
-    if wedges == 0 {
-        return 0.0;
-    }
-    closed as f64 / wedges as f64
-}
-
 #[cfg(test)]
 mod tests {
     use crate::generators;
@@ -130,14 +93,6 @@ mod tests {
         assert_eq!(density(&g), 1.0);
         assert_eq!(mean_degree(&Graph::empty(0)), 0.0);
         assert_eq!(density(&Graph::empty(1)), 0.0);
-    }
-
-    #[test]
-    fn histogram_of_star() {
-        let g = generators::star(5);
-        let h = degree_histogram(&g);
-        assert_eq!(h[1], 4); // leaves
-        assert_eq!(h[4], 1); // centre
     }
 
     #[test]
@@ -156,13 +111,6 @@ mod tests {
         let d = bfs_distances(&g, NodeId::new(1));
         assert_eq!(d, vec![None, Some(0), None]);
         assert_eq!(diameter(&g), 0);
-    }
-
-    #[test]
-    fn clustering_extremes() {
-        assert_eq!(clustering_coefficient(&generators::complete(6)), 1.0);
-        assert_eq!(clustering_coefficient(&generators::path(5)), 0.0);
-        assert_eq!(clustering_coefficient(&Graph::empty(3)), 0.0);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 /// assert!(uf.connected(0, 1));
 /// assert!(!uf.connected(1, 2));
 /// assert_eq!(uf.component_count(), 2);
-/// assert_eq!(uf.size_of(0), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct UnionFind {
@@ -88,12 +87,6 @@ impl UnionFind {
         self.find(a) == self.find(b)
     }
 
-    /// Size of the set containing `x`.
-    pub fn size_of(&mut self, x: usize) -> usize {
-        let root = self.find(x);
-        self.size[root] as usize
-    }
-
     /// Number of disjoint sets.
     #[must_use]
     pub fn component_count(&self) -> usize {
@@ -109,7 +102,6 @@ mod tests {
     fn singletons() {
         let mut uf = UnionFind::new(3);
         assert_eq!(uf.component_count(), 3);
-        assert_eq!(uf.size_of(1), 1);
         assert!(!uf.connected(0, 2));
         assert_eq!(uf.len(), 3);
         assert!(!uf.is_empty());
@@ -122,7 +114,6 @@ mod tests {
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2)); // already connected
         assert_eq!(uf.component_count(), 3);
-        assert_eq!(uf.size_of(2), 3);
         assert!(uf.connected(0, 2));
         assert!(!uf.connected(0, 4));
     }
@@ -135,7 +126,6 @@ mod tests {
             uf.union(i - 1, i);
         }
         assert_eq!(uf.component_count(), 1);
-        assert_eq!(uf.size_of(0), n);
         // After finds, paths should be short; just exercise correctness.
         for i in 0..n {
             assert_eq!(uf.find(i), uf.find(0));

@@ -9,9 +9,12 @@
 //! per-iteration time after Tukey IQR outlier rejection (samples outside
 //! `[Q1 − 1.5·IQR, Q3 + 1.5·IQR]` — warm-up spikes, scheduler
 //! preemptions — are discarded before the median is taken, so exported
-//! ratios stop absorbing them). A `bench_pair` also keeps the median of
-//! its per-sample B/A ratios ([`Criterion::pair_ratio`]), the statistic
-//! a near-identical pair is gated on.
+//! ratios stop absorbing them).
+//!
+//! [`Criterion`] keeps what it measured: every row in
+//! [`Criterion::measurements`], and every `bench_pair` in
+//! [`Criterion::pairs`] with the median and quartiles of its per-sample
+//! A/B time ratios — how many times faster side B ran than side A.
 //!
 //! Name filter: a bench binary built with `criterion_group!` takes its
 //! first non-flag command-line argument as a substring filter on
@@ -21,17 +24,11 @@
 //! `bench_pair` runs when either side matches. `Criterion::default()`
 //! (the JSON exporter's entry) applies no filter.
 //!
-//! Environment knobs:
-//!
-//! * `CRITERION_JSON=path` — append one JSON line per benchmark
-//!   (`{"group":…,"bench":…,"median_ns":…}`), consumed by
-//!   `crates/bench/src/bin/export.rs`;
-//! * `BENCH_TIME_SCALE=x` — multiply warm-up and measurement budgets
-//!   (e.g. `0.2` for quick smoke runs).
+//! `BENCH_TIME_SCALE=x` multiplies warm-up and measurement budgets (e.g.
+//! `0.2` for quick smoke runs).
 
 #![warn(clippy::all)]
 
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
@@ -45,9 +42,29 @@ pub struct Criterion {
     time_scale: f64,
     /// Substring a benchmark's `group/bench` name must contain to run.
     filter: Option<String>,
-    /// Every measured `bench_pair`: its B side's `group/bench` name and
-    /// the median of its per-sample B/A ratios.
-    pair_ratios: Vec<(String, f64)>,
+    /// Every measured row, in measurement order.
+    measurements: Vec<Measurement>,
+    /// Every measured `bench_pair`, in measurement order.
+    pairs: Vec<PairRatio>,
+}
+
+/// One measured row: its median time per iteration.
+#[derive(Clone, Debug)]
+pub struct Measurement {
+    pub group: String,
+    pub bench: String,
+    pub median_ns: f64,
+}
+
+/// One measured `bench_pair`: both sides' rows and the median and
+/// quartiles of the per-sample A/B time ratios (after Tukey rejection).
+#[derive(Clone, Debug)]
+pub struct PairRatio {
+    pub a: Measurement,
+    pub b: Measurement,
+    pub ratio: f64,
+    pub ratio_q1: f64,
+    pub ratio_q3: f64,
 }
 
 impl Default for Criterion {
@@ -60,7 +77,8 @@ impl Default for Criterion {
         Self {
             time_scale,
             filter: None,
-            pair_ratios: Vec::new(),
+            measurements: Vec::new(),
+            pairs: Vec::new(),
         }
     }
 }
@@ -82,15 +100,25 @@ impl Criterion {
         self
     }
 
-    /// The median per-sample B/A time ratio of the measured `bench_pair`
-    /// whose B side is `group/bench_b`, or `None` if no such pair ran.
+    /// Every row measured so far.
     #[must_use]
-    pub fn pair_ratio(&self, group: &str, bench_b: &str) -> Option<f64> {
-        let name = format!("{group}/{bench_b}");
-        self.pair_ratios
+    pub fn measurements(&self) -> &[Measurement] {
+        &self.measurements
+    }
+
+    /// Every `bench_pair` measured so far.
+    #[must_use]
+    pub fn pairs(&self) -> &[PairRatio] {
+        &self.pairs
+    }
+
+    /// The latest measured `bench_pair` whose B side is `group/bench_b`,
+    /// or `None` if no such pair ran.
+    #[must_use]
+    pub fn pair_ratio(&self, group: &str, bench_b: &str) -> Option<&PairRatio> {
+        self.pairs
             .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, ratio)| ratio)
+            .rfind(|pair| pair.b.group == group && pair.b.bench == bench_b)
     }
 
     /// Starts a named group of related benchmarks.
@@ -158,7 +186,7 @@ impl BenchmarkGroup<'_> {
         }
         let mut bencher = self.make_bencher();
         f(&mut bencher);
-        self.report(&id, &bencher);
+        self.report(id, bencher);
         self
     }
 
@@ -172,18 +200,12 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &I),
     {
-        if !self.selected(&[&id.full]) {
-            return self;
-        }
-        let mut bencher = self.make_bencher();
-        f(&mut bencher, input);
-        self.report(&id.full, &bencher);
-        self
+        self.bench_function(id.full, |b| f(b, input))
     }
 
     /// Measures two bodies with **interleaved** sample blocks, reporting
-    /// one row each plus the median of the per-sample B/A ratios
-    /// ([`Criterion::pair_ratio`]). Back-to-back `bench_function` runs of
+    /// one row each plus the median and quartiles of the per-sample A/B
+    /// ratios ([`Criterion::pairs`]). Back-to-back `bench_function` runs of
     /// near-identical kernels absorb machine drift (frequency scaling,
     /// neighbours' load) into their ratio. Here every sample times one
     /// short A block and one short B block back to back (about a
@@ -192,6 +214,8 @@ impl BenchmarkGroup<'_> {
     /// always inherits the other's cache state. A preemption spoils one
     /// sample's ratio, not a side's median. The samples fill the
     /// measurement budget, and there are at least `sample_size` of them.
+    /// Both sides run the same number of iterations, so stateful bodies
+    /// stay in lockstep.
     pub fn bench_pair<OA, OB>(
         &mut self,
         id_a: impl Into<String>,
@@ -237,20 +261,24 @@ impl BenchmarkGroup<'_> {
             };
             samples_a.push(ns_a);
             samples_b.push(ns_b);
-            ratios.push(ns_b / ns_a);
+            ratios.push(ns_a / ns_b);
         }
-        samples_a.sort_by(f64::total_cmp);
-        samples_b.sort_by(f64::total_cmp);
-        ratios.sort_by(f64::total_cmp);
-        self.emit(&id_a, robust_median(&samples_a), samples, iters);
-        self.emit(&id_b, robust_median(&samples_b), samples, iters);
-        let ratio = robust_median(&ratios);
-        let name_b = format!("{}/{id_b}", self.name);
+        let kept = tukey_kept(&mut ratios);
+        let pair = PairRatio {
+            a: self.emit(id_a, &mut samples_a, iters),
+            b: self.emit(id_b, &mut samples_b, iters),
+            ratio: quantile(kept, 0.5),
+            ratio_q1: quantile(kept, 0.25),
+            ratio_q3: quantile(kept, 0.75),
+        };
         println!(
-            "{:<52} B/A ratio {ratio:.4} (median of per-sample ratios)",
-            name_b
+            "{:<52} A/B ratio {:.4} (IQR {:.4}–{:.4}, per-sample)",
+            format!("{}/{}", pair.b.group, pair.b.bench),
+            pair.ratio,
+            pair.ratio_q1,
+            pair.ratio_q3
         );
-        self.criterion.pair_ratios.push((name_b, ratio));
+        self.criterion.pairs.push(pair);
         self
     }
 
@@ -272,42 +300,38 @@ impl BenchmarkGroup<'_> {
             warm_up: self.warm_up.mul_f64(scale),
             measurement: self.measurement.mul_f64(scale),
             sample_size: self.sample_size,
-            median_ns: None,
-            samples: 0,
+            samples_ns: Vec::new(),
             iters_per_sample: 0,
         }
     }
 
-    fn report(&self, id: &str, bencher: &Bencher) {
-        let Some(median_ns) = bencher.median_ns else {
+    fn report(&mut self, id: String, mut bencher: Bencher) {
+        if bencher.samples_ns.is_empty() {
             eprintln!(
                 "warning: benchmark {}/{id} never called Bencher::iter",
                 self.name
             );
             return;
-        };
-        self.emit(id, median_ns, bencher.samples, bencher.iters_per_sample);
+        }
+        self.emit(id, &mut bencher.samples_ns, bencher.iters_per_sample);
     }
 
-    fn emit(&self, id: &str, median_ns: f64, samples: usize, iters_per_sample: u64) {
+    /// Prints, records and returns the row `id` with the robust median
+    /// of its per-iteration `samples_ns`.
+    fn emit(&mut self, id: String, samples_ns: &mut [f64], iters: u64) -> Measurement {
+        let samples = samples_ns.len();
+        let row = Measurement {
+            group: self.name.clone(),
+            bench: id,
+            median_ns: quantile(tukey_kept(samples_ns), 0.5),
+        };
         println!(
-            "{:<52} median {:>12.1} ns  ({samples} samples x {iters_per_sample} iters)",
-            format!("{}/{}", self.name, id),
-            median_ns,
+            "{:<52} median {:>12.1} ns  ({samples} samples x {iters} iters)",
+            format!("{}/{}", row.group, row.bench),
+            row.median_ns,
         );
-        if let Ok(path) = std::env::var("CRITERION_JSON") {
-            if let Ok(mut file) = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-            {
-                let _ = writeln!(
-                    file,
-                    "{{\"group\":\"{}\",\"bench\":\"{}\",\"median_ns\":{:.1}}}",
-                    self.name, id, median_ns
-                );
-            }
-        }
+        self.criterion.measurements.push(row.clone());
+        row
     }
 }
 
@@ -316,13 +340,12 @@ pub struct Bencher {
     warm_up: Duration,
     measurement: Duration,
     sample_size: usize,
-    median_ns: Option<f64>,
-    samples: usize,
+    samples_ns: Vec<f64>,
     iters_per_sample: u64,
 }
 
 impl Bencher {
-    /// Measures `f`, storing the median per-iteration time.
+    /// Measures `f`, storing the per-iteration time of every sample.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
         // Warm-up while estimating the cost of one iteration.
         let warm_start = Instant::now();
@@ -337,19 +360,9 @@ impl Bencher {
         let budget = self.measurement.as_secs_f64().max(1e-3);
         let per_sample = budget / self.sample_size as f64;
         let iters = ((per_sample / per_iter.max(1e-9)).floor() as u64).max(1);
-
-        let mut samples_ns = Vec::with_capacity(self.sample_size);
-        for _ in 0..self.sample_size {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            let elapsed = start.elapsed().as_nanos() as f64;
-            samples_ns.push(elapsed / iters as f64);
-        }
-        samples_ns.sort_by(f64::total_cmp);
-        self.median_ns = Some(robust_median(&samples_ns));
-        self.samples = self.sample_size;
+        self.samples_ns = (0..self.sample_size)
+            .map(|_| time_block(iters, &mut f))
+            .collect();
         self.iters_per_sample = iters;
     }
 }
@@ -371,24 +384,18 @@ fn quantile(sorted: &[f64], p: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * (idx - lo as f64)
 }
 
-/// Median of a sorted, non-empty sample after Tukey IQR outlier rejection:
-/// values outside `[Q1 − 1.5·IQR, Q3 + 1.5·IQR]` are dropped first. The
-/// median itself always lies inside the fences, so the kept set is never
-/// empty.
-fn robust_median(sorted: &[f64]) -> f64 {
-    let q1 = quantile(sorted, 0.25);
-    let q3 = quantile(sorted, 0.75);
+/// Sorts a non-empty sample and returns the part inside the Tukey fences
+/// `[Q1 − 1.5·IQR, Q3 + 1.5·IQR]`. The median always lies inside the
+/// fences, so the kept part is never empty.
+fn tukey_kept(samples: &mut [f64]) -> &[f64] {
+    samples.sort_by(f64::total_cmp);
+    let q1 = quantile(samples, 0.25);
+    let q3 = quantile(samples, 0.75);
     let iqr = q3 - q1;
     let (lo, hi) = (q1 - 1.5 * iqr, q3 + 1.5 * iqr);
-    let start = sorted.partition_point(|&x| x < lo);
-    let end = sorted.partition_point(|&x| x <= hi);
-    let kept = &sorted[start..end];
-    let mid = kept.len() / 2;
-    if kept.len().is_multiple_of(2) {
-        (kept[mid - 1] + kept[mid]) / 2.0
-    } else {
-        kept[mid]
-    }
+    let start = samples.partition_point(|&x| x < lo);
+    let end = samples.partition_point(|&x| x <= hi);
+    &samples[start..end]
 }
 
 /// Declares a group of benchmark functions.
@@ -416,13 +423,15 @@ macro_rules! criterion_main {
 mod tests {
     use super::*;
 
+    fn robust_median(samples: &mut [f64]) -> f64 {
+        quantile(tukey_kept(samples), 0.5)
+    }
+
     #[test]
     fn measures_something_sane() {
-        std::env::remove_var("CRITERION_JSON");
         let mut c = Criterion {
             time_scale: 0.02,
-            filter: None,
-            pair_ratios: Vec::new(),
+            ..Criterion::default()
         };
         let mut group = c.benchmark_group("shim");
         group.sample_size(5);
@@ -439,11 +448,46 @@ mod tests {
         });
         group.finish();
         assert!(ran);
+        let [row] = c.measurements() else {
+            panic!("one row recorded")
+        };
+        assert_eq!((row.group.as_str(), row.bench.as_str()), ("shim", "spin"));
+        assert!(row.median_ns.is_finite() && row.median_ns > 0.0);
+    }
+
+    /// Spins `n` times through an opaque add.
+    fn spin(n: u64) -> u64 {
+        (0..n).fold(0u64, |acc, i| acc.wrapping_add(black_box(i)))
+    }
+
+    #[test]
+    fn a_pair_measured_twice_reports_its_latest_ratio() {
+        let mut c = Criterion {
+            time_scale: 0.01,
+            ..Criterion::default()
+        };
+        let mut group = c.benchmark_group("shim");
+        group.sample_size(5);
+        group.bench_pair("ref", || spin(100), "fast", || spin(100));
+        group.bench_pair("ref", || spin(3000), "fast", || spin(100));
+        group.finish();
+        let [first, second] = c.pairs() else {
+            panic!("two pairs recorded")
+        };
+        assert!(
+            first.ratio < 5.0 && second.ratio > 5.0,
+            "{first:?} {second:?}"
+        );
+        for pair in [first, second] {
+            assert!(pair.ratio_q1 <= pair.ratio && pair.ratio <= pair.ratio_q3);
+        }
+        let latest = c.pair_ratio("shim", "fast").expect("the pair ran");
+        assert!(std::ptr::eq(latest, second));
+        assert_eq!(c.measurements().len(), 4, "one row per side per pair");
     }
 
     #[test]
     fn name_filter_matches_group_and_bench() {
-        std::env::remove_var("CRITERION_JSON");
         let mut c = Criterion::default().with_filter(Some("shim/ke".into()));
         c.time_scale = 0.001;
         let mut group = c.benchmark_group("shim");
@@ -474,8 +518,8 @@ mod tests {
         assert_eq!((c_runs, d_runs), (0, 0));
         // Only the measured pair leaves a ratio, keyed by its B side.
         assert!(c.pair_ratio("shim", "kernel").is_some());
-        assert_eq!(c.pair_ratio("shim", "x"), None);
-        assert_eq!(c.pair_ratio("shim", "z"), None);
+        assert!(c.pair_ratio("shim", "x").is_none());
+        assert!(c.pair_ratio("shim", "z").is_none());
         // No filter runs everything.
         let mut all = Criterion::default().with_filter(None);
         all.time_scale = 0.001;
@@ -500,15 +544,15 @@ mod tests {
         // A single 100 ns spike among 1–5 ns samples: the plain median
         // would be 3.5 (it straddles the spike's pull on the midpoint);
         // the fences reject the spike and the median of the rest is 3.
-        let samples = [1.0, 2.0, 3.0, 4.0, 5.0, 100.0];
-        assert_eq!(robust_median(&samples), 3.0);
+        let mut samples = [100.0, 2.0, 1.0, 3.0, 5.0, 4.0];
+        assert_eq!(robust_median(&mut samples), 3.0);
         // Spike-free samples are untouched.
-        assert_eq!(robust_median(&[1.0, 2.0, 3.0, 4.0, 5.0]), 3.0);
-        assert_eq!(robust_median(&[2.0, 4.0]), 3.0);
-        assert_eq!(robust_median(&[7.5]), 7.5);
+        assert_eq!(robust_median(&mut [1.0, 2.0, 3.0, 4.0, 5.0]), 3.0);
+        assert_eq!(robust_median(&mut [4.0, 2.0]), 3.0);
+        assert_eq!(robust_median(&mut [7.5]), 7.5);
         // Outliers on both sides.
-        let two_sided = [0.001, 10.0, 10.5, 11.0, 11.5, 12.0, 500.0];
-        assert_eq!(robust_median(&two_sided), 11.0);
+        let mut two_sided = [0.001, 10.0, 10.5, 11.0, 11.5, 12.0, 500.0];
+        assert_eq!(robust_median(&mut two_sided), 11.0);
     }
 
     #[test]
